@@ -7,7 +7,6 @@ multi-representative selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,21 +22,11 @@ from .core import (
     MultiRepSelection,
     Scenario,
     ScaleError,
+    ShortestPath,
     enumerate_solutions,
 )
 
 _OVERFLOW_LIMIT = 2**60
-
-
-@dataclass(frozen=True)
-class SGrid:
-    """Candidate values for the balancing dual's break points."""
-
-    values: tuple[int, ...]
-
-    @classmethod
-    def for_instance(cls, inst: Instance) -> "SGrid":
-        return cls(tuple(sorted({0, *inst.costs.d})))
 
 
 def _check_scale(inst: Instance) -> None:
@@ -50,12 +39,9 @@ def _greedy_delta(
 ) -> Scenario:
     """Optimal adversary attack for fixed (x, y): the largest deviations
     among items we packed and the adversary did not."""
-    d = inst.costs.d
-    targets = [
-        i for i in range(inst.n) if x.x[i] == 1 and y.x[i] == 0 and d[i] > 0
-    ]
-    targets.sort(key=lambda i: (-d[i], i))
-    return Scenario.from_indices(targets[: inst.budgets.gamma], inst.n)
+    mask = [xi and not yi for xi, yi in zip(x.x, y.x)]
+    picked = inst.costs.top_deviations(mask, inst.budgets.gamma)
+    return Scenario.from_indices(picked, inst.n)
 
 
 def _certificate_for(
@@ -133,7 +119,9 @@ def adversarial_milp(
 
     model = milp.MilpModel()
     y_vars = [model.add_binary() for _ in range(n)]
-    delta_vars = [model.add_binary() for _ in range(n)]
+    # For fixed integral y the attack relaxation has an integral optimum,
+    # so only the adversary's packing variables are binary.
+    delta_vars = [model.add_continuous(0.0, 1.0) for _ in range(n)]
     s_var = model.add_continuous(0.0)
     t_vars = [model.add_continuous(0.0) for _ in range(n)]
 
@@ -156,47 +144,21 @@ def adversarial_milp(
     for coefs, sense, rhs in inst.feasible.linear_rows():
         model.add_constraint({y_vars[j]: a for j, a in coefs.items()}, sense, rhs)
 
-    # For fixed integral y the attack relaxation has an integral optimum,
-    # so branching is restricted to the adversary's packing variables.
-    res = milp.solve_milp(model, node_limit, branch_only=y_vars)
+    res = milp.solve_milp(model, node_limit)
     if res.status == "node_limit" and not res.assignment:
         raise ScaleError("adversarial MILP hit the node limit with no incumbent")
     optimal = res.status == "optimal"
-    y_bits = [int(round(res.assignment[j])) for j in y_vars]
-    y = _clean_y(inst, y_bits)
+    y = BinarySolution([int(round(res.assignment[j])) for j in y_vars])
+    if isinstance(inst.feasible, ShortestPath):
+        y = inst.feasible.repair(y)
+    elif not inst.feasible.is_feasible(y):
+        raise InputError("MILP returned an infeasible adversary solution")
     const = sum(ci * xi for ci, xi in zip(c, x.x))
     cert = _certificate_for(inst, x, y, optimal=optimal)
     if optimal:
         milp_value = const + res.value
         assert abs(cert.value - milp_value) < 1e-5, (cert.value, milp_value)
     return cert
-
-
-def _clean_y(inst: Instance, y_bits: list[int]) -> BinarySolution:
-    """Round a MILP adversary solution; for path sets, strip value-neutral
-    cycles so the result is a simple path."""
-    y = BinarySolution(y_bits)
-    f = inst.feasible
-    if f.is_feasible(y):
-        return y
-    if hasattr(f, "edges"):
-        succ = {}
-        for e in range(f.n):
-            if y.x[e]:
-                succ.setdefault(f.edges[e][0], e)
-        path = []
-        node, seen = f.source, {f.source}
-        while node != f.target:
-            e = succ.get(node)
-            if e is None:
-                raise InputError("MILP solution does not reach the target")
-            path.append(e)
-            node = f.edges[e][1]
-            if node in seen:
-                raise InputError("MILP solution loops before the target")
-            seen.add(node)
-        return BinarySolution.from_indices(path, f.n)
-    raise InputError("MILP returned an infeasible adversary solution")
 
 
 def adversarial_selection_dp(
@@ -219,7 +181,7 @@ def adversarial_selection_dp(
 
     best_value: Optional[int] = None
     best_pick: Optional[tuple[list[int], list[int]]] = None
-    for s in SGrid.for_instance(inst).values:
+    for s in inst.costs.break_points():
         total, picks = _dp_for_s(inst, x, s)
         value = base + total - gamma_prime * s
         if best_value is None or value > best_value:

@@ -29,13 +29,8 @@ def solve_balancing(
     _check_dim(delta.n, n)
     _check_dim(y.n, n)
 
-    targets = [
-        i
-        for i in range(n)
-        if y.x[i] == 1 and x.x[i] == 0 and costs.d[i] > 0
-    ]
-    targets.sort(key=lambda i: (-costs.d[i], i))
-    eps = Scenario.from_indices(targets[: max(0, gamma_prime)], n)
+    mask = [yi and not xi for xi, yi in zip(x.x, y.x)]
+    eps = Scenario.from_indices(costs.top_deviations(mask, gamma_prime), n)
 
     value = sum(
         (costs.c_hat[i] + costs.d[i] * delta.delta[i] + costs.d[i] * eps.delta[i])

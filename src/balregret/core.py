@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 
@@ -60,6 +61,18 @@ class ItemCosts:
     def worst(self) -> tuple[int, ...]:
         """Nominal-plus-deviation cost of every item."""
         return tuple(c + dv for c, dv in zip(self.c_hat, self.d))
+
+    def top_deviations(self, mask: Sequence[int], k: int) -> list[int]:
+        """The up-to-``k`` masked items of largest positive deviation,
+        largest first; ties go to the lower index."""
+        items = [i for i, m in enumerate(mask) if m and self.d[i] > 0]
+        items.sort(key=lambda i: (-self.d[i], i))
+        return items[: max(0, k)]
+
+    def break_points(self) -> tuple[int, ...]:
+        """Sorted candidate values {0} | {d_i} for the break point of the
+        balancing dual."""
+        return tuple(sorted({0, *self.d}))
 
 
 @dataclass(frozen=True)
@@ -201,7 +214,7 @@ class MultiRepSelection:
     def solution_count(self) -> int:
         count = 1
         for part, q in zip(self.partitions, self.quotas):
-            count *= _comb(len(part), q)
+            count *= math.comb(len(part), q)
         return count
 
     def enumerate_solutions(self) -> Iterator[BinarySolution]:
@@ -364,6 +377,30 @@ class ShortestPath:
             seen.add(node)
             walked += 1
         return walked == len(used)
+
+    def repair(self, x: BinarySolution) -> BinarySolution:
+        """The simple source-target path inside x's edge set.
+
+        The flow rows of ``linear_rows`` also admit x plus value-neutral
+        cycles; those are stripped by walking from the source along the
+        lowest-indexed chosen out-edge of each node. x is returned as is
+        when it already is a simple path.
+        """
+        if self.is_feasible(x):
+            return x
+        succ: dict[int, int] = {}
+        for e in x.indices():
+            succ.setdefault(self.edges[e][0], e)
+        path = []
+        node, seen = self.source, {self.source}
+        while node != self.target:
+            e = succ.get(node)
+            if e is None or self.edges[e][1] in seen:
+                raise InputError("edge set holds no simple source-target path")
+            path.append(e)
+            node = self.edges[e][1]
+            seen.add(node)
+        return BinarySolution.from_indices(path, self.n)
 
     def _shortest(
         self, costs: Optional[Sequence[float]]
@@ -532,24 +569,10 @@ class AdversaryCertificate:
     epsilon: Scenario
     optimal: bool = True
 
-    def recompute(self, inst: Instance, x: BinarySolution) -> int:
-        c_hat, d = inst.costs.c_hat, inst.costs.d
-        return sum(
-            (c_hat[i] + d[i] * self.delta.delta[i] + d[i] * self.epsilon.delta[i])
-            * (x.x[i] - self.y.x[i])
-            for i in range(inst.n)
-        )
-
 
 def _check_dim(got: int, want: int) -> None:
     if got != want:
         raise InputError(f"dimension mismatch: got {got}, expected {want}")
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 def is_feasible(x: BinarySolution, f: FeasibleSet) -> bool:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import master
-from .adversarial import SGrid, adversarial_milp, adversarial_selection_dp
+from .adversarial import adversarial_milp, adversarial_selection_dp
 from .core import (
     BinarySolution,
     Budgets,
@@ -55,9 +55,9 @@ def eval_criterion(inst: Instance, x: BinarySolution, criterion: str) -> int:
     if criterion == "WC-I":
         return sum((ci + di) * xi for ci, di, xi in zip(c, d, x.x))
     if criterion == "WC-G":
-        packed = sorted((di for di, xi in zip(d, x.x) if xi), reverse=True)
+        attacked = inst.costs.top_deviations(x.x, inst.budgets.gamma)
         return (sum(ci * xi for ci, xi in zip(c, x.x))
-                + sum(packed[:inst.budgets.gamma]))
+                + sum(d[i] for i in attacked))
     if criterion == "R-I":
         worst = sum((ci + di) * xi for ci, di, xi in zip(c, d, x.x))
         hindsight = [ci + di * xi for ci, di, xi in zip(c, d, x.x)]
@@ -78,17 +78,17 @@ def optimize_criterion(inst: Instance, criterion: str) -> SolveReport:
         costs = list(c) if criterion == "BC" else [ci + di for ci, di in zip(c, d)]
         x = nominal_solve(inst.feasible, costs)
         value = sum(ci * xi for ci, xi in zip(costs, x.x))
-        return _report(x, value, criterion)
+        return SolveReport.exact(x, value, criterion, 0.0)
     if criterion == "WC-G":
         gamma = inst.budgets.gamma
         best = None
-        for s in SGrid.for_instance(inst).values:
+        for s in inst.costs.break_points():
             adj = [ci + max(di - s, 0) for ci, di in zip(c, d)]
             x = nominal_solve(inst.feasible, adj)
             value = gamma * s + sum(ai * xi for ai, xi in zip(adj, x.x))
             if best is None or value < best[0]:
                 best = (value, x)
-        return _report(best[1], best[0], criterion)
+        return SolveReport.exact(best[1], best[0], criterion, 0.0)
     if criterion == "R-I":
         sub = _with_budgets(inst, gamma=n, gamma_prime=0)
     elif criterion == "R-G":
@@ -100,20 +100,7 @@ def optimize_criterion(inst: Instance, criterion: str) -> SolveReport:
         rep = solve_regret_budgeted_mrs(sub)
     else:
         rep = master.solve_iterative(sub)
-    return SolveReport(
-        x=rep.x, value=rep.value, iterations=rep.iterations,
-        lower_bounds=rep.lower_bounds, upper_bounds=rep.upper_bounds,
-        wall_time=rep.wall_time, method=f"{criterion}:{rep.method}",
-        optimal=rep.optimal,
-    )
-
-
-def _report(x: BinarySolution, value: int, criterion: str) -> SolveReport:
-    return SolveReport(
-        x=x, value=int(value), iterations=1,
-        lower_bounds=[float(value)], upper_bounds=[float(value)],
-        wall_time=0.0, method=criterion, optimal=True,
-    )
+    return replace(rep, method=f"{criterion}:{rep.method}")
 
 
 @dataclass
@@ -165,12 +152,13 @@ def criteria_matrix(batch: list[Instance],
     per_instance: dict[str, list[list[int]]] = {}
 
     for inst in batch:
-        solutions = [optimize_criterion(inst, c).x for c in CRITERIA]
+        reports = [optimize_criterion(inst, c) for c in cols]
+        optima = [rep.value for rep in reports]
+        solutions = [rep.x for rep in reports]
         if gamma_prime_range is not None:
             for gp in gamma_prime_range:
                 sub = _with_budgets(inst, gamma_prime=gp)
                 solutions.append(optimize_criterion(sub, "BR").x)
-        optima = [optimize_criterion(inst, c).value for c in cols]
         table = [
             [eval_criterion(inst, x, c) for c in cols] for x in solutions
         ]

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 from . import milp
 from .adversarial import (
-    SGrid,
     adversarial_bruteforce,
     adversarial_milp,
     adversarial_selection_dp,
@@ -47,9 +46,12 @@ ADVERSARY_METHODS: dict[str, AdversaryFn] = {
 
 @dataclass
 class ScenarioPool:
-    """A growing subset of the adversary's (solution, attack) pairs."""
+    """A growing subset of the adversary's (solution, attack) pairs, kept
+    in insertion order."""
 
-    entries: list[tuple[BinarySolution, Scenario]] = field(default_factory=list)
+    entries: dict[tuple[BinarySolution, Scenario], None] = field(
+        default_factory=dict
+    )
 
     def __contains__(self, entry: tuple[BinarySolution, Scenario]) -> bool:
         return entry in self.entries
@@ -57,7 +59,7 @@ class ScenarioPool:
     def add(self, y: BinarySolution, delta: Scenario) -> bool:
         if (y, delta) in self.entries:
             return False
-        self.entries.append((y, delta))
+        self.entries[(y, delta)] = None
         return True
 
     def __len__(self) -> int:
@@ -74,6 +76,29 @@ class SolveReport:
     wall_time: float
     method: str
     optimal: bool = True
+
+    @classmethod
+    def exact(
+        cls,
+        x: BinarySolution,
+        value: int,
+        method: str,
+        wall_time: float,
+        iterations: int = 1,
+        optimal: bool = True,
+    ) -> "SolveReport":
+        """A one-shot report whose lower and upper bounds are both the
+        value."""
+        return cls(
+            x=x,
+            value=value,
+            iterations=iterations,
+            lower_bounds=[float(value)],
+            upper_bounds=[float(value)],
+            wall_time=wall_time,
+            method=method,
+            optimal=optimal,
+        )
 
     @property
     def gap(self) -> float:
@@ -112,8 +137,12 @@ def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
         model.add_constraint({x_vars[j]: a for j, a in coefs.items()}, sense, rhs)
 
     for y, delta in pool.entries:
-        # Balancing variables only pay off on the adversary's items.
-        eps_vars = {i: model.add_binary() for i in range(n) if y.x[i]}
+        # Balancing variables only pay off on the adversary's items. Once
+        # x is integral their relaxation is integral, so they stay
+        # continuous and branch and bound runs over x alone.
+        eps_vars = {
+            i: model.add_continuous(0.0, 1.0) for i in range(n) if y.x[i]
+        }
         coefs: dict[int, float] = {z: 1.0}
         rhs = 0.0
         for i in range(n):
@@ -136,25 +165,11 @@ def _extract_x(inst: Instance, assignment: list[float]) -> BinarySolution:
     Variable 0 is the value variable; x occupies the next n slots. For path
     sets, value-neutral cycles the flow encoding admits are stripped.
     """
-    bits = [int(round(assignment[1 + i])) for i in range(inst.n)]
-    x = BinarySolution(bits)
+    x = BinarySolution([int(round(assignment[1 + i])) for i in range(inst.n)])
     f = inst.feasible
-    if isinstance(f, ShortestPath) and not f.is_feasible(x):
-        succ = {}
-        for e in range(f.n):
-            if bits[e]:
-                succ.setdefault(f.edges[e][0], e)
-        path = []
-        node, seen = f.source, {f.source}
-        while node != f.target:
-            e = succ.get(node)
-            if e is None or f.edges[e][1] in seen:
-                raise InputError("master solution does not decompose to a path")
-            path.append(e)
-            node = f.edges[e][1]
-            seen.add(node)
-        x = BinarySolution.from_indices(path, f.n)
-    if not f.is_feasible(x):
+    if isinstance(f, ShortestPath):
+        x = f.repair(x)
+    elif not f.is_feasible(x):
         raise InputError("master returned an infeasible first-stage solution")
     return x
 
@@ -163,11 +178,9 @@ def _initial_scenario(inst: Instance) -> tuple[BinarySolution, Scenario]:
     """Warm start: the robust nominal solution and a greedy attack on the
     largest deviations it leaves unpacked."""
     y0 = nominal_solve(inst.feasible, inst.costs.worst())
-    d = inst.costs.d
-    targets = [i for i in range(inst.n) if y0.x[i] == 0 and d[i] > 0]
-    targets.sort(key=lambda i: (-d[i], i))
-    delta = Scenario.from_indices(targets[: inst.budgets.gamma], inst.n)
-    return y0, delta
+    mask = [1 - yi for yi in y0.x]
+    picked = inst.costs.top_deviations(mask, inst.budgets.gamma)
+    return y0, Scenario.from_indices(picked, inst.n)
 
 
 def _pick_adversary(inst: Instance, adversary: Optional[str]) -> tuple[str, AdversaryFn]:
@@ -201,15 +214,8 @@ def solve_iterative(
     # loop is unnecessary.
     cert0 = adv(inst, y0)
     if cert0.value <= 0:
-        return SolveReport(
-            x=y0,
-            value=0,
-            iterations=0,
-            lower_bounds=[0.0],
-            upper_bounds=[0.0],
-            wall_time=time.monotonic() - start,
-            method=f"iterative/{name}",
-            optimal=True,
+        return SolveReport.exact(
+            y0, 0, f"iterative/{name}", time.monotonic() - start, iterations=0
         )
     best_x, best_value = y0, cert0.value
     pool.add(cert0.y, cert0.delta)
@@ -219,7 +225,7 @@ def solve_iterative(
     while True:
         iterations += 1
         model = build_master(inst, pool)
-        res = milp.solve_milp(model, branch_only=range(1, inst.n + 1))
+        res = milp.solve_milp(model)
         if res.status != "optimal":
             raise ScaleError(f"master solve failed with status {res.status}")
         lb = res.value
@@ -278,21 +284,12 @@ def solve_enumeration(inst: Instance) -> SolveReport:
     start = time.monotonic()
     pool = _full_pool(inst)
     model = build_master(inst, pool)
-    # Balancing variables relax integrally once x is integral.
-    res = milp.solve_milp(model, branch_only=range(1, inst.n + 1))
+    res = milp.solve_milp(model)
     if res.status != "optimal":
         raise ScaleError(f"enumeration master failed with status {res.status}")
     x = _extract_x(inst, res.assignment)
-    value = int(round(res.value))
-    elapsed = time.monotonic() - start
-    return SolveReport(
-        x=x,
-        value=value,
-        iterations=1,
-        lower_bounds=[float(value)],
-        upper_bounds=[float(value)],
-        wall_time=elapsed,
-        method="enumeration",
+    return SolveReport.exact(
+        x, int(round(res.value)), "enumeration", time.monotonic() - start
     )
 
 
@@ -306,7 +303,7 @@ def solve_compact_mrs(inst: Instance) -> SolveReport:
     n, L = inst.n, f.num_partitions
     c, d = inst.costs.c_hat, inst.costs.d
     gamma, gp = inst.budgets.gamma, inst.budgets.gamma_prime
-    grid = SGrid.for_instance(inst).values
+    grid = inst.costs.break_points()
 
     model = milp.MilpModel()
     t = model.add_continuous(-milp.INF)
@@ -347,19 +344,15 @@ def solve_compact_mrs(inst: Instance) -> SolveReport:
                 -float(c[i] + bump),
             )
 
-    res = milp.solve_milp(model, branch_only=x_vars)
+    res = milp.solve_milp(model)
     if res.status not in ("optimal", "node_limit") or not res.assignment:
         raise ScaleError(f"compact solve failed with status {res.status}")
     x = _extract_x(inst, res.assignment)
-    value = int(round(res.value))
-    return SolveReport(
-        x=x,
-        value=value,
-        iterations=1,
-        lower_bounds=[float(value)],
-        upper_bounds=[float(value)],
-        wall_time=time.monotonic() - start,
-        method="compact",
+    return SolveReport.exact(
+        x,
+        int(round(res.value)),
+        "compact",
+        time.monotonic() - start,
         optimal=res.status == "optimal",
     )
 
@@ -381,13 +374,10 @@ def solve_bruteforce(inst: Instance) -> SolveReport:
             best_value = worst
             best_x = x
     assert best_x is not None
-    value = int(best_value)
-    return SolveReport(
-        x=best_x,
-        value=value,
+    return SolveReport.exact(
+        best_x,
+        int(best_value),
+        "bruteforce",
+        time.monotonic() - start,
         iterations=len(candidates),
-        lower_bounds=[float(value)],
-        upper_bounds=[float(value)],
-        wall_time=time.monotonic() - start,
-        method="bruteforce",
     )

@@ -89,10 +89,6 @@ class MilpResult:
     value: float
     assignment: list[float]
 
-    def rounded_value(self) -> int:
-        """Objective rounded to the nearest integer (integral-data models)."""
-        return int(round(self.value))
-
 
 class _Unbounded(Exception):
     pass
@@ -371,24 +367,14 @@ def _violation(model: MilpModel, xs: Sequence[float]) -> float:
 
 
 def solve_milp(
-    model: MilpModel,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    branch_only: Optional[Sequence[int]] = None,
+    model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> MilpResult:
     """Exact optimum by depth-first branch-and-bound over the binaries.
 
     Branches on the binary with fractional part closest to 0.5 (ties go to
     the lowest index), exploring the rounding-toward-incumbent child first.
-
-    ``branch_only`` restricts branching to a subset of the binaries. The
-    caller asserts that once those are integral the relaxation attains the
-    mixed optimum (e.g. the rest decouple into fractional knapsacks with
-    integer budgets); the returned assignment may then hold fractional
-    values for the non-branched binaries at unchanged objective value.
     """
-    binaries = (
-        list(branch_only) if branch_only is not None else model.binary_indices()
-    )
+    binaries = model.binary_indices()
     sign = 1.0 if model.objective_sense == "min" else -1.0
 
     best_value = math.inf  # in minimization orientation

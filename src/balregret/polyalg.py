@@ -3,6 +3,12 @@
 Covers the regret problem without a balancing stage (gamma_prime = 0),
 detection of zero-value solutions, dominance preprocessing, and the
 constant-cost-vector shortcut.
+
+Only ``solve_regret_budgeted_mrs`` is called by a solver (the CLI's
+``regret-poly`` method, ``crosscheck`` and the criteria matrix).
+``check_zero_solution``, ``dominance_reduce`` and ``solve_constant_case``
+are tested library functions for the paper's results; no solver or CLI
+path calls them.
 """
 
 from __future__ import annotations
@@ -124,15 +130,8 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
         local = _partition_pick(cs[l], ds[l], quota, best_pi, best_kappa[l])
         picked.extend(int(parts[l][j]) for j in local)
     x = BinarySolution.from_indices(picked, n)
-    value = int(round(best_val))
-    return SolveReport(
-        x=x,
-        value=value,
-        iterations=1,
-        lower_bounds=[float(value)],
-        upper_bounds=[float(value)],
-        wall_time=time.monotonic() - start,
-        method="regret-poly",
+    return SolveReport.exact(
+        x, int(round(best_val)), "regret-poly", time.monotonic() - start
     )
 
 
@@ -214,12 +213,6 @@ def solve_constant_case(inst: Instance) -> SolveReport | None:
         picked.extend(sorted(part, key=key)[:quota])
     x = BinarySolution.from_indices(picked, inst.n)
     cert = adversarial_selection_dp(inst, x)
-    return SolveReport(
-        x=x,
-        value=cert.value,
-        iterations=1,
-        lower_bounds=[float(cert.value)],
-        upper_bounds=[float(cert.value)],
-        wall_time=time.monotonic() - start,
-        method="constant-case",
+    return SolveReport.exact(
+        x, cert.value, "constant-case", time.monotonic() - start
     )

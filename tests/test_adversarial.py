@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from balregret.adversarial import (
-    SGrid,
     adversarial_bruteforce,
     adversarial_milp,
     adversarial_selection_dp,
@@ -36,7 +35,7 @@ def _certificate_value(inst, x, cert):
 
 
 def test_sgrid_is_sorted_deviation_set(example_one):
-    grid = SGrid.for_instance(example_one).values
+    grid = example_one.costs.break_points()
     assert grid == (0, 1, 9, 12, 14, 15)
 
 

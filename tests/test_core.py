@@ -40,6 +40,17 @@ class TestItemCosts:
     def test_worst(self):
         assert ItemCosts((8, 5), (9, 14)).worst() == (17, 19)
 
+    def test_top_deviations(self):
+        costs = ItemCosts((0,) * 6, (5, 9, 0, 9, 5, 7))
+        every = (1,) * 6
+        # ties go to the lower index; the zero deviation never enters
+        assert costs.top_deviations(every, 5) == [1, 3, 5, 0, 4]
+        # unmasked items are skipped even when their deviation is larger
+        assert costs.top_deviations((1, 0, 1, 0, 1, 1), 2) == [5, 0]
+        assert costs.top_deviations(every, 0) == []
+        # k beyond the mask returns the whole (positive) mask
+        assert costs.top_deviations((0, 0, 1, 1, 1, 0), 6) == [3, 4]
+
 
 class TestBinarySolution:
     def test_from_indices(self):
@@ -143,6 +154,20 @@ class TestShortestPath:
         f = diamond_graph()
         assert not f.is_feasible(BinarySolution((1, 0, 0, 0, 0)))
         assert not f.is_feasible(BinarySolution((1, 1, 1, 1, 0)))
+
+    def test_repair_strips_disjoint_zero_cost_cycle(self):
+        # s=0 -> 1 -> t=2, plus the 2-cycle 3 <-> 4 that no path touches;
+        # the flow rows admit the path with the cycle added at no cost.
+        f = ShortestPath(5, [(0, 1), (3, 4), (1, 2), (4, 3), (0, 2)], 0, 2)
+        with_cycle = BinarySolution((1, 1, 1, 1, 0))
+        for coefs, _, rhs in f.linear_rows():
+            assert sum(a * with_cycle.x[e] for e, a in coefs.items()) == rhs
+        assert not f.is_feasible(with_cycle)
+        assert f.repair(with_cycle).indices() == (0, 2)
+        path = BinarySolution((0, 0, 0, 0, 1))
+        assert f.repair(path) is path
+        with pytest.raises(InputError):
+            f.repair(BinarySolution((0, 1, 0, 1, 0)))
 
     def test_nominal_solve(self):
         f = diamond_graph()

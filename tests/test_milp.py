@@ -139,20 +139,28 @@ def test_milp_mixed_integrality():
     )
 
 
-def test_branch_only_leaves_relaxed_binaries_fractional():
+def test_unit_interval_continuous_reaches_binary_optimum():
     # Two coupled halves; the second half is integral automatically once
-    # the first is fixed (an interval constraint with unit coefficients).
-    m = milp.MilpModel()
-    x = m.add_binary()
-    e1 = m.add_binary()
-    e2 = m.add_binary()
-    m.add_constraint({e1: 1.0, e2: 1.0}, "<=", 1.0)
-    m.add_constraint({x: 1.0, e1: 1.0}, "<=", 1.0)
-    m.set_objective("max", {x: 1.0, e1: 2.0, e2: 1.0})
-    full = milp.solve_milp(m)
-    partial = milp.solve_milp(m, branch_only=[x])
-    assert full.status == partial.status == "optimal"
-    assert partial.value == pytest.approx(full.value)
+    # the first is fixed (an interval constraint with unit coefficients),
+    # so e1 and e2 may be declared continuous in [0, 1] and branch and
+    # bound runs over x alone. The master and adversary models rely on
+    # this for their balancing and attack variables.
+    def solve(add_e):
+        m = milp.MilpModel()
+        x = m.add_binary()
+        e1 = add_e(m)
+        e2 = add_e(m)
+        m.add_constraint({e1: 1.0, e2: 1.0}, "<=", 1.0)
+        m.add_constraint({x: 1.0, e1: 1.0}, "<=", 1.0)
+        m.set_objective("max", {x: 1.0, e1: 2.0, e2: 1.0})
+        return m, milp.solve_milp(m)
+
+    _, full = solve(lambda m: m.add_binary())
+    mixed_model, mixed = solve(lambda m: m.add_continuous(0.0, 1.0))
+    assert mixed_model.binary_indices() == [0]
+    assert full.status == mixed.status == "optimal"
+    assert mixed.value == pytest.approx(full.value) == pytest.approx(2.0)
+    assert mixed.assignment[0] in (0.0, 1.0)
 
 
 def test_node_limit_reports_status():
@@ -160,10 +168,6 @@ def test_node_limit_reports_status():
     model, _, _ = _random_binary_model(rng)
     res = milp.solve_milp(model, node_limit=1)
     assert res.status in ("node_limit", "optimal", "infeasible")
-
-
-def test_rounded_value():
-    assert milp.MilpResult("optimal", 3.0000000001, []).rounded_value() == 3
 
 
 def test_write_lp(tmp_path):
