@@ -22,7 +22,7 @@ from .core import (
     MultiRepSelection,
     Scenario,
     ScaleError,
-    ShortestPath,
+    _read_solution,
     enumerate_solutions,
 )
 
@@ -148,11 +148,7 @@ def adversarial_milp(
     if res.status == "node_limit" and not res.assignment:
         raise ScaleError("adversarial MILP hit the node limit with no incumbent")
     optimal = res.status == "optimal"
-    y = BinarySolution([int(round(res.assignment[j])) for j in y_vars])
-    if isinstance(inst.feasible, ShortestPath):
-        y = inst.feasible.repair(y)
-    elif not inst.feasible.is_feasible(y):
-        raise InputError("MILP returned an infeasible adversary solution")
+    y = _read_solution(inst.feasible, res.assignment[:n])
     const = sum(ci * xi for ci, xi in zip(c, x.x))
     cert = _certificate_for(inst, x, y, optimal=optimal)
     if optimal:

@@ -580,6 +580,20 @@ def is_feasible(x: BinarySolution, f: FeasibleSet) -> bool:
     return f.is_feasible(x)
 
 
+def _read_solution(f: FeasibleSet, values: Sequence[float]) -> BinarySolution:
+    """The 0/1 solution of f that a MILP's values encode, rounded.
+
+    For path sets, value-neutral cycles the flow encoding admits are
+    stripped; any other set must accept the rounded values as they are.
+    """
+    x = BinarySolution([int(round(v)) for v in values])
+    if isinstance(f, ShortestPath):
+        return f.repair(x)
+    if not f.is_feasible(x):
+        raise InputError("MILP returned an infeasible solution")
+    return x
+
+
 def nominal_solve(f: FeasibleSet, costs: Sequence[int]) -> BinarySolution:
     """A deterministic minimizer of ``costs @ x`` over the feasible set.
 

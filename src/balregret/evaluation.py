@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import master
-from .adversarial import adversarial_milp, adversarial_selection_dp
 from .core import (
     BinarySolution,
     Budgets,
@@ -38,9 +37,8 @@ def _with_budgets(inst: Instance, gamma: int | None = None,
 
 
 def _adversarial_value(inst: Instance, x: BinarySolution) -> int:
-    if isinstance(inst.feasible, MultiRepSelection):
-        return adversarial_selection_dp(inst, x).value
-    return adversarial_milp(inst, x).value
+    """Value of x under the solvers' default adversary for the instance."""
+    return master._pick_adversary(inst, None)[1](inst, x).value
 
 
 def eval_criterion(inst: Instance, x: BinarySolution, criterion: str) -> int:
@@ -156,9 +154,15 @@ def criteria_matrix(batch: list[Instance],
         optima = [rep.value for rep in reports]
         solutions = [rep.x for rep in reports]
         if gamma_prime_range is not None:
+            # BR at gamma_prime 0 takes R-G's path, and BR at the
+            # instance's own gamma_prime is the BR column: reuse both.
+            known = {0: reports[cols.index("R-G")].x,
+                     inst.budgets.gamma_prime: reports[cols.index("BR")].x}
             for gp in gamma_prime_range:
-                sub = _with_budgets(inst, gamma_prime=gp)
-                solutions.append(optimize_criterion(sub, "BR").x)
+                if gp not in known:
+                    sub = _with_budgets(inst, gamma_prime=gp)
+                    known[gp] = optimize_criterion(sub, "BR").x
+                solutions.append(known[gp])
         table = [
             [eval_criterion(inst, x, c) for c in cols] for x in solutions
         ]

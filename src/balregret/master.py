@@ -28,7 +28,7 @@ from .core import (
     MultiRepSelection,
     Scenario,
     ScaleError,
-    ShortestPath,
+    _read_solution,
     enumerate_solutions,
     nominal_solve,
 )
@@ -159,21 +159,6 @@ def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
     return model
 
 
-def _extract_x(inst: Instance, assignment: list[float]) -> BinarySolution:
-    """Read the first-stage solution out of a master assignment.
-
-    Variable 0 is the value variable; x occupies the next n slots. For path
-    sets, value-neutral cycles the flow encoding admits are stripped.
-    """
-    x = BinarySolution([int(round(assignment[1 + i])) for i in range(inst.n)])
-    f = inst.feasible
-    if isinstance(f, ShortestPath):
-        x = f.repair(x)
-    elif not f.is_feasible(x):
-        raise InputError("master returned an infeasible first-stage solution")
-    return x
-
-
 def _initial_scenario(inst: Instance) -> tuple[BinarySolution, Scenario]:
     """Warm start: the robust nominal solution and a greedy attack on the
     largest deviations it leaves unpacked."""
@@ -229,7 +214,7 @@ def solve_iterative(
         if res.status != "optimal":
             raise ScaleError(f"master solve failed with status {res.status}")
         lb = res.value
-        x = _extract_x(inst, res.assignment)
+        x = _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
         cert = adv(inst, x)
         if cert.value < best_value:
             best_value = cert.value
@@ -287,7 +272,7 @@ def solve_enumeration(inst: Instance) -> SolveReport:
     res = milp.solve_milp(model)
     if res.status != "optimal":
         raise ScaleError(f"enumeration master failed with status {res.status}")
-    x = _extract_x(inst, res.assignment)
+    x = _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
     return SolveReport.exact(
         x, int(round(res.value)), "enumeration", time.monotonic() - start
     )
@@ -347,7 +332,7 @@ def solve_compact_mrs(inst: Instance) -> SolveReport:
     res = milp.solve_milp(model)
     if res.status not in ("optimal", "node_limit") or not res.assignment:
         raise ScaleError(f"compact solve failed with status {res.status}")
-    x = _extract_x(inst, res.assignment)
+    x = _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
     return SolveReport.exact(
         x,
         int(round(res.value)),

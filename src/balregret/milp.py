@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import InputError
+from .core import InputError, ScaleError
 
 PIVOT_TOL = 1e-9
 MIN_PIVOT = 1e-7  # smallest tableau entry accepted as a pivot element
@@ -21,6 +21,9 @@ INT_TOL = 1e-6
 BLAND_AFTER = 1000
 DEFAULT_NODE_LIMIT = 10**6
 _MAX_PIVOTS = 200_000
+# Largest phase-1 tableau allocated, in float64 entries (400 MB); a larger
+# LP raises ScaleError instead.
+MAX_TABLEAU_ENTRIES = 5 * 10**7
 
 INF = math.inf
 
@@ -94,45 +97,43 @@ class _Unbounded(Exception):
     pass
 
 
-class _Infeasible(Exception):
-    pass
-
-
 def _standardize(
     model: MilpModel, fixed: Optional[dict[int, float]] = None
 ):
-    """Convert to min cᵀx', Ax' (sense) b, x' >= 0.
+    """Phase-1 tableau of min cᵀx', Ax' (sense) b, x' >= 0, b >= 0.
 
     Fixed variables are substituted out; finite lower bounds are shifted,
-    free variables are split, finite upper bounds become extra rows.
-    Returns the standard-form data plus a decoder back to model space.
+    free variables are split, finite upper bounds become extra rows.  The
+    columns are [structural | slacks | artificials | rhs], one artificial
+    per row.  Returns the tableau, the phase-2 costs of the structural and
+    slack columns, the objective constant and sign, and a decoder back to
+    model space.
     """
     fixed = fixed or {}
     col_of: list[Optional[tuple[int, float, Optional[int]]]] = []
     ncols = 0
-    ub_rows: list[tuple[int, float]] = []
+    rows = list(model.constraints)
     for j, var in enumerate(model.variables):
         if j in fixed:
             col_of.append(None)
             continue
-        lb, ub = var.lb, var.ub
-        if lb == -INF:
+        if var.lb == -INF:
             col_of.append((ncols, 0.0, ncols + 1))
             ncols += 2
-            if ub < INF:
-                ub_rows.append((j, ub))
         else:
-            col_of.append((ncols, lb, None))
+            col_of.append((ncols, var.lb, None))
             ncols += 1
-            if ub < INF:
-                ub_rows.append((j, ub - lb))
+        if var.ub < INF:
+            rows.append(({j: 1.0}, "<=", var.ub))
 
-    rows = []
-    senses = []
-    rhs = []
+    m = len(rows)
+    art = ncols + sum(sense != "=" for _, sense, _ in rows)
+    if m * (art + m + 1) > MAX_TABLEAU_ENTRIES:
+        raise ScaleError(f"LP tableau of {m} x {art + m + 1} exceeds "
+                         f"{MAX_TABLEAU_ENTRIES} entries")
 
-    def expand(coefs: dict[int, float]) -> tuple[np.ndarray, float]:
-        row = np.zeros(ncols)
+    def expand(coefs: dict[int, float], row: np.ndarray) -> float:
+        """Add coefs into row; return the constant they contribute."""
         shift_sum = 0.0
         for j, a in coefs.items():
             if j in fixed:
@@ -143,33 +144,26 @@ def _standardize(
             if negcol is not None:
                 row[negcol] -= a
             shift_sum += a * shift
-        return row, shift_sum
+        return shift_sum
 
-    for coefs, sense, b in model.constraints:
-        row, shift = expand(coefs)
-        rows.append(row)
-        senses.append(sense)
-        rhs.append(b - shift)
-    for j, cap in ub_rows:
-        col, _, negcol = col_of[j]  # type: ignore[misc]
-        row = np.zeros(ncols)
-        row[col] = 1.0
-        if negcol is not None:
-            row[negcol] = -1.0
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(cap)
+    T = np.zeros((m, art + m + 1))
+    slack = ncols
+    for i, (coefs, sense, b) in enumerate(rows):
+        rhs = b - expand(coefs, T[i, :ncols])
+        slack_coef = 1.0 if sense == "<=" else -1.0
+        if rhs < 0:  # negate the row, which flips its sense
+            T[i, :ncols] *= -1
+            rhs, slack_coef = -rhs, -slack_coef
+        if sense != "=":
+            T[i, slack] = slack_coef
+            slack += 1
+        T[i, art + i] = 1.0
+        T[i, -1] = rhs
 
     sign = 1.0 if model.objective_sense == "min" else -1.0
+    c = np.zeros(art)
     # expand() accounts for bound shifts and fixed-variable contributions.
-    crow, const = expand({j: sign * v for j, v in model.objective.items()})
-
-    A = (
-        np.array(rows)
-        if rows
-        else np.zeros((0, ncols))
-    )
-    b_arr = np.array(rhs) if rhs else np.zeros(0)
+    const = expand({j: sign * v for j, v in model.objective.items()}, c)
 
     def decode(xstd: np.ndarray) -> list[float]:
         out = []
@@ -184,7 +178,7 @@ def _standardize(
             out.append(float(v))
         return out
 
-    return A, np.array(senses), b_arr, crow, const, sign, decode
+    return T, c, const, sign, decode
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
@@ -200,9 +194,16 @@ def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
     basis[r] = c
 
 
-def _run_simplex(
-    T: np.ndarray, z: np.ndarray, basis: np.ndarray, allowed: np.ndarray
-) -> None:
+def _reduced_costs(T: np.ndarray, c: np.ndarray, basis: np.ndarray):
+    """Objective row of T for costs c: reduced costs, then the negated
+    objective value."""
+    z = np.zeros(T.shape[1])
+    z[:-1] = c - c[basis] @ T[:, :-1]
+    z[-1] = -(c[basis] @ T[:, -1])
+    return z
+
+
+def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> None:
     """Iterate the tableau to optimality of the current objective row.
 
     ``z`` holds reduced costs (last entry: negated objective value).
@@ -213,12 +214,12 @@ def _run_simplex(
     for _ in range(_MAX_PIVOTS):
         red = z[:-1]
         if not bland:
-            cand = np.where(allowed & (red < -FEAS_TOL))[0]
+            cand = np.where(red < -FEAS_TOL)[0]
             if cand.size == 0:
                 return
             cand = cand[np.argsort(red[cand], kind="stable")]
         else:
-            cand = np.where(allowed & (red < -PIVOT_TOL))[0]
+            cand = np.where(red < -PIVOT_TOL)[0]
             if cand.size == 0:
                 return
         # A column with no positive entry certifies an unbounded ray, but
@@ -252,105 +253,46 @@ def _run_simplex(
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def _solve_standard(A, senses, b, c):
-    """Two-phase simplex for min cᵀx, Ax (sense) b, x >= 0."""
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    senses = list(senses)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1
-            b[i] = -b[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    slack_cols = []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            e = np.zeros(m)
-            e[i] = 1.0
-            slack_cols.append(e)
-        elif s == ">=":
-            e = np.zeros(m)
-            e[i] = -1.0
-            slack_cols.append(e)
-    nslack = len(slack_cols)
-    full = np.hstack(
-        [A, np.array(slack_cols).T if nslack else np.zeros((m, 0)), np.eye(m)]
-    )
-    nart = m
-    total = n + nslack + nart
-    T = np.hstack([full, b.reshape(-1, 1)])
-    basis = np.arange(n + nslack, total)
-
-    # Phase 1: minimize the artificial sum.
-    z1 = np.zeros(total + 1)
-    z1[n + nslack :] = 0.0
-    c1 = np.zeros(total)
-    c1[n + nslack : total] = 1.0
-    z1[:total] = c1 - c1[basis] @ T[:, :total]
-    z1[-1] = -(c1[basis] @ T[:, -1])
-    allowed = np.ones(total, dtype=bool)
-    try:
-        _run_simplex(T, z1, basis, allowed)
-    except _Unbounded:  # phase 1 is bounded below by zero
-        raise RuntimeError("phase-1 unbounded: internal error")
-    if -z1[-1] > 1e-6:
-        raise _Infeasible()
-
-    # Drive artificials out of the basis or drop their rows.
-    art_start = n + nslack
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= art_start:
-            row = T[i, :art_start]
-            cands = np.where(np.abs(row) > MIN_PIVOT)[0]
-            if cands.size:
-                _pivot(T, z1, basis, i, int(cands[0]))
-            else:
-                keep[i] = False
-    if not keep.all():
-        T = T[keep]
-        basis = basis[keep]
-
-    T = np.hstack([T[:, :art_start], T[:, -1:]])
-    basis = basis.copy()
-    m2 = T.shape[0]
-    c2 = np.zeros(art_start)
-    c2[:n] = c
-    z2 = np.zeros(art_start + 1)
-    z2[:art_start] = c2 - c2[basis] @ T[:, :art_start]
-    z2[-1] = -(c2[basis] @ T[:, -1])
-    allowed2 = np.ones(art_start, dtype=bool)
-    _run_simplex(T, z2, basis, allowed2)
-
-    x = np.zeros(art_start)
-    x[basis] = T[:, -1]
-    value = float(c2 @ x)
-    return x[:n], value
-
-
 def solve_lp(
     model: MilpModel, fixed: Optional[dict[int, float]] = None
 ) -> MilpResult:
     """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
-    A, senses, b, c, const, sign, decode = _standardize(model, fixed)
-    if A.shape[0] == 0:
-        # Objective bounded iff no free improving direction exists.
-        x = np.zeros(A.shape[1])
-        if np.any(c < -PIVOT_TOL):
-            return MilpResult("unbounded", -math.inf * sign, [])
-        value = const
-        return MilpResult("optimal", sign * value, decode(x))
+    T, c, const, sign, decode = _standardize(model, fixed)
+    m, art = T.shape[0], len(c)
+    basis = np.arange(art, art + m)
+
+    # Phase 1: minimize the artificial sum.
+    c1 = np.zeros(art + m)
+    c1[art:] = 1.0
+    z1 = _reduced_costs(T, c1, basis)
     try:
-        x, value = _solve_standard(A, senses, b, c)
-    except _Infeasible:
+        _run_simplex(T, z1, basis)
+    except _Unbounded:  # phase 1 is bounded below by zero
+        raise RuntimeError("phase-1 unbounded: internal error")
+    if -z1[-1] > 1e-6:
         return MilpResult("infeasible", math.nan, [])
+
+    # Drive artificials out of the basis or drop their rows.
+    keep = np.ones(m, dtype=bool)
+    for i in range(m):
+        if basis[i] >= art:
+            cands = np.where(np.abs(T[i, :art]) > MIN_PIVOT)[0]
+            if cands.size:
+                _pivot(T, z1, basis, i, int(cands[0]))
+            else:
+                keep[i] = False
+    T = np.hstack([T[keep, :art], T[keep, -1:]])
+    basis = basis[keep]
+
+    # Phase 2: the model's objective over the structural and slack columns.
+    z2 = _reduced_costs(T, c, basis)
+    try:
+        _run_simplex(T, z2, basis)
     except _Unbounded:
-        return MilpResult(
-            "unbounded", -math.inf if sign > 0 else math.inf, []
-        )
-    return MilpResult("optimal", sign * (value + const), decode(x))
+        return MilpResult("unbounded", -sign * math.inf, [])
+    x = np.zeros(art)
+    x[basis] = T[:, -1]
+    return MilpResult("optimal", sign * (float(c @ x) + const), decode(x))
 
 
 def _violation(model: MilpModel, xs: Sequence[float]) -> float:
@@ -395,11 +337,7 @@ def solve_milp(
         if res.status == "unbounded":
             free = [j for j in binaries if j not in fixed]
             if not free:
-                return MilpResult(
-                    "unbounded",
-                    -math.inf if model.objective_sense == "min" else math.inf,
-                    [],
-                )
+                return MilpResult("unbounded", -sign * math.inf, [])
             # No relaxation point to guide branching; split the first
             # unfixed binary and keep searching.
             stack.append({**fixed, free[0]: 1.0})
@@ -459,8 +397,7 @@ def write_lp(model: MilpModel, path: str) -> None:
     lines = [f"{model.objective_sense}imize", f" obj: {term(model.objective)}"]
     lines.append("subject to")
     for k, (coefs, sense, rhs) in enumerate(model.constraints):
-        op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
-        lines.append(f" c{k}: {term(coefs)} {op} {rhs:g}")
+        lines.append(f" c{k}: {term(coefs)} {sense} {rhs:g}")
     lines.append("bounds")
     for j, var in enumerate(model.variables):
         lo = "-inf" if var.lb == -INF else f"{var.lb:g}"

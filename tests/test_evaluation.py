@@ -110,6 +110,29 @@ class TestCriteriaMatrix:
         i_gp = matrix.rows.index("BR(1)")
         assert matrix.mean[i_br] == pytest.approx(matrix.mean[i_gp])
 
+    def test_br_rows_reuse_column_solves(self, monkeypatch):
+        # BR(0) is the R-G column's solve and BR(1) the BR column's, at
+        # the instance's own gamma_prime; only BR(2) is solved again.
+        inst = gen_selection(6, 5, gamma=2, gamma_prime=1)
+        optimize = evaluation.optimize_criterion
+        calls = []
+
+        def counting(sub, criterion):
+            calls.append((criterion, sub.budgets.gamma_prime))
+            return optimize(sub, criterion)
+
+        monkeypatch.setattr(evaluation, "optimize_criterion", counting)
+        matrix = evaluation.criteria_matrix([inst], range(0, 3))
+        assert calls == [(c, 1) for c in evaluation.CRITERIA] + [("BR", 2)]
+        (table,) = matrix.values.values()
+        for gp in range(3):
+            sub = evaluation._with_budgets(inst, gamma_prime=gp)
+            x = optimize(sub, "BR").x
+            assert table[len(evaluation.CRITERIA) + gp] == [
+                evaluation.eval_criterion(inst, x, c)
+                for c in evaluation.CRITERIA
+            ]
+
     def test_csv_format(self):
         batch = [gen_selection(5, 1, gamma=1, gamma_prime=1)]
         text = evaluation.criteria_matrix(batch).to_csv()

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
-from balregret.core import InputError
+from balregret.core import InputError, ScaleError
 from balregret.instances import SplitMix64
 from balregret import milp
 
@@ -53,6 +54,49 @@ def test_lp_unbounded():
     m.set_objective("max", {b: 1.0})
     assert milp.solve_lp(m).status == "unbounded"
     assert milp.solve_milp(m).status == "unbounded"
+
+
+def test_lp_without_rows():
+    # Lower bounds are shifted into the objective constant, and no upper
+    # bound is finite, so the standard form has columns but no rows.
+    m = milp.MilpModel()
+    a = m.add_continuous(1.5)
+    b = m.add_continuous(-2.0)
+    m.set_objective("min", {a: 1.0, b: 2.0})
+    res = milp.solve_lp(m)
+    assert res.status == "optimal"
+    assert res.value == -2.5
+    assert res.assignment == [1.5, -2.0]
+    m.set_objective("max", {a: -1.0, b: -2.0})
+    assert milp.solve_lp(m).value == 2.5
+    # A free variable the objective pushes down has no bound at all.
+    free = m.add_continuous(-milp.INF)
+    m.set_objective("min", {a: 1.0, free: 1.0})
+    res = milp.solve_lp(m)
+    assert res.status == "unbounded" and res.value == -math.inf
+    m.set_objective("max", {free: 1.0})
+    res = milp.solve_lp(m)
+    assert res.status == "unbounded" and res.value == math.inf
+    assert milp.solve_milp(m).status == "unbounded"
+
+
+def test_tableau_guard_raises_before_allocating():
+    # 7,100 rows over one variable: a 7,100 x 14,202 phase-1 tableau of
+    # about 10^8 float64 entries (800 MB), twice the guard.
+    m = milp.MilpModel()
+    a = m.add_continuous(0.0)
+    for k in range(7100):
+        m.add_constraint({a: 1.0}, "<=", float(k + 1))
+    m.set_objective("max", {a: 1.0})
+    assert 7100 * 14202 > milp.MAX_TABLEAU_ENTRIES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleError):
+            milp.solve_milp(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_model_validation():
