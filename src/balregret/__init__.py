@@ -12,6 +12,7 @@ from .core import (
     InfeasibleError,
     InputError,
     Instance,
+    InternalError,
     ItemCosts,
     Knapsack,
     MultiRepSelection,
@@ -33,6 +34,7 @@ __all__ = [
     "InfeasibleError",
     "InputError",
     "Instance",
+    "InternalError",
     "ItemCosts",
     "Knapsack",
     "MultiRepSelection",

@@ -19,6 +19,7 @@ from .core import (
     BinarySolution,
     Instance,
     InputError,
+    InternalError,
     MultiRepSelection,
     Scenario,
     ScaleError,
@@ -34,20 +35,15 @@ def _check_scale(inst: Instance) -> None:
         raise ScaleError("instance data too large for exact integer arithmetic")
 
 
-def _greedy_delta(
-    inst: Instance, x: BinarySolution, y: BinarySolution
-) -> Scenario:
-    """Optimal adversary attack for fixed (x, y): the largest deviations
-    among items we packed and the adversary did not."""
-    mask = [xi and not yi for xi, yi in zip(x.x, y.x)]
-    picked = inst.costs.top_deviations(mask, inst.budgets.gamma)
-    return Scenario.from_indices(picked, inst.n)
-
-
 def _certificate_for(
     inst: Instance, x: BinarySolution, y: BinarySolution, optimal: bool = True
 ) -> AdversaryCertificate:
-    delta = _greedy_delta(inst, x, y)
+    """Worst case of x against the adversary's pick y. For fixed (x, y) the
+    optimal attack takes the largest deviations among items we packed and
+    the adversary did not."""
+    mask = [xi and not yi for xi, yi in zip(x.x, y.x)]
+    picked = inst.costs.top_deviations(mask, inst.budgets.gamma)
+    delta = Scenario.from_indices(picked, inst.n)
     eps, value = solve_balancing(
         inst.costs, inst.budgets.gamma_prime, x, delta, y
     )
@@ -104,13 +100,13 @@ def adversarial_bruteforce(
     values = evaluate_against(inst, x, ys)
     best = int(np.argmax(values))
     cert = _certificate_for(inst, x, candidates[best])
-    assert cert.value == int(values[best])
+    if cert.value != int(values[best]):
+        raise InternalError(f"bruteforce certificate {cert.value} != "
+                            f"evaluation {int(values[best])}")
     return cert
 
 
-def adversarial_milp(
-    inst: Instance, x: BinarySolution, node_limit: int = milp.DEFAULT_NODE_LIMIT
-) -> AdversaryCertificate:
+def adversarial_milp(inst: Instance, x: BinarySolution) -> AdversaryCertificate:
     """Exact adversarial value via the dualized mixed-integer program."""
     _check_scale(inst)
     n = inst.n
@@ -144,16 +140,16 @@ def adversarial_milp(
     for coefs, sense, rhs in inst.feasible.linear_rows():
         model.add_constraint({y_vars[j]: a for j, a in coefs.items()}, sense, rhs)
 
-    res = milp.solve_milp(model, node_limit)
+    res = milp.solve_milp(model)
     if res.status == "node_limit" and not res.assignment:
         raise ScaleError("adversarial MILP hit the node limit with no incumbent")
     optimal = res.status == "optimal"
     y = _read_solution(inst.feasible, res.assignment[:n])
     const = sum(ci * xi for ci, xi in zip(c, x.x))
     cert = _certificate_for(inst, x, y, optimal=optimal)
-    if optimal:
-        milp_value = const + res.value
-        assert abs(cert.value - milp_value) < 1e-5, (cert.value, milp_value)
+    if optimal and abs(cert.value - (const + res.value)) >= 1e-5:
+        raise InternalError(f"MILP certificate {cert.value} != optimum "
+                            f"{const + res.value}")
     return cert
 
 
@@ -175,19 +171,15 @@ def adversarial_selection_dp(
     gamma, gamma_prime = inst.budgets.gamma, inst.budgets.gamma_prime
     base = sum(ci * xi for ci, xi in zip(c, x.x))
 
-    best_value: Optional[int] = None
-    best_pick: Optional[tuple[list[int], list[int]]] = None
+    candidates = []
     for s in inst.costs.break_points():
-        total, picks = _dp_for_s(inst, x, s)
-        value = base + total - gamma_prime * s
-        if best_value is None or value > best_value:
-            best_value = value
-            best_pick = picks
-    assert best_value is not None and best_pick is not None
-    y_idx, _ = best_pick
+        total, (y_idx, _) = _dp_for_s(inst, x, s)
+        candidates.append((base + total - gamma_prime * s, y_idx))
+    best_value, y_idx = max(candidates, key=lambda vy: vy[0])
     y = BinarySolution.from_indices(y_idx, inst.n)
     cert = _certificate_for(inst, x, y)
-    assert cert.value == best_value, (cert.value, best_value)
+    if cert.value != best_value:
+        raise InternalError(f"DP certificate {cert.value} != {best_value}")
     return cert
 
 
@@ -200,7 +192,6 @@ def _dp_for_s(
     adversary costs, plus the maximizing item picks.
     """
     f = inst.feasible
-    assert isinstance(f, MultiRepSelection)
     c, d = inst.costs.c_hat, inst.costs.d
     gamma = min(inst.budgets.gamma, inst.n)
 

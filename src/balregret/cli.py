@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, solve, evaluate, crosscheck, ingest-graph.  Data
-goes to files, logs to stderr.  Exit codes: 0 ok, 1 usage, 2 infeasible
-or scale guard, 3 time limit (incumbent still written), 4 crosscheck
-disagreement.
+goes to files, logs to stderr.  Exit codes: 0 ok, 1 usage, 2 infeasible,
+scale guard or internal error, 3 time limit (incumbent still written), 4
+crosscheck disagreement.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .core import (
     InfeasibleError,
     InputError,
     Instance,
+    InternalError,
     MultiRepSelection,
     ScaleError,
     solution_count,
@@ -80,12 +81,12 @@ def _build_parser() -> _Parser:
                    choices=["iterative", "enumeration", "compact",
                             "bruteforce", "regret-poly"])
     s.add_argument("--adversary", choices=["dp", "milp", "bruteforce"])
-    s.add_argument("--time-limit", type=float, default=1800.0)
+    s.add_argument("--time-limit", type=float,
+                   default=master.DEFAULT_TIME_LIMIT)
     s.add_argument("--out", required=True)
 
     e = sub.add_parser("evaluate", help="criteria matrix over instance files")
     e.add_argument("--instances", required=True, help="glob pattern")
-    e.add_argument("--criteria", default="all", choices=["all"])
     e.add_argument("--gamma-prime-range", help="A..B inclusive")
     e.add_argument("--out", required=True)
 
@@ -187,15 +188,15 @@ def _cmd_crosscheck(args) -> int:
         if inst.n > args.max_n:
             log.info("%s skipped (n=%d > %d)", inst.name, inst.n, args.max_n)
             continue
-        values = {"iterative": master.solve_iterative(inst).value,
-                  "enumeration": master.solve_enumeration(inst).value}
+        methods = ["iterative", "enumeration"]
         if solution_count(inst.feasible) <= _BRUTEFORCE_CAP:
-            values["bruteforce"] = master.solve_bruteforce(inst).value
+            methods.append("bruteforce")
         if isinstance(inst.feasible, MultiRepSelection):
-            values["compact"] = master.solve_compact_mrs(inst).value
+            methods.append("compact")
             if inst.budgets.gamma_prime == 0:
-                values["regret-poly"] = \
-                    polyalg.solve_regret_budgeted_mrs(inst).value
+                methods.append("regret-poly")
+        values = {m: _solve(inst, m, None, master.DEFAULT_TIME_LIMIT).value
+                  for m in methods}
         if len(set(values.values())) > 1:
             disagreements += 1
             log.error("%s disagreement: %s", inst.name, values)
@@ -239,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (InfeasibleError, ScaleError) as exc:
         log.error("%s", exc)
+        return EXIT_INFEASIBLE
+    except InternalError as exc:
+        log.error("internal error: %s", exc)
         return EXIT_INFEASIBLE
 
 

@@ -25,6 +25,10 @@ class ScaleError(RuntimeError):
     """Raised when an enumeration guard is exceeded."""
 
 
+class InternalError(RuntimeError):
+    """Raised when a solver invariant fails: a defect, not bad input."""
+
+
 ENUMERATION_GUARD = 10**6
 
 
@@ -350,44 +354,10 @@ class ShortestPath:
             out[tail].append(e)
         return out
 
-    def is_feasible(self, x: BinarySolution) -> bool:
-        """True iff x encodes a simple source-target path (no spare cycles)."""
+    def _walk(self, x: BinarySolution) -> Optional[list[int]]:
+        """The edges met walking from the source along the lowest-indexed
+        chosen out-edge of each node; None on a dead end or a revisit."""
         _check_dim(x.n, self.n)
-        used = [e for e in range(self.n) if x.x[e]]
-        succ: dict[int, int] = {}
-        indeg: dict[int, int] = {}
-        for e in used:
-            tail, head = self.edges[e]
-            if tail in succ:
-                return False
-            succ[tail] = e
-            indeg[head] = indeg.get(head, 0) + 1
-            if indeg[head] > 1:
-                return False
-        node = self.source
-        walked = 0
-        seen = {node}
-        while node != self.target:
-            if node not in succ:
-                return False
-            tail, head = self.edges[succ[node]]
-            node = head
-            if node in seen:
-                return False
-            seen.add(node)
-            walked += 1
-        return walked == len(used)
-
-    def repair(self, x: BinarySolution) -> BinarySolution:
-        """The simple source-target path inside x's edge set.
-
-        The flow rows of ``linear_rows`` also admit x plus value-neutral
-        cycles; those are stripped by walking from the source along the
-        lowest-indexed chosen out-edge of each node. x is returned as is
-        when it already is a simple path.
-        """
-        if self.is_feasible(x):
-            return x
         succ: dict[int, int] = {}
         for e in x.indices():
             succ.setdefault(self.edges[e][0], e)
@@ -396,10 +366,29 @@ class ShortestPath:
         while node != self.target:
             e = succ.get(node)
             if e is None or self.edges[e][1] in seen:
-                raise InputError("edge set holds no simple source-target path")
+                return None
             path.append(e)
             node = self.edges[e][1]
             seen.add(node)
+        return path
+
+    def is_feasible(self, x: BinarySolution) -> bool:
+        """True iff x encodes a simple source-target path (no spare cycles)."""
+        path = self._walk(x)
+        return path is not None and len(path) == sum(x.x)
+
+    def repair(self, x: BinarySolution) -> BinarySolution:
+        """The simple source-target path inside x's edge set.
+
+        The flow rows of ``linear_rows`` also admit x plus value-neutral
+        cycles; ``_walk`` strips them. x is returned as is when it already
+        is a simple path.
+        """
+        path = self._walk(x)
+        if path is None:
+            raise InputError("edge set holds no simple source-target path")
+        if len(path) == sum(x.x):
+            return x
         return BinarySolution.from_indices(path, self.n)
 
     def _shortest(
@@ -463,22 +452,20 @@ class ShortestPath:
 
     def linear_rows(self) -> list[tuple[dict[int, float], str, float]]:
         """Flow-conservation rows; solvers strip value-neutral cycles."""
+        coefs: list[dict[int, float]] = [{} for _ in range(self.node_count)]
+        for e, (tail, head) in enumerate(self.edges):
+            coefs[tail][e] = coefs[tail].get(e, 0.0) + 1.0
+            coefs[head][e] = coefs[head].get(e, 0.0) - 1.0
         rows = []
-        for v in range(self.node_count):
-            coefs: dict[int, float] = {}
-            for e, (tail, head) in enumerate(self.edges):
-                if tail == v:
-                    coefs[e] = coefs.get(e, 0.0) + 1.0
-                if head == v:
-                    coefs[e] = coefs.get(e, 0.0) - 1.0
+        for v, row in enumerate(coefs):
             if v == self.source:
                 rhs = 1.0
             elif v == self.target:
                 rhs = -1.0
             else:
                 rhs = 0.0
-            if coefs or rhs:
-                rows.append((coefs, "=", rhs))
+            if row or rhs:
+                rows.append((row, "=", rhs))
         return rows
 
 

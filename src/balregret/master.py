@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import milp
@@ -25,6 +25,7 @@ from .core import (
     BinarySolution,
     Instance,
     InputError,
+    InternalError,
     MultiRepSelection,
     Scenario,
     ScaleError,
@@ -44,26 +45,9 @@ ADVERSARY_METHODS: dict[str, AdversaryFn] = {
 }
 
 
-@dataclass
-class ScenarioPool:
-    """A growing subset of the adversary's (solution, attack) pairs, kept
-    in insertion order."""
-
-    entries: dict[tuple[BinarySolution, Scenario], None] = field(
-        default_factory=dict
-    )
-
-    def __contains__(self, entry: tuple[BinarySolution, Scenario]) -> bool:
-        return entry in self.entries
-
-    def add(self, y: BinarySolution, delta: Scenario) -> bool:
-        if (y, delta) in self.entries:
-            return False
-        self.entries[(y, delta)] = None
-        return True
-
-    def __len__(self) -> int:
-        return len(self.entries)
+# A growing subset of the adversary's (solution, attack) pairs, kept in
+# insertion order.
+ScenarioPool = dict[tuple[BinarySolution, Scenario], None]
 
 
 @dataclass
@@ -119,24 +103,36 @@ class SolveReport:
         }
 
 
+def _first_stage_model(
+    inst: Instance,
+) -> tuple[milp.MilpModel, int, list[int]]:
+    """Minimize a free value variable (index 0) over n binaries x (indices
+    1..n) held to the feasible set's rows; the caller bounds the value."""
+    model = milp.MilpModel()
+    value_var = model.add_continuous(-milp.INF)
+    x_vars = [model.add_binary() for _ in range(inst.n)]
+    model.set_objective("min", {value_var: 1.0})
+    for coefs, sense, rhs in inst.feasible.linear_rows():
+        model.add_constraint({x_vars[j]: a for j, a in coefs.items()}, sense, rhs)
+    return model, value_var, x_vars
+
+
+def _first_stage_x(inst: Instance, res: milp.MilpResult) -> BinarySolution:
+    """The first-stage solution a ``_first_stage_model`` optimum encodes."""
+    return _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
+
+
 def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
     """Master model over the current pool: one value variable, n binaries
     for x, and one balancing attack vector per scenario."""
-    if not len(pool):
+    if not pool:
         raise InputError("scenario pool must be non-empty")
     n = inst.n
     c, d = inst.costs.c_hat, inst.costs.d
     gp = inst.budgets.gamma_prime
+    model, z, x_vars = _first_stage_model(inst)
 
-    model = milp.MilpModel()
-    z = model.add_continuous(-milp.INF)
-    x_vars = [model.add_binary() for _ in range(n)]
-    model.set_objective("min", {z: 1.0})
-
-    for coefs, sense, rhs in inst.feasible.linear_rows():
-        model.add_constraint({x_vars[j]: a for j, a in coefs.items()}, sense, rhs)
-
-    for y, delta in pool.entries:
+    for y, delta in pool:
         # Balancing variables only pay off on the adversary's items. Once
         # x is integral their relaxation is integral, so they stay
         # continuous and branch and bound runs over x alone.
@@ -185,14 +181,11 @@ def solve_iterative(
     adversarial evaluation of its solution (upper bound) until they meet."""
     name, adv = _pick_adversary(inst, adversary)
     start = time.monotonic()
-    pool = ScenarioPool()
     y0, delta0 = _initial_scenario(inst)
-    pool.add(y0, delta0)
+    pool: ScenarioPool = {(y0, delta0): None}
 
     lower: list[float] = []
     upper: list[float] = []
-    best_x: Optional[BinarySolution] = None
-    best_value = math.inf
 
     # The adversary may copy the first stage, so zero bounds every value
     # from below; when the robust nominal solution already attains it the
@@ -203,7 +196,7 @@ def solve_iterative(
             y0, 0, f"iterative/{name}", time.monotonic() - start, iterations=0
         )
     best_x, best_value = y0, cert0.value
-    pool.add(cert0.y, cert0.delta)
+    pool[(cert0.y, cert0.delta)] = None
 
     iterations = 0
     optimal = False
@@ -214,7 +207,7 @@ def solve_iterative(
         if res.status != "optimal":
             raise ScaleError(f"master solve failed with status {res.status}")
         lb = res.value
-        x = _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
+        x = _first_stage_x(inst, res)
         cert = adv(inst, x)
         if cert.value < best_value:
             best_value = cert.value
@@ -226,9 +219,10 @@ def solve_iterative(
             break
         if time.monotonic() - start > time_limit:
             break
-        added = pool.add(cert.y, cert.delta)
-        assert added, "regenerated a pooled scenario without convergence"
-    assert best_x is not None
+        if (cert.y, cert.delta) in pool:
+            raise InternalError("regenerated a pooled scenario without "
+                                "convergence")
+        pool[(cert.y, cert.delta)] = None
     return SolveReport(
         x=best_x,
         value=int(round(best_value)),
@@ -251,15 +245,13 @@ def _full_pool(inst: Instance) -> ScenarioPool:
     """
     d = inst.costs.d
     gamma = inst.budgets.gamma
-    pool = ScenarioPool()
-    count = 0
+    pool: ScenarioPool = {}
     for y in enumerate_solutions(inst.feasible, ENUMERATION_GUARD):
         targets = [i for i in range(inst.n) if y.x[i] == 0 and d[i] > 0]
         k = min(gamma, len(targets))
         for combo in itertools.combinations(targets, k):
-            pool.add(y, Scenario.from_indices(combo, inst.n))
-            count += 1
-            if count > ENUMERATION_GUARD:
+            pool[(y, Scenario.from_indices(combo, inst.n))] = None
+            if len(pool) > ENUMERATION_GUARD:
                 raise ScaleError("scenario set too large to enumerate")
     return pool
 
@@ -272,10 +264,8 @@ def solve_enumeration(inst: Instance) -> SolveReport:
     res = milp.solve_milp(model)
     if res.status != "optimal":
         raise ScaleError(f"enumeration master failed with status {res.status}")
-    x = _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
-    return SolveReport.exact(
-        x, int(round(res.value)), "enumeration", time.monotonic() - start
-    )
+    return SolveReport.exact(_first_stage_x(inst, res), int(round(res.value)),
+                             "enumeration", time.monotonic() - start)
 
 
 def solve_compact_mrs(inst: Instance) -> SolveReport:
@@ -290,12 +280,7 @@ def solve_compact_mrs(inst: Instance) -> SolveReport:
     gamma, gp = inst.budgets.gamma, inst.budgets.gamma_prime
     grid = inst.costs.break_points()
 
-    model = milp.MilpModel()
-    t = model.add_continuous(-milp.INF)
-    x_vars = [model.add_binary() for _ in range(n)]
-    model.set_objective("min", {t: 1.0})
-    for coefs, sense, rhs in f.linear_rows():
-        model.add_constraint({x_vars[j]: a for j, a in coefs.items()}, sense, rhs)
+    model, t, x_vars = _first_stage_model(inst)
 
     part_of = {}
     for l, part in enumerate(f.partitions):
@@ -332,9 +317,8 @@ def solve_compact_mrs(inst: Instance) -> SolveReport:
     res = milp.solve_milp(model)
     if res.status not in ("optimal", "node_limit") or not res.assignment:
         raise ScaleError(f"compact solve failed with status {res.status}")
-    x = _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
     return SolveReport.exact(
-        x,
+        _first_stage_x(inst, res),
         int(round(res.value)),
         "compact",
         time.monotonic() - start,
@@ -351,17 +335,11 @@ def solve_bruteforce(inst: Instance) -> SolveReport:
     start = time.monotonic()
     candidates = enumerate_solutions(inst.feasible, ENUMERATION_GUARD)
     ys = np.array([y.x for y in candidates], dtype=np.int64)
-    best_x: Optional[BinarySolution] = None
-    best_value = math.inf
-    for x in candidates:
-        worst = int(evaluate_against(inst, x, ys).max())
-        if worst < best_value:
-            best_value = worst
-            best_x = x
-    assert best_x is not None
+    worst = [int(evaluate_against(inst, x, ys).max()) for x in candidates]
+    best = min(range(len(candidates)), key=worst.__getitem__)
     return SolveReport.exact(
-        best_x,
-        int(best_value),
+        candidates[best],
+        worst[best],
         "bruteforce",
         time.monotonic() - start,
         iterations=len(candidates),

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import InputError, ScaleError
+from .core import InputError, InternalError, ScaleError
 
 PIVOT_TOL = 1e-9
 MIN_PIVOT = 1e-7  # smallest tableau entry accepted as a pivot element
@@ -75,10 +75,6 @@ class MilpModel:
                 raise InputError(f"objective references unknown variable {j}")
         self.objective_sense = sense
         self.objective = {j: float(v) for j, v in coefs.items()}
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.variables)
 
     def binary_indices(self) -> list[int]:
         return [
@@ -250,7 +246,7 @@ def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> None:
         else:
             degenerate = 0
         _pivot(T, z, basis, int(r), int(c))
-    raise RuntimeError("simplex pivot limit exceeded")
+    raise ScaleError("simplex pivot limit exceeded")
 
 
 def solve_lp(
@@ -268,7 +264,7 @@ def solve_lp(
     try:
         _run_simplex(T, z1, basis)
     except _Unbounded:  # phase 1 is bounded below by zero
-        raise RuntimeError("phase-1 unbounded: internal error")
+        raise InternalError("phase-1 unbounded") from None
     if -z1[-1] > 1e-6:
         return MilpResult("infeasible", math.nan, [])
 

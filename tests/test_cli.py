@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from balregret import master
 from balregret.cli import main
+from balregret.core import InternalError
 from balregret.instances import load_instance, save_instance, gen_selection
 
 
@@ -93,6 +95,18 @@ class TestSolve:
 
     def test_usage_error(self):
         assert main(["solve", "--method", "iterative"]) == 1
+
+    def test_internal_error_exits_two(self, tmp_path, example_one_file,
+                                      monkeypatch, caplog):
+        def broken(inst):
+            raise InternalError("certificate disagrees")
+
+        monkeypatch.setattr(master, "solve_compact_mrs", broken)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", example_one_file, "--method",
+                     "compact", "--out", str(out)]) == 2
+        assert "internal error: certificate disagrees" in caplog.text
+        assert not out.exists()
 
 
 class TestEvaluate:

@@ -169,6 +169,37 @@ class TestShortestPath:
         with pytest.raises(InputError):
             f.repair(BinarySolution((0, 1, 0, 1, 0)))
 
+    @pytest.mark.parametrize("edges", [
+        # parallel 0->1, self-loop at 1, cycle 1 <-> 2, an arc out of t=3
+        [(0, 1), (0, 1), (1, 1), (1, 2), (2, 1), (2, 3), (1, 3), (3, 2)],
+        # cycle back into s=0, self-loop at 2, parallel arcs into t=3
+        [(0, 1), (1, 0), (1, 2), (2, 2), (2, 3), (0, 2), (2, 3)],
+    ])
+    def test_feasibility_and_repair_on_every_edge_subset(self, edges):
+        f = ShortestPath(4, edges, 0, 3)
+        paths = {x.x for x in f.enumerate_solutions()}
+        for bits in itertools.product((0, 1), repeat=f.n):
+            x = BinarySolution(bits)
+            chosen = set(x.indices())
+            assert f.is_feasible(x) == (bits in paths)
+            if bits in paths:
+                assert f.repair(x) is x
+                continue
+            inside = any(set(BinarySolution(p).indices()) <= chosen
+                         for p in paths)
+            try:
+                path = f.repair(x)
+            except InputError:
+                continue  # the walk may dead-end beside a simple path
+            assert inside and path.x in paths
+            assert set(path.indices()) <= chosen
+            # the walk takes each node's lowest-indexed chosen out-edge
+            for e in path.indices():
+                assert e == min(k for k in chosen
+                                if edges[k][0] == edges[e][0])
+        with pytest.raises(InputError):
+            f.repair(BinarySolution((0,) * f.n))
+
     def test_nominal_solve(self):
         f = diamond_graph()
         x = f.nominal_solve([1, 10, 1, 10, 1])

@@ -3,11 +3,14 @@
 import pytest
 
 from balregret.core import (
+    AdversaryCertificate,
     Budgets,
     InputError,
     Instance,
+    InternalError,
     ItemCosts,
     Knapsack,
+    Scenario,
     ShortestPath,
 )
 from balregret.instances import SplitMix64
@@ -99,9 +102,13 @@ def test_shortest_path_instance():
     assert f.is_feasible(it.x)
 
 
-def test_scenario_pool_deduplicates(example_one):
-    pool = master.ScenarioPool()
+def test_stuck_adversary_raises_internal_error(example_one, monkeypatch):
+    # An adversary that keeps answering with the pooled warm-start scenario
+    # and a value no master reaches can never close the gap.
     y, delta = master._initial_scenario(example_one)
-    assert pool.add(y, delta)
-    assert not pool.add(y, delta)
-    assert len(pool) == 1
+    stuck = AdversaryCertificate(10**6, y, delta, Scenario.empty(y.n))
+    monkeypatch.setitem(master.ADVERSARY_METHODS, "dp",
+                        lambda inst, x: stuck)
+    # Without the check the loop would spin to the time limit instead.
+    with pytest.raises(InternalError, match="pooled scenario"):
+        master.solve_iterative(example_one, time_limit=10.0)
