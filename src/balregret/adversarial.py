@@ -116,8 +116,9 @@ def adversarial_milp(inst: Instance, x: BinarySolution) -> AdversaryCertificate:
     model = milp.MilpModel()
     y_vars = [model.add_binary() for _ in range(n)]
     # For fixed integral y the attack relaxation has an integral optimum,
-    # so only the adversary's packing variables are binary.
-    delta_vars = [model.add_continuous(0.0, 1.0) for _ in range(n)]
+    # so only the adversary's packing variables are binary. The rows
+    # y_i + delta_i <= 1 cap the attack at 1, so it carries no upper bound.
+    delta_vars = [model.add_continuous(0.0) for _ in range(n)]
     s_var = model.add_continuous(0.0)
     t_vars = [model.add_continuous(0.0) for _ in range(n)]
 

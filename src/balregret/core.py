@@ -355,22 +355,32 @@ class ShortestPath:
         return out
 
     def _walk(self, x: BinarySolution) -> Optional[list[int]]:
-        """The edges met walking from the source along the lowest-indexed
-        chosen out-edge of each node; None on a dead end or a revisit."""
+        """The first source-target path of a depth-first search over x's
+        edges, trying each node's out-edges lowest index first and skipping
+        edges into visited nodes; None if x holds no such path."""
         _check_dim(x.n, self.n)
-        succ: dict[int, int] = {}
+        out: dict[int, list[int]] = {}
         for e in x.indices():
-            succ.setdefault(self.edges[e][0], e)
-        path = []
-        node, seen = self.source, {self.source}
-        while node != self.target:
-            e = succ.get(node)
-            if e is None or self.edges[e][1] in seen:
-                return None
-            path.append(e)
-            node = self.edges[e][1]
-            seen.add(node)
-        return path
+            out.setdefault(self.edges[e][0], []).append(e)
+        path: list[int] = []
+        seen = {self.source}
+        stack = [iter(out.get(self.source, ()))]
+        while stack:
+            for e in stack[-1]:
+                head = self.edges[e][1]
+                if head in seen:
+                    continue
+                path.append(e)
+                if head == self.target:
+                    return path
+                seen.add(head)
+                stack.append(iter(out.get(head, ())))
+                break
+            else:  # every out-edge of this node is tried: backtrack
+                stack.pop()
+                if path:
+                    path.pop()
+        return None
 
     def is_feasible(self, x: BinarySolution) -> bool:
         """True iff x encodes a simple source-target path (no spare cycles)."""
@@ -381,8 +391,8 @@ class ShortestPath:
         """The simple source-target path inside x's edge set.
 
         The flow rows of ``linear_rows`` also admit x plus value-neutral
-        cycles; ``_walk`` strips them. x is returned as is when it already
-        is a simple path.
+        cycles; ``_walk`` strips them, wherever they touch the path. x is
+        returned as is when it already is a simple path.
         """
         path = self._walk(x)
         if path is None:

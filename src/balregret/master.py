@@ -135,10 +135,9 @@ def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
     for y, delta in pool:
         # Balancing variables only pay off on the adversary's items. Once
         # x is integral their relaxation is integral, so they stay
-        # continuous and branch and bound runs over x alone.
-        eps_vars = {
-            i: model.add_continuous(0.0, 1.0) for i in range(n) if y.x[i]
-        }
+        # continuous and branch and bound runs over x alone. Their rows
+        # eps_i + x_i <= 1 cap them at 1, so they carry no upper bound.
+        eps_vars = {i: model.add_continuous(0.0) for i in range(n) if y.x[i]}
         coefs: dict[int, float] = {z: 1.0}
         rhs = 0.0
         for i in range(n):

@@ -1,7 +1,9 @@
 """Self-contained bounded-scale mixed-binary linear programming.
 
 A dense two-phase tableau simplex plus a depth-first branch-and-bound.
-Models at desk scale only; simplicity and debuggability over sparsity.
+Phase 1 starts from the slack basis wherever a row's slack can be basic
+and carries artificials only for the other rows.  Models at desk scale
+only; simplicity and debuggability over sparsity.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ _MAX_PIVOTS = 200_000
 MAX_TABLEAU_ENTRIES = 5 * 10**7
 
 INF = math.inf
+_SLACK_COEF = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 
 @dataclass
@@ -100,10 +103,13 @@ def _standardize(
 
     Fixed variables are substituted out; finite lower bounds are shifted,
     free variables are split, finite upper bounds become extra rows.  The
-    columns are [structural | slacks | artificials | rhs], one artificial
-    per row.  Returns the tableau, the phase-2 costs of the structural and
-    slack columns, the objective constant and sign, and a decoder back to
-    model space.
+    columns are [structural | slacks | artificials | rhs].  Rows with a
+    negative rhs are negated, and so are ">=" rows with rhs 0; a row whose
+    slack then enters with +1 starts with that slack basic (the slack
+    crash basis), and only "=" rows and rows left with a surplus slack get
+    an artificial.  Returns the tableau, the starting basis, the phase-2
+    costs of the structural and slack columns, the objective constant and
+    sign, and a decoder back to model space.
     """
     fixed = fixed or {}
     col_of: list[Optional[tuple[int, float, Optional[int]]]] = []
@@ -122,44 +128,62 @@ def _standardize(
         if var.ub < INF:
             rows.append(({j: 1.0}, "<=", var.ub))
 
-    m = len(rows)
-    art = ncols + sum(sense != "=" for _, sense, _ in rows)
-    if m * (art + m + 1) > MAX_TABLEAU_ENTRIES:
-        raise ScaleError(f"LP tableau of {m} x {art + m + 1} exceeds "
-                         f"{MAX_TABLEAU_ENTRIES} entries")
+    def offset(coefs: dict[int, float]) -> float:
+        """The constant that fixed values and lower-bound shifts add."""
+        return sum(a * fixed[j] if j in fixed
+                   else a * col_of[j][1]  # type: ignore[index]
+                   for j, a in coefs.items())
 
-    def expand(coefs: dict[int, float], row: np.ndarray) -> float:
-        """Add coefs into row; return the constant they contribute."""
-        shift_sum = 0.0
+    def expand(coefs: dict[int, float], row: np.ndarray) -> None:
+        """Add coefs into row over the shifted and split columns."""
         for j, a in coefs.items():
             if j in fixed:
-                shift_sum += a * fixed[j]
                 continue
-            col, shift, negcol = col_of[j]  # type: ignore[misc]
+            col, _, negcol = col_of[j]  # type: ignore[misc]
             row[col] += a
             if negcol is not None:
                 row[negcol] -= a
-            shift_sum += a * shift
-        return shift_sum
 
-    T = np.zeros((m, art + m + 1))
-    slack = ncols
-    for i, (coefs, sense, b) in enumerate(rows):
-        rhs = b - expand(coefs, T[i, :ncols])
-        slack_coef = 1.0 if sense == "<=" else -1.0
-        if rhs < 0:  # negate the row, which flips its sense
+    # Per row: the sign that makes its rhs non-negative (-1 also for ">="
+    # rows with rhs 0), its slack's coefficient after that sign (0 for "="
+    # rows, which have no slack) and the rhs.
+    signed = []
+    for coefs, sense, b in rows:
+        rhs = b - offset(coefs)
+        s = -1.0 if rhs < 0 or (rhs == 0 and sense == ">=") else 1.0
+        signed.append((s, s * _SLACK_COEF[sense], abs(rhs)))
+    m = len(rows)
+    art = ncols + sum(sc != 0.0 for _, sc, _ in signed)
+    width = art + sum(sc <= 0.0 for _, sc, _ in signed) + 1
+    if m * width > MAX_TABLEAU_ENTRIES:
+        raise ScaleError(f"LP tableau of {m} x {width} exceeds "
+                         f"{MAX_TABLEAU_ENTRIES} entries")
+
+    T = np.zeros((m, width))
+    basis = np.empty(m, dtype=np.intp)
+    slack, artcol = ncols, art
+    for i, ((coefs, _, _), (s, slack_coef, rhs)) in enumerate(
+        zip(rows, signed)
+    ):
+        expand(coefs, T[i, :ncols])
+        if s < 0:
             T[i, :ncols] *= -1
-            rhs, slack_coef = -rhs, -slack_coef
-        if sense != "=":
+        if slack_coef != 0.0:
             T[i, slack] = slack_coef
             slack += 1
-        T[i, art + i] = 1.0
+        if slack_coef > 0.0:
+            basis[i] = slack - 1
+        else:
+            T[i, artcol] = 1.0
+            basis[i] = artcol
+            artcol += 1
         T[i, -1] = rhs
 
     sign = 1.0 if model.objective_sense == "min" else -1.0
+    objective = {j: sign * v for j, v in model.objective.items()}
     c = np.zeros(art)
-    # expand() accounts for bound shifts and fixed-variable contributions.
-    const = expand({j: sign * v for j, v in model.objective.items()}, c)
+    expand(objective, c)
+    const = offset(objective)
 
     def decode(xstd: np.ndarray) -> list[float]:
         out = []
@@ -174,7 +198,7 @@ def _standardize(
             out.append(float(v))
         return out
 
-    return T, c, const, sign, decode
+    return T, basis, c, const, sign, decode
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
@@ -253,12 +277,11 @@ def solve_lp(
     model: MilpModel, fixed: Optional[dict[int, float]] = None
 ) -> MilpResult:
     """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
-    T, c, const, sign, decode = _standardize(model, fixed)
+    T, basis, c, const, sign, decode = _standardize(model, fixed)
     m, art = T.shape[0], len(c)
-    basis = np.arange(art, art + m)
 
-    # Phase 1: minimize the artificial sum.
-    c1 = np.zeros(art + m)
+    # Phase 1: minimize the sum of the artificials, from the crash basis.
+    c1 = np.zeros(T.shape[1] - 1)
     c1[art:] = 1.0
     z1 = _reduced_costs(T, c1, basis)
     try:

@@ -19,6 +19,7 @@ from balregret.core import (
     is_feasible,
     nominal_solve,
     solution_count,
+    _read_solution,
 )
 
 
@@ -178,6 +179,15 @@ class TestShortestPath:
     def test_feasibility_and_repair_on_every_edge_subset(self, edges):
         f = ShortestPath(4, edges, 0, 3)
         paths = {x.x for x in f.enumerate_solutions()}
+
+        def order(bits):  # a simple path's edges from the source on
+            succ = {edges[e][0]: e for e in BinarySolution(bits).indices()}
+            seq, node = [], 0
+            while node != 3:
+                seq.append(succ[node])
+                node = edges[succ[node]][1]
+            return seq
+
         for bits in itertools.product((0, 1), repeat=f.n):
             x = BinarySolution(bits)
             chosen = set(x.indices())
@@ -185,20 +195,21 @@ class TestShortestPath:
             if bits in paths:
                 assert f.repair(x) is x
                 continue
-            inside = any(set(BinarySolution(p).indices()) <= chosen
-                         for p in paths)
-            try:
-                path = f.repair(x)
-            except InputError:
-                continue  # the walk may dead-end beside a simple path
-            assert inside and path.x in paths
-            assert set(path.indices()) <= chosen
-            # the walk takes each node's lowest-indexed chosen out-edge
-            for e in path.indices():
-                assert e == min(k for k in chosen
-                                if edges[k][0] == edges[e][0])
-        with pytest.raises(InputError):
-            f.repair(BinarySolution((0,) * f.n))
+            inside = [order(p) for p in paths
+                      if set(BinarySolution(p).indices()) <= chosen]
+            if not inside:
+                with pytest.raises(InputError):
+                    f.repair(x)
+                continue
+            # Depth-first, lowest-indexed out-edge first, the search meets
+            # the lexicographically first of the simple paths inside x.
+            assert order(f.repair(x).x) == min(inside)
+
+    def test_repair_keeps_path_beside_cycle_leaving_by_lower_edge(self):
+        # The chosen cycle 1 -> 3 -> 1 leaves node 1 by edge 1, below the
+        # path's edge 3 out of node 1; the path 0 -> 1 -> 2 is still found.
+        f = ShortestPath(4, [(0, 1), (1, 3), (3, 1), (1, 2)], 0, 2)
+        assert _read_solution(f, [1, 1, 1, 1]).indices() == (0, 3)
 
     def test_nominal_solve(self):
         f = diamond_graph()

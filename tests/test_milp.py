@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from balregret.core import InputError, ScaleError
@@ -81,14 +82,15 @@ def test_lp_without_rows():
 
 
 def test_tableau_guard_raises_before_allocating():
-    # 7,100 rows over one variable: a 7,100 x 14,202 phase-1 tableau of
-    # about 10^8 float64 entries (800 MB), twice the guard.
+    # 7,100 "<=" rows over one variable, each starting from its slack: a
+    # 7,100 x 7,102 phase-1 tableau of about 5.04 * 10^7 float64 entries
+    # (403 MB), just above the guard.
     m = milp.MilpModel()
     a = m.add_continuous(0.0)
     for k in range(7100):
         m.add_constraint({a: 1.0}, "<=", float(k + 1))
     m.set_objective("max", {a: 1.0})
-    assert 7100 * 14202 > milp.MAX_TABLEAU_ENTRIES
+    assert 7100 * 7102 > milp.MAX_TABLEAU_ENTRIES
     tracemalloc.start()
     try:
         with pytest.raises(ScaleError):
@@ -97,6 +99,38 @@ def test_tableau_guard_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_crash_basis_puts_artificials_only_where_needed():
+    # One row of each sense with positive, zero and negative rhs, plus the
+    # upper-bound row of a. Feasible points: a = 3 - 2d, b = d, c = 2 - d
+    # for d in [0, 1]; max 2b + c = 2 + d is 3 at d = 1.
+    m = milp.MilpModel()
+    a = m.add_continuous(0.0, 4.0)
+    b, c, d = (m.add_continuous(0.0) for _ in range(3))
+    rows = [
+        ({a: 1, b: 1, c: 1}, "<=", 6),  # slack
+        ({b: 1, c: -1}, "<=", 0),  # slack
+        ({a: -1, d: -1}, "<=", -1),  # negated: surplus, artificial
+        ({a: 1, b: 1, d: 1}, "=", 3),  # artificial
+        ({b: 1, d: -1}, "=", 0),  # artificial
+        ({c: -1, d: -1}, "=", -2),  # artificial
+        ({a: 1, c: 1}, ">=", 1),  # surplus, artificial
+        ({c: 1, b: -1}, ">=", 0),  # negated: slack
+        ({a: -1, b: -1}, ">=", -5),  # negated: slack
+    ]
+    for coefs, sense, rhs in rows:
+        m.add_constraint(coefs, sense, rhs)
+    m.set_objective("max", {b: 2.0, c: 1.0})
+    T, basis, cost, *_ = milp._standardize(m)
+    art = len(cost)
+    assert T.shape == (10, art + 5 + 1) and art == 4 + 7
+    assert [i for i in range(10) if basis[i] >= art] == [2, 3, 4, 5, 6]
+    assert (T[:, -1] >= 0).all()
+    res = milp.solve_lp(m)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(3.0)
+    assert res.assignment == pytest.approx([1.0, 1.0, 1.0, 1.0])
 
 
 def test_model_validation():
@@ -224,3 +258,83 @@ def test_write_lp(tmp_path):
     milp.write_lp(m, str(path))
     text = path.read_text()
     assert "minimize" in text and "binary" in text and "x0" in text
+
+
+def _random_mixed_model(rng: SplitMix64):
+    """A random model over binaries, free variables and shifted, possibly
+    bounded continuous variables, with rows of every sense and rhs sign."""
+    m = milp.MilpModel()
+    for _ in range(rng.randint(2, 5)):
+        kind = rng.randint(0, 3)
+        if kind == 0:
+            m.add_binary()
+        elif kind == 1:
+            m.add_continuous(-milp.INF)
+        else:
+            lb = float(rng.randint(-2, 3))
+            ub = lb + rng.randint(1, 5) if kind == 2 else milp.INF
+            m.add_continuous(lb, ub)
+    nv = len(m.variables)
+    for _ in range(rng.randint(1, 4)):
+        coefs = {j: rng.randint(-3, 3) for j in range(nv) if rng.randint(0, 2)}
+        m.add_constraint(coefs, ("<=", "=", ">=")[rng.randint(0, 2)],
+                         rng.randint(-5, 5))
+    m.set_objective(("min", "max")[rng.randint(0, 1)],
+                    {j: rng.randint(-3, 3) for j in range(nv)})
+    return m
+
+
+def _highs(model, fixed, relax):
+    """Status and value of the model by HiGHS (scipy.optimize.milp).
+
+    HiGHS may report an unbounded model as infeasible or as "infeasible
+    or unbounded"; every status but optimal is settled by solving the
+    model again with a zero objective, which only asks for feasibility.
+    """
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    nv = len(model.variables)
+    sign = 1.0 if model.objective_sense == "min" else -1.0
+    cost = np.zeros(nv)
+    for j, v in model.objective.items():
+        cost[j] = sign * v
+    A = np.zeros((len(model.constraints), nv))
+    lo, hi = [], []
+    for i, (coefs, sense, rhs) in enumerate(model.constraints):
+        for j, v in coefs.items():
+            A[i, j] = v
+        lo.append(-np.inf if sense == "<=" else rhs)
+        hi.append(np.inf if sense == ">=" else rhs)
+    kwargs = dict(
+        integrality=[0 if relax else int(v.kind == "binary")
+                     for v in model.variables],
+        bounds=scipy_optimize.Bounds(
+            [fixed.get(j, v.lb) for j, v in enumerate(model.variables)],
+            [fixed.get(j, v.ub) for j, v in enumerate(model.variables)]),
+        constraints=scipy_optimize.LinearConstraint(A, lo, hi),
+    )
+    res = scipy_optimize.milp(cost, **kwargs)
+    if res.status == 0:
+        return "optimal", sign * res.fun
+    feasible = scipy_optimize.milp(np.zeros(nv), **kwargs).status == 0
+    return ("unbounded" if feasible else "infeasible"), None
+
+
+def test_highs_agrees_on_random_mixed_models():
+    rng = SplitMix64(2024)
+    seen = {}
+    for _ in range(200):
+        model = _random_mixed_model(rng)
+        fixed = {j: float(rng.randint(0, 1))
+                 for j in model.binary_indices() if rng.randint(0, 1)}
+        for kind, ours, theirs in (
+            ("lp", milp.solve_lp(model, fixed), _highs(model, fixed, True)),
+            ("milp", milp.solve_milp(model), _highs(model, {}, False)),
+        ):
+            assert ours.status == theirs[0]
+            seen[kind, ours.status] = seen.get((kind, ours.status), 0) + 1
+            if ours.status == "optimal":
+                assert ours.value == pytest.approx(theirs[1], rel=1e-6,
+                                                   abs=1e-6)
+    for kind in ("lp", "milp"):
+        for status in ("optimal", "infeasible", "unbounded"):
+            assert seen.get((kind, status), 0) >= 20
