@@ -13,7 +13,7 @@ from balregret.core import (
     Scenario,
     ShortestPath,
 )
-from balregret.instances import SplitMix64
+from balregret.instances import SplitMix64, gen_selection
 from balregret import master
 from conftest import rand_mrs
 
@@ -112,3 +112,15 @@ def test_stuck_adversary_raises_internal_error(example_one, monkeypatch):
     # Without the check the loop would spin to the time limit instead.
     with pytest.raises(InternalError, match="pooled scenario"):
         master.solve_iterative(example_one, time_limit=10.0)
+
+
+@pytest.mark.xfail(reason="float64 simplex tolerances at costs x 10^5; "
+                          "ROADMAP item 2's integer certificate")
+def test_compact_exact_on_scaled_selection():
+    base = gen_selection(6, 10, gamma=2, gamma_prime=1)
+    k = 10**5
+    inst = Instance(ItemCosts(tuple(v * k for v in base.costs.c_hat),
+                              tuple(v * k for v in base.costs.d)),
+                    base.budgets, base.feasible)
+    assert master.solve_bruteforce(inst).value == 600000
+    assert master.solve_compact_mrs(inst).value == 600000

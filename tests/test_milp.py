@@ -287,9 +287,10 @@ def _random_mixed_model(rng: SplitMix64):
 def _highs(model, fixed, relax):
     """Status and value of the model by HiGHS (scipy.optimize.milp).
 
-    HiGHS may report an unbounded model as infeasible or as "infeasible
-    or unbounded"; every status but optimal is settled by solving the
-    model again with a zero objective, which only asks for feasibility.
+    HiGHS may report an unbounded model as infeasible (status 2) or with
+    status 3 or 4; those are settled by solving the model again with a
+    zero objective, which only asks for feasibility. Any other status,
+    such as a time or iteration limit, is the oracle's own failure.
     """
     scipy_optimize = pytest.importorskip("scipy.optimize")
     nv = len(model.variables)
@@ -315,8 +316,12 @@ def _highs(model, fixed, relax):
     res = scipy_optimize.milp(cost, **kwargs)
     if res.status == 0:
         return "optimal", sign * res.fun
-    feasible = scipy_optimize.milp(np.zeros(nv), **kwargs).status == 0
-    return ("unbounded" if feasible else "infeasible"), None
+    if res.status not in (2, 3, 4):
+        pytest.fail(f"HiGHS status {res.status}: {res.message}")
+    res = scipy_optimize.milp(np.zeros(nv), **kwargs)
+    if res.status not in (0, 2):
+        pytest.fail(f"HiGHS feasibility status {res.status}: {res.message}")
+    return ("unbounded" if res.status == 0 else "infeasible"), None
 
 
 def test_highs_agrees_on_random_mixed_models():
