@@ -27,7 +27,6 @@ from .core import (
 )
 from .evaluation import criteria_matrix
 from .instances import (
-    ReductionSpec,
     SplitMix64,
     build_equipartition_reduction,
     build_partition_reduction,
@@ -117,11 +116,10 @@ def _cmd_generate(args) -> int:
     else:
         rng = SplitMix64(args.seed)
         weights = tuple(rng.randint(1, 9) for _ in range(args.n))
-        spec = ReductionSpec(weights, args.family)
         if args.family == "equipartition":
-            inst, threshold = build_equipartition_reduction(spec)
+            inst, threshold = build_equipartition_reduction(weights)
         else:
-            inst, threshold = build_partition_reduction(spec)
+            inst, threshold = build_partition_reduction(weights)
         log.info("weights %s, certified threshold %d", weights, threshold)
     save_instance(inst, args.out)
     log.info("seed %d -> %s (%s)", args.seed, args.out, inst.name)

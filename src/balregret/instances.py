@@ -11,7 +11,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+from typing import Sequence
 from pathlib import Path
 
 from .core import (
@@ -115,41 +115,26 @@ def gen_knapsack(n: int, seed: int, *, gamma: int = 2, gamma_prime: int = 1,
     )
 
 
-@dataclass(frozen=True)
-class ReductionSpec:
-    """Weight vector for a hardness-reduction builder."""
-
-    weights: tuple[int, ...]
-    kind: str  # "equipartition" or "partition"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("equipartition", "partition"):
-            raise InputError("kind must be equipartition or partition")
-        if not self.weights or any(int(a) <= 0 for a in self.weights):
-            raise InputError("weights must be positive integers")
-        object.__setattr__(
-            self, "weights", tuple(int(a) for a in self.weights)
-        )
-
-    @property
-    def total(self) -> int:
-        return sum(self.weights)
+def _positive_weights(weights: Sequence[int]) -> tuple[int, ...]:
+    if not weights or any(int(a) <= 0 for a in weights):
+        raise InputError("weights must be positive integers")
+    return tuple(int(a) for a in weights)
 
 
-def build_equipartition_reduction(spec: ReductionSpec) -> tuple[Instance, int]:
+def build_equipartition_reduction(
+    weights: Sequence[int],
+) -> tuple[Instance, int]:
     """Selection instance whose optimum hits the returned threshold exactly
     when the weights split into two equal-sum halves of equal cardinality.
 
     All costs are scaled by 4 to stay integral; the threshold (2n-3)A is
     already in the scaled units.
     """
-    if spec.kind != "equipartition":
-        raise InputError("spec kind must be equipartition")
-    a = spec.weights
+    a = _positive_weights(weights)
     n = len(a)
     if n % 2:
         raise InputError("equipartition requires an even number of weights")
-    A = spec.total
+    A = sum(a)
     c = list(4 * ai for ai in a) + [0] * (2 * n + 2) + [0, 0]
     d = (
         [4 * A - 6 * ai for ai in a]
@@ -168,7 +153,7 @@ def build_equipartition_reduction(spec: ReductionSpec) -> tuple[Instance, int]:
     return inst, (2 * n - 3) * A
 
 
-def build_partition_reduction(spec: ReductionSpec) -> tuple[Instance, int]:
+def build_partition_reduction(weights: Sequence[int]) -> tuple[Instance, int]:
     """Representative selection instance (one pick per 4-item partition)
     whose optimum hits the returned threshold exactly when the weights
     split into two equal-sum halves.
@@ -176,9 +161,7 @@ def build_partition_reduction(spec: ReductionSpec) -> tuple[Instance, int]:
     Weight vectors with one dominant weight are first padded with two
     items of the old total so that max(a) <= sum(a)/3 holds.
     """
-    if spec.kind != "partition":
-        raise InputError("spec kind must be partition")
-    a = list(spec.weights)
+    a = list(_positive_weights(weights))
     if 3 * max(a) > sum(a):
         a = a + [sum(a), sum(a)]
     n = len(a)

@@ -1,16 +1,18 @@
 """Self-contained bounded-scale mixed-binary linear programming.
 
 A dense two-phase tableau simplex plus a depth-first branch-and-bound.
-Phase 1 starts from the slack basis wherever a row's slack can be basic
-and carries artificials only for the other rows.  Models at desk scale
-only; simplicity and debuggability over sparsity.
+Each solve reads the model into arrays once (``_form``), and every node
+builds its tableau and checks its point from those arrays.  Phase 1
+starts from the slack basis wherever a row's slack can be basic and
+carries artificials only for the other rows.  Models at desk scale only;
+simplicity and debuggability over sparsity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -96,109 +98,119 @@ class _Unbounded(Exception):
     pass
 
 
-def _standardize(
-    model: MilpModel, fixed: Optional[dict[int, float]] = None
-):
+class _Form(NamedTuple):
+    """A model read into arrays: rows ``A x (sense) b``, where each row's
+    slack enters with +1 ("<="), -1 (">=") or not at all ("="); bounds
+    ``lb <= x <= ub``; min-sense costs; the objective sign; the binaries."""
+
+    A: np.ndarray
+    b: np.ndarray
+    slack: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    cost: np.ndarray
+    sign: float
+    binaries: np.ndarray
+
+
+def _form(model: MilpModel) -> _Form:
+    """Read the model into arrays.  A dense ``A`` above MAX_TABLEAU_ENTRIES
+    raises ScaleError before it is allocated: every tableau of the model
+    without fixings is larger still."""
+    rows, variables = model.constraints, model.variables
+    if len(rows) * len(variables) > MAX_TABLEAU_ENTRIES:
+        raise ScaleError(f"model of {len(rows)} x {len(variables)} exceeds "
+                         f"{MAX_TABLEAU_ENTRIES} entries")
+    A = np.zeros((len(rows), len(variables)))
+    for i, (coefs, _, _) in enumerate(rows):
+        A[i, list(coefs)] = list(coefs.values())
+    sign = 1.0 if model.objective_sense == "min" else -1.0
+    cost = np.zeros(len(variables))
+    cost[list(model.objective)] = list(model.objective.values())
+    return _Form(
+        A,
+        np.array([b for _, _, b in rows], dtype=float),
+        np.array([_SLACK_COEF[sense] for _, sense, _ in rows], dtype=float),
+        np.array([v.lb for v in variables], dtype=float),
+        np.array([v.ub for v in variables], dtype=float),
+        sign * cost,
+        sign,
+        np.flatnonzero([v.kind == "binary" for v in variables]),
+    )
+
+
+def _standardize(form: _Form, fixed: dict[int, float]):
     """Phase-1 tableau of min cᵀx', Ax' (sense) b, x' >= 0, b >= 0.
 
     Fixed variables are substituted out; finite lower bounds are shifted,
-    free variables are split, finite upper bounds become extra rows.  The
-    columns are [structural | slacks | artificials | rhs].  Rows with a
-    negative rhs are negated, and so are ">=" rows with rhs 0; a row whose
-    slack then enters with +1 starts with that slack basic (the slack
-    crash basis), and only "=" rows and rows left with a surplus slack get
-    an artificial.  Returns the tableau, the starting basis, the phase-2
-    costs of the structural and slack columns, the objective constant and
-    sign, and a decoder back to model space.
+    free variables are split (the negative part's column right after the
+    positive part's), finite upper bounds become extra rows after the
+    model's, in variable order.  The columns are [structural | slacks |
+    artificials | rhs].  Rows with a negative rhs are negated, and so are
+    ">=" rows with rhs 0; a row whose slack then enters with +1 starts
+    with that slack basic (the slack crash basis), and only "=" rows and
+    rows left with a surplus slack get an artificial.  Returns the
+    tableau, the starting basis, the phase-2 costs of the structural and
+    slack columns, the objective constant, and a decoder back to model
+    space.
     """
-    fixed = fixed or {}
-    col_of: list[Optional[tuple[int, float, Optional[int]]]] = []
-    ncols = 0
-    rows = list(model.constraints)
-    for j, var in enumerate(model.variables):
-        if j in fixed:
-            col_of.append(None)
-            continue
-        if var.lb == -INF:
-            col_of.append((ncols, 0.0, ncols + 1))
-            ncols += 2
-        else:
-            col_of.append((ncols, var.lb, None))
-            ncols += 1
-        if var.ub < INF:
-            rows.append(({j: 1.0}, "<=", var.ub))
+    free = form.lb == -INF
+    val = np.where(free, 0.0, form.lb)  # fixed values and lower-bound shifts
+    keep = np.ones(len(val), dtype=bool)
+    if fixed:
+        idx = np.fromiter(fixed, np.intp, len(fixed))
+        val[idx] = np.fromiter(fixed.values(), float, len(fixed))
+        keep[idx] = False
+    split = free & keep
+    span = keep.astype(np.intp) + split  # columns per variable: 0, 1 or 2
+    col = np.cumsum(span) - span  # first column of each kept variable
+    ncols = int(span.sum())
+    pos, neg = col[keep], col[split] + 1
+    bounded = np.flatnonzero(keep & (form.ub < INF))
 
-    def offset(coefs: dict[int, float]) -> float:
-        """The constant that fixed values and lower-bound shifts add."""
-        return sum(a * fixed[j] if j in fixed
-                   else a * col_of[j][1]  # type: ignore[index]
-                   for j, a in coefs.items())
-
-    def expand(coefs: dict[int, float], row: np.ndarray) -> None:
-        """Add coefs into row over the shifted and split columns."""
-        for j, a in coefs.items():
-            if j in fixed:
-                continue
-            col, _, negcol = col_of[j]  # type: ignore[misc]
-            row[col] += a
-            if negcol is not None:
-                row[negcol] -= a
-
-    # Per row: the sign that makes its rhs non-negative (-1 also for ">="
-    # rows with rhs 0), its slack's coefficient after that sign (0 for "="
-    # rows, which have no slack) and the rhs.
-    signed = []
-    for coefs, sense, b in rows:
-        rhs = b - offset(coefs)
-        s = -1.0 if rhs < 0 or (rhs == 0 and sense == ">=") else 1.0
-        signed.append((s, s * _SLACK_COEF[sense], abs(rhs)))
-    m = len(rows)
-    art = ncols + sum(sc != 0.0 for _, sc, _ in signed)
-    width = art + sum(sc <= 0.0 for _, sc, _ in signed) + 1
+    # Per row: the rhs, the sign that makes it non-negative (-1 also for
+    # ">=" rows with rhs 0) and the slack's coefficient after that sign
+    # (0 for "=" rows, which have no slack).
+    rhs = np.concatenate([form.b - form.A @ val,
+                          form.ub[bounded] - val[bounded]])
+    slack = np.concatenate([form.slack, np.ones(len(bounded))])
+    s = np.where((rhs < 0) | ((rhs == 0) & (slack < 0)), -1.0, 1.0)
+    slack *= s
+    has_slack, has_art = slack != 0.0, slack <= 0.0
+    m, m0 = len(rhs), len(form.b)
+    art = ncols + int(has_slack.sum())
+    width = art + int(has_art.sum()) + 1
     if m * width > MAX_TABLEAU_ENTRIES:
         raise ScaleError(f"LP tableau of {m} x {width} exceeds "
                          f"{MAX_TABLEAU_ENTRIES} entries")
 
     T = np.zeros((m, width))
-    basis = np.empty(m, dtype=np.intp)
-    slack, artcol = ncols, art
-    for i, ((coefs, _, _), (s, slack_coef, rhs)) in enumerate(
-        zip(rows, signed)
-    ):
-        expand(coefs, T[i, :ncols])
-        if s < 0:
-            T[i, :ncols] *= -1
-        if slack_coef != 0.0:
-            T[i, slack] = slack_coef
-            slack += 1
-        if slack_coef > 0.0:
-            basis[i] = slack - 1
-        else:
-            T[i, artcol] = 1.0
-            basis[i] = artcol
-            artcol += 1
-        T[i, -1] = rhs
+    T[:m0, pos] = form.A[:, keep]
+    T[:m0, neg] -= form.A[:, split]
+    brow, bcol = m0 + np.arange(len(bounded)), col[bounded]
+    bsplit = free[bounded]  # a split variable's bound holds both parts
+    T[brow, bcol] = 1.0
+    T[brow[bsplit], bcol[bsplit] + 1] = -1.0
+    T[s < 0, :ncols] *= -1
+    slack_col = ncols + np.cumsum(has_slack) - 1
+    art_col = art + np.cumsum(has_art) - 1
+    T[has_slack, slack_col[has_slack]] = slack[has_slack]
+    T[has_art, art_col[has_art]] = 1.0
+    T[:, -1] = np.abs(rhs)
+    basis = np.where(has_art, art_col, slack_col)
 
-    sign = 1.0 if model.objective_sense == "min" else -1.0
-    objective = {j: sign * v for j, v in model.objective.items()}
     c = np.zeros(art)
-    expand(objective, c)
-    const = offset(objective)
+    c[pos] += form.cost[keep]
+    c[neg] -= form.cost[split]
+    const = float(form.cost @ val)
 
-    def decode(xstd: np.ndarray) -> list[float]:
-        out = []
-        for j, var in enumerate(model.variables):
-            if j in fixed:
-                out.append(fixed[j])
-                continue
-            col, shift, negcol = col_of[j]  # type: ignore[misc]
-            v = xstd[col] + shift
-            if negcol is not None:
-                v -= xstd[negcol]
-            out.append(float(v))
-        return out
+    def decode(xstd: np.ndarray) -> np.ndarray:
+        x = val.copy()
+        x[keep] += xstd[pos]
+        x[split] -= xstd[neg]
+        return x
 
-    return T, basis, c, const, sign, decode
+    return T, basis, c, const, decode
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
@@ -273,12 +285,10 @@ def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> None:
     raise ScaleError("simplex pivot limit exceeded")
 
 
-def solve_lp(
-    model: MilpModel, fixed: Optional[dict[int, float]] = None
-) -> MilpResult:
-    """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
-    T, basis, c, const, sign, decode = _standardize(model, fixed)
-    m, art = T.shape[0], len(c)
+def _relax(form: _Form, fixed: dict[int, float]):
+    """Status, min-sense value and point (None unless optimal) of the LP."""
+    T, basis, c, const, decode = _standardize(form, fixed)
+    art = len(c)
 
     # Phase 1: minimize the sum of the artificials, from the crash basis.
     c1 = np.zeros(T.shape[1] - 1)
@@ -289,17 +299,16 @@ def solve_lp(
     except _Unbounded:  # phase 1 is bounded below by zero
         raise InternalError("phase-1 unbounded") from None
     if -z1[-1] > 1e-6:
-        return MilpResult("infeasible", math.nan, [])
+        return "infeasible", math.nan, None
 
     # Drive artificials out of the basis or drop their rows.
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= art:
-            cands = np.where(np.abs(T[i, :art]) > MIN_PIVOT)[0]
-            if cands.size:
-                _pivot(T, z1, basis, i, int(cands[0]))
-            else:
-                keep[i] = False
+    keep = np.ones(len(basis), dtype=bool)
+    for i in np.flatnonzero(basis >= art):
+        cands = np.where(np.abs(T[i, :art]) > MIN_PIVOT)[0]
+        if cands.size:
+            _pivot(T, z1, basis, i, int(cands[0]))
+        else:
+            keep[i] = False
     T = np.hstack([T[keep, :art], T[keep, -1:]])
     basis = basis[keep]
 
@@ -308,23 +317,28 @@ def solve_lp(
     try:
         _run_simplex(T, z2, basis)
     except _Unbounded:
-        return MilpResult("unbounded", -sign * math.inf, [])
+        return "unbounded", -math.inf, None
     x = np.zeros(art)
     x[basis] = T[:, -1]
-    return MilpResult("optimal", sign * (float(c @ x) + const), decode(x))
+    return "optimal", float(c @ x) + const, decode(x)
 
 
-def _violation(model: MilpModel, xs: Sequence[float]) -> float:
-    worst = 0.0
-    for coefs, sense, rhs in model.constraints:
-        lhs = sum(a * xs[j] for j, a in coefs.items())
-        if sense == "<=":
-            worst = max(worst, lhs - rhs)
-        elif sense == ">=":
-            worst = max(worst, rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+def solve_lp(
+    model: MilpModel, fixed: Optional[dict[int, float]] = None
+) -> MilpResult:
+    """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
+    form = _form(model)
+    status, value, x = _relax(form, fixed or {})
+    return MilpResult(status, form.sign * value,
+                      [] if x is None else x.tolist())
+
+
+def _feasible(form: _Form, x: np.ndarray) -> bool:
+    """Whether x meets every model row within FEAS_TOL."""
+    excess = form.A @ x - form.b
+    violation = np.where(form.slack == 0.0, np.abs(excess),
+                         form.slack * excess)
+    return bool((violation <= FEAS_TOL).all())
 
 
 def solve_milp(
@@ -332,14 +346,15 @@ def solve_milp(
 ) -> MilpResult:
     """Exact optimum by depth-first branch-and-bound over the binaries.
 
-    Branches on the binary with fractional part closest to 0.5 (ties go to
-    the lowest index), exploring the rounding-toward-incumbent child first.
+    Branches on the binary with fractional part closest to 0.5 (ties
+    within 1e-12 go to the lowest index), exploring the
+    rounding-toward-incumbent child first.
     """
-    binaries = model.binary_indices()
-    sign = 1.0 if model.objective_sense == "min" else -1.0
+    form = _form(model)
+    bins = form.binaries
 
     best_value = math.inf  # in minimization orientation
-    best_assign: Optional[list[float]] = None
+    best_x: Optional[np.ndarray] = None
     limited = False
 
     stack: list[dict[int, float]] = [{}]
@@ -350,56 +365,40 @@ def solve_milp(
         if nodes > node_limit:
             limited = True
             break
-        res = solve_lp(model, fixed)
-        if res.status == "infeasible":
+        status, bound, x = _relax(form, fixed)
+        if status == "infeasible":
             continue
-        if res.status == "unbounded":
-            free = [j for j in binaries if j not in fixed]
-            if not free:
-                return MilpResult("unbounded", -sign * math.inf, [])
+        if status == "unbounded":
+            free = bins[~np.isin(bins, list(fixed))]
+            if not free.size:
+                return MilpResult("unbounded", -form.sign * math.inf, [])
             # No relaxation point to guide branching; split the first
             # unfixed binary and keep searching.
-            stack.append({**fixed, free[0]: 1.0})
-            stack.append({**fixed, free[0]: 0.0})
+            stack.append({**fixed, int(free[0]): 1.0})
+            stack.append({**fixed, int(free[0]): 0.0})
             continue
-        bound = sign * res.value
         if bound >= best_value - FEAS_TOL:
             continue
-        xs = res.assignment
-        frac_var = -1
-        frac_dist = 2.0
-        for j in binaries:
-            f = xs[j] - math.floor(xs[j])
-            if min(f, 1 - f) > INT_TOL:
-                dist = abs(f - 0.5)
-                if dist < frac_dist - 1e-12:
-                    frac_dist = dist
-                    frac_var = j
-        if frac_var < 0:
-            snapped = list(xs)
-            for j in binaries:
-                snapped[j] = float(round(snapped[j]))
-            if _violation(model, snapped) <= FEAS_TOL:
-                if bound < best_value - FEAS_TOL:
-                    best_value = bound
-                    best_assign = snapped
+        xb = x[bins]
+        f = xb - np.floor(xb)
+        dist = np.where(np.minimum(f, 1 - f) > INT_TOL, np.abs(f - 0.5), INF)
+        if not (dist < INF).any():
+            x[bins] = np.round(xb) + 0.0  # as round(): 0.0, never -0.0
+            if _feasible(form, x):
+                best_value, best_x = bound, x
             continue
-        f = xs[frac_var] - math.floor(xs[frac_var])
-        if best_assign is not None:
-            first = float(round(best_assign[frac_var]))
-        else:
-            first = float(round(f))
-        second = 1.0 - first
+        k = int(np.argmax(dist <= dist.min() + 1e-12))
+        j = int(bins[k])
+        first = float(round(best_x[j] if best_x is not None else f[k]))
         # Depth-first: the preferred child is pushed last (popped first).
-        stack.append({**fixed, frac_var: second})
-        stack.append({**fixed, frac_var: first})
+        stack.append({**fixed, j: 1.0 - first})
+        stack.append({**fixed, j: first})
 
-    if best_assign is None:
-        if limited:
-            return MilpResult("node_limit", math.nan, [])
-        return MilpResult("infeasible", math.nan, [])
-    status = "node_limit" if limited else "optimal"
-    return MilpResult(status, sign * best_value, best_assign)
+    if best_x is None:
+        return MilpResult("node_limit" if limited else "infeasible",
+                          math.nan, [])
+    return MilpResult("node_limit" if limited else "optimal",
+                      form.sign * best_value, best_x.tolist())
 
 
 def write_lp(model: MilpModel, path: str) -> None:

@@ -25,7 +25,6 @@ from balregret.core import (
     solution_count,
 )
 from balregret.instances import (
-    ReductionSpec,
     SplitMix64,
     build_equipartition_reduction,
     build_partition_reduction,
@@ -264,9 +263,7 @@ def test_c07_reduction_theorems():
     cases = 0
     for n in (4, 6):
         for weights in itertools.combinations_with_replacement((1, 2, 3), n):
-            inst, threshold = build_equipartition_reduction(
-                ReductionSpec(weights, "equipartition")
-            )
+            inst, threshold = build_equipartition_reduction(weights)
             optimum = _symmetry_optimum(inst)
             if solution_count(inst.feasible) <= 1000:
                 assert optimum == master.solve_bruteforce(inst).value
@@ -277,9 +274,7 @@ def test_c07_reduction_theorems():
             cases += 1
     for n in (3, 4):
         for weights in itertools.combinations_with_replacement((1, 2, 3), n):
-            inst, threshold = build_partition_reduction(
-                ReductionSpec(weights, "partition")
-            )
+            inst, threshold = build_partition_reduction(weights)
             padded = list(weights)
             if 3 * max(padded) > sum(padded):
                 padded += [sum(padded), sum(padded)]

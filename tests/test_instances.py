@@ -12,7 +12,6 @@ from balregret.core import (
     ShortestPath,
 )
 from balregret.instances import (
-    ReductionSpec,
     SplitMix64,
     build_equipartition_reduction,
     build_partition_reduction,
@@ -71,14 +70,12 @@ class TestGenerators:
 class TestReductions:
     def test_spec_validation(self):
         with pytest.raises(InputError):
-            ReductionSpec((1, 0), "partition")
+            build_partition_reduction((1, 0))
         with pytest.raises(InputError):
-            ReductionSpec((1, 2), "threeway")
+            build_equipartition_reduction((2, -1))
 
     def test_equipartition_layout(self):
-        inst, threshold = build_equipartition_reduction(
-            ReductionSpec((1, 1, 1, 1), "equipartition")
-        )
+        inst, threshold = build_equipartition_reduction((1, 1, 1, 1))
         n = 4
         assert inst.n == 3 * n + 4
         assert inst.feasible.quotas == (n // 2 + 1,)
@@ -90,14 +87,10 @@ class TestReductions:
 
     def test_equipartition_rejects_odd_count(self):
         with pytest.raises(InputError):
-            build_equipartition_reduction(
-                ReductionSpec((1, 2, 3), "equipartition")
-            )
+            build_equipartition_reduction((1, 2, 3))
 
     def test_partition_layout(self):
-        inst, threshold = build_partition_reduction(
-            ReductionSpec((1, 1, 2, 2), "partition")
-        )
+        inst, threshold = build_partition_reduction((1, 1, 2, 2))
         n, total = 4, 6
         assert inst.n == 4 * n
         assert inst.feasible.quotas == (1,) * n
@@ -105,14 +98,9 @@ class TestReductions:
         assert threshold == (2 * n - 2) * total - 3 * 2
 
     def test_partition_pads_dominant_weight(self):
-        inst, _ = build_partition_reduction(ReductionSpec((5, 1), "partition"))
+        inst, _ = build_partition_reduction((5, 1))
         # 3 * 5 > 6, so two padding weights of 6 are appended
         assert inst.n == 4 * 4
-
-    def test_kind_mismatch(self):
-        spec = ReductionSpec((1, 1), "partition")
-        with pytest.raises(InputError):
-            build_equipartition_reduction(spec)
 
 
 class TestSerialization:

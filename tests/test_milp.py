@@ -38,6 +38,32 @@ def test_lp_equality_and_lower_bounds():
     assert res.value == pytest.approx(5.0 + 2.0 * (-2.0))
 
 
+def test_free_variable_with_finite_upper_bound():
+    # a = a+ - a- is free with a <= -2, so its bound row must hold both
+    # parts: with a+ <= -2 alone, a+ >= 0 would make the model infeasible.
+    m = milp.MilpModel()
+    a = m.add_continuous(-milp.INF, -2.0)
+    m.add_constraint({a: 1.0}, ">=", -5.0)
+    m.set_objective("max", {a: 1.0})
+    res = milp.solve_lp(m)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(-2.0)
+    assert res.assignment == pytest.approx([-2.0])
+
+
+@pytest.mark.parametrize("ub", [3.0, -3.0])
+def test_milp_free_variable_with_finite_upper_bound(ub):
+    # max a + b with a free, a <= ub and b binary is ub + 1.
+    m = milp.MilpModel()
+    a = m.add_continuous(-milp.INF, ub)
+    b = m.add_binary()
+    m.set_objective("max", {a: 1.0, b: 1.0})
+    res = milp.solve_milp(m)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(ub + 1.0)
+    assert res.assignment == pytest.approx([ub, 1.0])
+
+
 def test_lp_infeasible():
     m = milp.MilpModel()
     a = m.add_continuous(0.0)
@@ -85,20 +111,29 @@ def test_tableau_guard_raises_before_allocating():
     # 7,100 "<=" rows over one variable, each starting from its slack: a
     # 7,100 x 7,102 phase-1 tableau of about 5.04 * 10^7 float64 entries
     # (403 MB), just above the guard.
-    m = milp.MilpModel()
-    a = m.add_continuous(0.0)
+    narrow = milp.MilpModel()
+    a = narrow.add_continuous(0.0)
     for k in range(7100):
-        m.add_constraint({a: 1.0}, "<=", float(k + 1))
-    m.set_objective("max", {a: 1.0})
+        narrow.add_constraint({a: 1.0}, "<=", float(k + 1))
+    narrow.set_objective("max", {a: 1.0})
     assert 7100 * 7102 > milp.MAX_TABLEAU_ENTRIES
-    tracemalloc.start()
-    try:
-        with pytest.raises(ScaleError):
-            milp.solve_milp(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
+    # 7,100 "<=" rows over 7,100 variables, row k holding variable k only:
+    # the dense model alone has 7,100 x 7,100 entries, also above it.
+    square = milp.MilpModel()
+    for k in range(7100):
+        x = square.add_continuous(0.0)
+        square.add_constraint({x: 1.0}, "<=", 1.0)
+    square.set_objective("max", {0: 1.0})
+    assert 7100 * 7100 > milp.MAX_TABLEAU_ENTRIES
+    for m in (narrow, square):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScaleError):
+                milp.solve_milp(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 def test_crash_basis_puts_artificials_only_where_needed():
@@ -122,7 +157,7 @@ def test_crash_basis_puts_artificials_only_where_needed():
     for coefs, sense, rhs in rows:
         m.add_constraint(coefs, sense, rhs)
     m.set_objective("max", {b: 2.0, c: 1.0})
-    T, basis, cost, *_ = milp._standardize(m)
+    T, basis, cost, *_ = milp._standardize(milp._form(m), {})
     art = len(cost)
     assert T.shape == (10, art + 5 + 1) and art == 4 + 7
     assert [i for i in range(10) if basis[i] >= art] == [2, 3, 4, 5, 6]
@@ -343,3 +378,86 @@ def test_highs_agrees_on_random_mixed_models():
     for kind in ("lp", "milp"):
         for status in ("optimal", "infeasible", "unbounded"):
             assert seen.get((kind, status), 0) >= 20
+
+
+def _loop_standardize(model, fixed):
+    """Tableau, starting basis, phase-2 costs and objective constant of
+    ``_standardize``, built by a loop over the model's rows and variables:
+    the reference for its array form."""
+    cols, ncols, rows = {}, 0, list(model.constraints)
+    for j, v in enumerate(model.variables):
+        if j in fixed:
+            continue
+        free = v.lb == -milp.INF
+        cols[j] = (ncols, ncols + 1 if free else None)
+        ncols += 2 if free else 1
+        if v.ub < milp.INF:
+            rows.append(({j: 1.0}, "<=", v.ub))
+    shift = [fixed.get(j, 0.0 if v.lb == -milp.INF else v.lb)
+             for j, v in enumerate(model.variables)]
+
+    def expand(coefs, out):
+        for j, a in coefs.items():
+            if j in cols:
+                out[cols[j][0]] += a
+                if cols[j][1] is not None:
+                    out[cols[j][1]] -= a
+
+    signed = []
+    for coefs, sense, b in rows:
+        rhs = b - sum(a * shift[j] for j, a in coefs.items())
+        s = -1.0 if rhs < 0 or (rhs == 0 and sense == ">=") else 1.0
+        signed.append((s, s * {"<=": 1.0, "=": 0.0, ">=": -1.0}[sense],
+                       abs(rhs)))
+    art = ncols + sum(sc != 0 for _, sc, _ in signed)
+    T = np.zeros((len(rows), art + sum(sc <= 0 for _, sc, _ in signed) + 1))
+    basis, slack, artcol = [], ncols, art
+    for i, ((coefs, _, _), (s, sc, rhs)) in enumerate(zip(rows, signed)):
+        expand(coefs, T[i])
+        T[i, :ncols] *= s
+        if sc != 0:
+            T[i, slack] = sc
+            slack += 1
+        if sc > 0:
+            basis.append(slack - 1)
+        else:
+            T[i, artcol] = 1.0
+            basis.append(artcol)
+            artcol += 1
+        T[i, -1] = rhs
+    sign = 1.0 if model.objective_sense == "min" else -1.0
+    objective = {j: sign * v for j, v in model.objective.items()}
+    c = np.zeros(art)
+    expand(objective, c)
+    return T, basis, c, sum(a * shift[j] for j, a in objective.items())
+
+
+def test_standardize_matches_loop_reference():
+    # Random mixed models whose free variables may also carry a finite
+    # upper bound, under random fixings; integer data, so the array form
+    # must agree exactly. Integral points are checked against the rows too.
+    rng = SplitMix64(77)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        model = _random_mixed_model(rng)
+        for v in model.variables:
+            if v.lb == -milp.INF and rng.randint(0, 1):
+                v.ub = float(rng.randint(-3, 3))
+        fixed = {j: float(rng.randint(-2, 2))
+                 for j in range(len(model.variables)) if rng.randint(0, 2) == 0}
+        form = milp._form(model)
+        T, basis, c, const, _ = milp._standardize(form, fixed)
+        ref = _loop_standardize(model, fixed)
+        assert np.array_equal(T, ref[0])
+        assert basis.tolist() == ref[1]
+        assert np.array_equal(c, ref[2]) and const == ref[3]
+        x = np.array([float(rng.randint(-1, 2)) for _ in model.variables])
+        worst = 0.0
+        for coefs, sense, b in model.constraints:
+            lhs = sum(a * x[j] for j, a in coefs.items())
+            worst = max(worst, {"<=": lhs - b, ">=": b - lhs}.get(
+                sense, abs(lhs - b)))
+        feasible = milp._feasible(form, x)
+        assert feasible == (worst <= milp.FEAS_TOL)
+        seen[feasible] += 1
+    assert min(seen.values()) >= 30
