@@ -165,14 +165,16 @@ def _load_glob(pattern: str) -> list[Instance]:
 
 
 def _cmd_evaluate(args) -> int:
-    batch = _load_glob(args.instances)
     rng = None
     if args.gamma_prime_range:
         try:
-            a, b = args.gamma_prime_range.split("..")
-            rng = range(int(a), int(b) + 1)
+            a, b = (int(v) for v in args.gamma_prime_range.split(".."))
         except ValueError:
             raise _UsageError("range must look like A..B") from None
+        if not 0 <= a <= b:
+            raise _UsageError(f"range {a}..{b} needs 0 <= A <= B")
+        rng = range(a, b + 1)
+    batch = _load_glob(args.instances)
     matrix = criteria_matrix(batch, rng)
     Path(args.out).write_text(matrix.to_csv())
     log.info("wrote %d x %d matrix over %d instances to %s",

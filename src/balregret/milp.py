@@ -1,10 +1,13 @@
 """Self-contained bounded-scale mixed-binary linear programming.
 
 A dense two-phase tableau simplex plus a depth-first branch-and-bound.
-Each solve reads the model into arrays once (``_form``), and every node
-builds its tableau and checks its point from those arrays.  Phase 1
-starts from the slack basis wherever a row's slack can be basic and
-carries artificials only for the other rows.  Models at desk scale only;
+Each solve reads the model into arrays once (``_form``).  The root, and
+the children of an unbounded node, are cold-started: their tableau is
+built from those arrays, and phase 1 starts from the slack basis wherever
+a row's slack can be basic and carries artificials only for the other
+rows.  Every other node is warm-started: it adds its branching bound as
+one row to its parent's final tableau and restores feasibility with a
+dual simplex from the parent's basis.  Models at desk scale only;
 simplicity and debuggability over sparsity.
 """
 
@@ -25,6 +28,7 @@ INT_TOL = 1e-6
 BLAND_AFTER = 1000
 DEFAULT_NODE_LIMIT = 10**6
 _MAX_PIVOTS = 200_000
+_PIVOT_ROWS = 64  # rows per block of a pivot's rank-1 update
 # Largest phase-1 tableau allocated, in float64 entries (400 MB); a larger
 # LP raises ScaleError instead.
 MAX_TABLEAU_ENTRIES = 5 * 10**7
@@ -92,10 +96,14 @@ class MilpResult:
     status: str  # "optimal" | "infeasible" | "unbounded" | "node_limit"
     value: float
     assignment: list[float]
+    nodes: int = 0  # LP relaxations solved
+    pivots: int = 0  # simplex pivots over all of them, cold and warm
 
 
 class _Unbounded(Exception):
-    pass
+    def __init__(self, pivots: int):
+        super().__init__(pivots)
+        self.pivots = pivots  # made before the unbounded column was seen
 
 
 class _Form(NamedTuple):
@@ -137,6 +145,24 @@ def _form(model: MilpModel) -> _Form:
         sign,
         np.flatnonzero([v.kind == "binary" for v in variables]),
     )
+
+
+class _Decode(NamedTuple):
+    """Map from tableau columns back to model space: the fixed values and
+    lower-bound shifts ``val``, the variables ``keep`` that have columns,
+    the ``split`` free ones, and each kept variable's first column ``col``
+    (a split variable's negative part is the next one)."""
+
+    val: np.ndarray
+    keep: np.ndarray
+    split: np.ndarray
+    col: np.ndarray
+
+    def __call__(self, xstd: np.ndarray) -> np.ndarray:
+        x = self.val.copy()
+        x[self.keep] += xstd[self.col[self.keep]]
+        x[self.split] -= xstd[self.col[self.split] + 1]
+        return x
 
 
 def _standardize(form: _Form, fixed: dict[int, float]):
@@ -203,14 +229,7 @@ def _standardize(form: _Form, fixed: dict[int, float]):
     c[pos] += form.cost[keep]
     c[neg] -= form.cost[split]
     const = float(form.cost @ val)
-
-    def decode(xstd: np.ndarray) -> np.ndarray:
-        x = val.copy()
-        x[keep] += xstd[pos]
-        x[split] -= xstd[neg]
-        return x
-
-    return T, basis, c, const, decode
+    return T, basis, c, const, _Decode(val, keep, split, col)
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
@@ -218,10 +237,13 @@ def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
     T[r] /= piv
     col = T[:, c].copy()
     col[r] = 0.0
-    # Rank-1 update restricted to rows the entering column touches.
+    # Rank-1 update restricted to rows the entering column touches, in
+    # blocks of rows: each block's temporaries are two copies of its rows,
+    # so on a tall tableau they stay small next to the tableau itself.
     nz = np.nonzero(col)[0]
-    if nz.size:
-        T[nz] -= col[nz, None] * T[r]
+    for k in range(0, nz.size, _PIVOT_ROWS):
+        rows = nz[k:k + _PIVOT_ROWS]
+        T[rows] -= col[rows, None] * T[r]
     z -= z[c] * T[r]
     basis[r] = c
 
@@ -235,25 +257,26 @@ def _reduced_costs(T: np.ndarray, c: np.ndarray, basis: np.ndarray):
     return z
 
 
-def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> None:
-    """Iterate the tableau to optimality of the current objective row.
+def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> int:
+    """Iterate the tableau to optimality of the current objective row and
+    return the number of pivots made.
 
     ``z`` holds reduced costs (last entry: negated objective value).
     Raises _Unbounded if a negative reduced-cost column has no pivot row.
     """
     degenerate = 0
     bland = False
-    for _ in range(_MAX_PIVOTS):
+    for pivots in range(_MAX_PIVOTS):
         red = z[:-1]
         if not bland:
             cand = np.where(red < -FEAS_TOL)[0]
             if cand.size == 0:
-                return
+                return pivots
             cand = cand[np.argsort(red[cand], kind="stable")]
         else:
             cand = np.where(red < -PIVOT_TOL)[0]
             if cand.size == 0:
-                return
+                return pivots
         # A column with no positive entry certifies an unbounded ray, but
         # roundoff can also produce a barely negative reduced cost on such
         # a column; try the remaining candidates before giving up.
@@ -263,7 +286,7 @@ def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> None:
                 c = int(cj)
                 break
         if c < 0:
-            raise _Unbounded()
+            raise _Unbounded(pivots)
         col = T[:, c]
         pos = col > MIN_PIVOT
         rhs = np.maximum(T[:, -1], 0.0)  # ignore roundoff drift below zero
@@ -285,8 +308,94 @@ def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> None:
     raise ScaleError("simplex pivot limit exceeded")
 
 
-def _relax(form: _Form, fixed: dict[int, float]):
-    """Status, min-sense value and point (None unless optimal) of the LP."""
+def _dual_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
+                  limit: float) -> tuple[str, int]:
+    """Restore primal feasibility of a dual-feasible tableau.
+
+    Returns "optimal" once no rhs is below -FEAS_TOL, "infeasible" when a
+    negative row has no negative entry to pivot on, and "cutoff" when the
+    objective without its constant, ``-z[-1]``, reaches ``limit -
+    FEAS_TOL``: the dual objective only rises, so the LP's optimum is at
+    least that.  Also returns the number of pivots made.
+    """
+    degenerate = 0
+    bland = False
+    for pivots in range(_MAX_PIVOTS):
+        rhs = T[:, -1]
+        rows = np.flatnonzero(rhs < -FEAS_TOL)
+        if rows.size == 0:
+            return "optimal", pivots
+        if -z[-1] >= limit - FEAS_TOL:
+            return "cutoff", pivots
+        if bland:
+            r = rows[np.argmin(basis[rows])]
+        else:
+            r = rows[np.argmin(rhs[rows])]  # the most negative rhs
+        a = T[r, :-1]
+        cand = np.flatnonzero(a < -MIN_PIVOT)
+        if cand.size == 0:
+            return "infeasible", pivots
+        ratios = np.maximum(z[cand], 0.0) / -a[cand]
+        best = ratios.min()
+        ties = cand[ratios <= best + 1e-9 * (1.0 + best)]
+        if bland:
+            c = ties[0]
+        else:
+            c = ties[np.argmin(a[ties])]  # largest |a_rk| for stability
+        if best <= FEAS_TOL:
+            degenerate += 1
+            if degenerate >= BLAND_AFTER:
+                bland = True
+        else:
+            degenerate = 0
+        _pivot(T, z, basis, int(r), int(c))
+    raise ScaleError("simplex pivot limit exceeded")
+
+
+class _Tableau(NamedTuple):
+    """A solved LP's final phase-2 tableau ``[structural | slacks | rhs]``
+    with its reduced-cost row ``z``, basis and column costs, the objective
+    constant, and the decoder back to model space.
+
+    ``N`` keeps only the non-basic columns and the rhs, in column order:
+    the basic columns are unit vectors, and on a master with many scenario
+    rows they are most of the tableau.  A node's tableau waits on the
+    stack until its second child is popped, one per depth level.
+    """
+
+    N: np.ndarray
+    z: np.ndarray
+    basis: np.ndarray
+    c: np.ndarray
+    const: float
+    decode: _Decode
+
+
+class _LP(NamedTuple):
+    """One node's LP: status, min-sense value, model-space point and final
+    tableau (both None unless optimal), and the pivots it took."""
+
+    status: str  # "optimal" | "infeasible" | "unbounded" | "cutoff"
+    value: float
+    x: Optional[np.ndarray]
+    pivots: int
+    tableau: Optional[_Tableau] = None
+
+
+def _optimum(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
+             c: np.ndarray, const: float, decode: _Decode, pivots: int) -> _LP:
+    """The optimal LP of a final phase-2 tableau, keeping its tableau."""
+    x = np.zeros(len(c))
+    x[basis] = T[:, -1]
+    other = np.ones(T.shape[1], dtype=bool)
+    other[basis] = False
+    return _LP("optimal", float(c @ x) + const, decode(x), pivots,
+               _Tableau(T[:, other], z, basis, c, const, decode))
+
+
+def _relax(form: _Form, fixed: dict[int, float]) -> _LP:
+    """The LP with ``fixed`` substituted out, cold-started from its
+    phase-1 tableau."""
     T, basis, c, const, decode = _standardize(form, fixed)
     art = len(c)
 
@@ -295,11 +404,11 @@ def _relax(form: _Form, fixed: dict[int, float]):
     c1[art:] = 1.0
     z1 = _reduced_costs(T, c1, basis)
     try:
-        _run_simplex(T, z1, basis)
+        pivots = _run_simplex(T, z1, basis)
     except _Unbounded:  # phase 1 is bounded below by zero
         raise InternalError("phase-1 unbounded") from None
     if -z1[-1] > 1e-6:
-        return "infeasible", math.nan, None
+        return _LP("infeasible", math.nan, None, pivots)
 
     # Drive artificials out of the basis or drop their rows.
     keep = np.ones(len(basis), dtype=bool)
@@ -307,20 +416,63 @@ def _relax(form: _Form, fixed: dict[int, float]):
         cands = np.where(np.abs(T[i, :art]) > MIN_PIVOT)[0]
         if cands.size:
             _pivot(T, z1, basis, i, int(cands[0]))
+            pivots += 1
         else:
             keep[i] = False
-    T = np.hstack([T[keep, :art], T[keep, -1:]])
+    T = T[np.ix_(keep, np.r_[:art, -1])]  # one copy, without artificials
     basis = basis[keep]
 
     # Phase 2: the model's objective over the structural and slack columns.
     z2 = _reduced_costs(T, c, basis)
     try:
-        _run_simplex(T, z2, basis)
-    except _Unbounded:
-        return "unbounded", -math.inf, None
-    x = np.zeros(art)
-    x[basis] = T[:, -1]
-    return "optimal", float(c @ x) + const, decode(x)
+        pivots += _run_simplex(T, z2, basis)
+    except _Unbounded as exc:
+        return _LP("unbounded", -math.inf, None, pivots + exc.pivots)
+    return _optimum(T, z2, basis, c, const, decode, pivots)
+
+
+def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
+    """The LP of a child of a solved node: the node's LP plus x_j >= 1
+    (``up``) or x_j <= 0, warm-started from the node's final tableau.
+
+    The fractional x_j is basic in some row r, x_j + a x_N = beta.  The
+    bound becomes the row a x_N + s = beta - 1 (up) or -a x_N + s = -beta,
+    whose own slack s starts basic at a negative rhs.  The node's reduced
+    costs stay dual-feasible, so the dual simplex restores feasibility,
+    and one primal pass clears any dual infeasibility roundoff left.  A
+    child whose objective reaches ``cutoff - FEAS_TOL`` stops as "cutoff".
+    """
+    m, w = len(tab.basis), len(tab.c) + 1  # w counts the rhs column
+    if (m + 1) * (w + 1) > MAX_TABLEAU_ENTRIES:
+        raise ScaleError(f"LP tableau of {m + 1} x {w + 1} exceeds "
+                         f"{MAX_TABLEAU_ENTRIES} entries")
+    col = tab.decode.col[j]
+    r = np.flatnonzero(tab.basis == col)
+    if r.size != 1:
+        raise InternalError(f"branching variable {j} is not basic")
+    # The node's tableau with a zero column for the new slack (column
+    # w - 1) before the rhs, then the new row.
+    T = np.zeros((m + 1, w + 1))
+    other = np.ones(w + 1, dtype=bool)
+    other[tab.basis] = False
+    other[w - 1] = False
+    T[:m, other] = tab.N
+    T[np.arange(m), tab.basis] = 1.0
+    sign = 1.0 if up else -1.0
+    T[m, :w - 1] = sign * T[r[0], :w - 1]
+    T[m, [col, w - 1]] = 0.0, 1.0
+    T[m, -1] = sign * T[r[0], -1] - up
+    z = np.insert(tab.z, w - 1, 0.0)
+    basis = np.append(tab.basis, w - 1)
+    status, pivots = _dual_simplex(T, z, basis, cutoff - tab.const)
+    if status != "optimal":
+        return _LP(status, math.nan, None, pivots)
+    try:
+        pivots += _run_simplex(T, z, basis)
+    except _Unbounded as exc:
+        return _LP("unbounded", -math.inf, None, pivots + exc.pivots)
+    return _optimum(T, z, basis, np.append(tab.c, 0.0), tab.const,
+                    tab.decode, pivots)
 
 
 def solve_lp(
@@ -328,9 +480,9 @@ def solve_lp(
 ) -> MilpResult:
     """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
     form = _form(model)
-    status, value, x = _relax(form, fixed or {})
-    return MilpResult(status, form.sign * value,
-                      [] if x is None else x.tolist())
+    lp = _relax(form, fixed or {})
+    return MilpResult(lp.status, form.sign * lp.value,
+                      [] if lp.x is None else lp.x.tolist(), 1, lp.pivots)
 
 
 def _feasible(form: _Form, x: np.ndarray) -> bool:
@@ -348,7 +500,9 @@ def solve_milp(
 
     Branches on the binary with fractional part closest to 0.5 (ties
     within 1e-12 go to the lowest index), exploring the
-    rounding-toward-incumbent child first.
+    rounding-toward-incumbent child first.  Each child is warm-started
+    from its parent's final tableau (``_branch``); the root and the
+    children of an unbounded node are solved cold (``_relax``).
     """
     form = _form(model)
     bins = form.binaries
@@ -357,26 +511,40 @@ def solve_milp(
     best_x: Optional[np.ndarray] = None
     limited = False
 
-    stack: list[dict[int, float]] = [{}]
-    nodes = 0
+    # Each entry: the node's fixings, its parent's tableau (None to solve
+    # cold) and the binary fixed last.  Both children of a node share its
+    # tableau, which is freed once both are popped.
+    stack: list[tuple[dict[int, float], Optional[_Tableau], int]] = [
+        ({}, None, -1)]
+    nodes = pivots = 0
     while stack:
-        fixed = stack.pop()
-        nodes += 1
-        if nodes > node_limit:
+        if nodes == node_limit:
             limited = True
             break
-        status, bound, x = _relax(form, fixed)
-        if status == "infeasible":
+        # Release the last node's tableau before this node allocates its
+        # own: held through the solve, it raised the peak resident memory.
+        lp = None
+        fixed, parent, j = stack.pop()
+        nodes += 1
+        if parent is None:
+            lp = _relax(form, fixed)
+        else:
+            lp = _branch(parent, j, fixed[j] == 1.0, best_value)
+        pivots += lp.pivots
+        if lp.status in ("infeasible", "cutoff"):
             continue
-        if status == "unbounded":
+        if lp.status == "unbounded":
             free = bins[~np.isin(bins, list(fixed))]
             if not free.size:
-                return MilpResult("unbounded", -form.sign * math.inf, [])
+                return MilpResult("unbounded", -form.sign * math.inf, [],
+                                  nodes, pivots)
             # No relaxation point to guide branching; split the first
             # unfixed binary and keep searching.
-            stack.append({**fixed, int(free[0]): 1.0})
-            stack.append({**fixed, int(free[0]): 0.0})
+            j = int(free[0])
+            stack.append(({**fixed, j: 1.0}, None, j))
+            stack.append(({**fixed, j: 0.0}, None, j))
             continue
+        bound, x = lp.value, lp.x
         if bound >= best_value - FEAS_TOL:
             continue
         xb = x[bins]
@@ -389,16 +557,18 @@ def solve_milp(
             continue
         k = int(np.argmax(dist <= dist.min() + 1e-12))
         j = int(bins[k])
+        if j in fixed:  # a branch row that does not hold would recur forever
+            raise InternalError(f"binary {j} is fractional below its branch")
         first = float(round(best_x[j] if best_x is not None else f[k]))
         # Depth-first: the preferred child is pushed last (popped first).
-        stack.append({**fixed, j: 1.0 - first})
-        stack.append({**fixed, j: first})
+        stack.append(({**fixed, j: 1.0 - first}, lp.tableau, j))
+        stack.append(({**fixed, j: first}, lp.tableau, j))
 
     if best_x is None:
         return MilpResult("node_limit" if limited else "infeasible",
-                          math.nan, [])
+                          math.nan, [], nodes, pivots)
     return MilpResult("node_limit" if limited else "optimal",
-                      form.sign * best_value, best_x.tolist())
+                      form.sign * best_value, best_x.tolist(), nodes, pivots)
 
 
 def write_lp(model: MilpModel, path: str) -> None:

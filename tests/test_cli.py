@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from balregret import master
+from balregret import cli, master
 from balregret.cli import main
 from balregret.core import InternalError
 from balregret.instances import load_instance, save_instance, gen_selection
@@ -118,14 +118,22 @@ class TestEvaluate:
         assert lines[0] == "solution,criterion,mean_rel_diff,excluded"
         assert len(lines) == 37  # 6x6 cells plus header
 
-    def test_gamma_prime_range(self, tmp_path, example_two_file):
+    def test_gamma_prime_range(self, tmp_path, example_two_file,
+                               monkeypatch):
         out = tmp_path / "matrix.csv"
         assert main(["evaluate", "--instances", example_two_file,
                      "--gamma-prime-range", "0..2", "--out", str(out)]) == 0
         text = out.read_text()
         assert "BR(0)," in text and "BR(2)," in text
-        assert main(["evaluate", "--instances", example_two_file,
-                     "--gamma-prime-range", "0--2", "--out", str(out)]) == 1
+
+        def no_solve(*args):
+            raise AssertionError("a malformed range reached the solvers")
+
+        # An empty or negative range is rejected before any solve.
+        monkeypatch.setattr(cli, "criteria_matrix", no_solve)
+        for bad in ("0--2", "2..0", "-1..0"):
+            assert main(["evaluate", "--instances", example_two_file,
+                         "--gamma-prime-range", bad, "--out", str(out)]) == 1
 
     def test_empty_glob(self, tmp_path):
         assert main(["evaluate", "--instances",

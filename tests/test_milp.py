@@ -461,3 +461,85 @@ def test_standardize_matches_loop_reference():
         assert feasible == (worst <= milp.FEAS_TOL)
         seen[feasible] += 1
     assert min(seen.values()) >= 30
+
+
+def _cold_branch_and_bound(model):
+    """Status and value of the model by a depth-first branch-and-bound
+    whose every node is solved cold by ``milp._relax``: the reference for
+    the warm-started nodes of ``solve_milp``."""
+    form = milp._form(model)
+    bins = form.binaries.tolist()
+    best = math.inf
+    stack = [{}]
+    while stack:
+        fixed = stack.pop()
+        lp = milp._relax(form, fixed)
+        if lp.status == "infeasible":
+            continue
+        if lp.status == "unbounded":
+            free = [j for j in bins if j not in fixed]
+            if not free:
+                return "unbounded", None
+            stack += [{**fixed, free[0]: v} for v in (0.0, 1.0)]
+            continue
+        if lp.value >= best - milp.FEAS_TOL:
+            continue
+        frac = [j for j in bins
+                if abs(lp.x[j] - round(lp.x[j])) > milp.INT_TOL]
+        if frac:
+            stack += [{**fixed, frac[0]: v} for v in (0.0, 1.0)]
+            continue
+        x = lp.x.copy()
+        x[bins] = np.round(x[bins])
+        if milp._feasible(form, x):
+            best = lp.value
+    if best == math.inf:
+        return "infeasible", None
+    return "optimal", form.sign * best
+
+
+def _seeded_knapsack_model(rng: SplitMix64, n: int):
+    """max v x over n binaries under two random weight rows at half
+    their total weight."""
+    m = milp.MilpModel()
+    xs = [m.add_binary() for _ in range(n)]
+    for _ in range(2):
+        w = {x: rng.randint(1, 30) for x in xs}
+        m.add_constraint(w, "<=", sum(w.values()) // 2)
+    m.set_objective("max", {x: rng.randint(1, 40) for x in xs})
+    return m
+
+
+def test_engine_counters_repeat_and_respect_node_limit():
+    model = _seeded_knapsack_model(SplitMix64(8), 14)
+    first, again = milp.solve_milp(model), milp.solve_milp(model)
+    assert first.status == "optimal"
+    assert (first.nodes, first.pivots) == (again.nodes, again.pivots)
+    assert first.nodes > 5 and first.pivots > first.nodes
+    limited = milp.solve_milp(model, node_limit=3)
+    assert limited.status == "node_limit" and limited.nodes == 3
+    assert 0 < limited.pivots < first.pivots
+    lp = milp.solve_lp(model)
+    assert lp.nodes == 1 and lp.pivots > 0
+
+
+def test_warm_started_nodes_match_cold_reference():
+    # The mixed stream covers free, shifted and bounded continuous
+    # variables and unbounded nodes but seldom branches; the pure-binary
+    # and knapsack streams branch several levels deep.
+    mixed, binary = SplitMix64(4711), SplitMix64(4712)
+    models = [_random_mixed_model(mixed) for _ in range(400)]
+    models += [_random_binary_model(binary)[0] for _ in range(300)]
+    models += [_seeded_knapsack_model(binary, 6 + k % 7) for k in range(40)]
+    seen, warm = {}, 0
+    for model in models:
+        res = milp.solve_milp(model)
+        status, value = _cold_branch_and_bound(model)
+        assert res.status == status
+        seen[status] = seen.get(status, 0) + 1
+        if status == "optimal":
+            assert res.value == pytest.approx(value, rel=1e-6, abs=1e-6)
+            assert milp._feasible(milp._form(model),
+                                  np.array(res.assignment))
+            warm += res.nodes > 1
+    assert min(seen.values()) >= 30 and warm >= 100

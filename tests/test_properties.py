@@ -1,4 +1,5 @@
-"""Property tests: the optimum scales with the costs and ignores item order."""
+"""Property tests: the optimum scales with the costs, ignores item order,
+and moves with the budgets in the direction each budget favours."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -56,3 +57,20 @@ def test_value_ignores_item_order(inst, rnd):
                           f.quotas))
     for solve in SOLVERS:
         assert solve(moved).value == solve(inst).value
+
+
+@PROPERTY
+@given(selections())
+def test_value_monotone_in_budgets(inst):
+    # A larger attack budget can only raise the value; a larger balancing
+    # budget can only lower it.
+    def value(solve, gamma, gamma_prime):
+        return solve(Instance(inst.costs, Budgets(gamma, gamma_prime),
+                              inst.feasible)).value
+
+    g, gp = inst.budgets.gamma, inst.budgets.gamma_prime
+    for solve in SOLVERS:
+        base = value(solve, g, gp)
+        if g < inst.n:
+            assert value(solve, g + 1, gp) >= base
+        assert value(solve, g, gp + 1) <= base
