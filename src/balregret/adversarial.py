@@ -174,7 +174,7 @@ def adversarial_selection_dp(
 
     candidates = []
     for s in inst.costs.break_points():
-        total, (y_idx, _) = _dp_for_s(inst, x, s)
+        total, y_idx = _dp_for_s(inst, x, s)
         candidates.append((base + total - gamma_prime * s, y_idx))
     best_value, y_idx = max(candidates, key=lambda vy: vy[0])
     y = BinarySolution.from_indices(y_idx, inst.n)
@@ -186,11 +186,11 @@ def adversarial_selection_dp(
 
 def _dp_for_s(
     inst: Instance, x: BinarySolution, s: int
-) -> tuple[int, tuple[list[int], list[int]]]:
+) -> tuple[int, list[int]]:
     """Best adversary gain for a fixed break point.
 
     Returns ``max over (y, delta)`` of attack gains minus discounted
-    adversary costs, plus the maximizing item picks.
+    adversary costs, plus the maximizing pick ``y``'s items.
     """
     f = inst.feasible
     c, d = inst.costs.c_hat, inst.costs.d
@@ -265,7 +265,6 @@ def _dp_for_s(
     splits.reverse()
 
     y_idx: list[int] = []
-    delta_idx: list[int] = []
     for (items, quota, width, final, moves), a_here in zip(part_tables, splits):
         yc, ac = quota, a_here
         for j in range(len(items) - 1, -1, -1):
@@ -274,6 +273,5 @@ def _dp_for_s(
                 y_idx.append(items[j])
                 yc -= 1
             elif choice == 2:
-                delta_idx.append(items[j])
                 ac -= 1
-    return int(total), (sorted(y_idx), sorted(delta_idx))
+    return int(total), sorted(y_idx)

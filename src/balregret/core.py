@@ -33,12 +33,37 @@ ENUMERATION_GUARD = 10**6
 
 
 def _as_int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` as ints; InputError unless it is a sequence of integral
+    numbers (bools, strings and fractions are rejected, not truncated)."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise InputError(f"{what} must be a list of integers, "
+                         f"got {values!r}") from None
     out = []
-    for v in values:
-        if isinstance(v, bool) or int(v) != v:
+    for v in items:
+        try:
+            iv = int(v)
+        except (TypeError, ValueError, OverflowError):
+            iv = None
+        if iv is None or isinstance(v, bool) or iv != v:
             raise InputError(f"{what} must be integers, got {v!r}")
-        out.append(int(v))
+        out.append(iv)
     return tuple(out)
+
+
+def _as_int(value: int, what: str) -> int:
+    return _as_int_tuple((value,), what)[0]
+
+
+def _as_int_rows(rows: Sequence[Sequence[int]],
+                 what: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as tuples of ints, each read by ``_as_int_tuple``."""
+    try:
+        return tuple(_as_int_tuple(row, what) for row in rows)
+    except TypeError:
+        raise InputError(f"{what} must be a list of integer lists, "
+                         f"got {rows!r}") from None
 
 
 @dataclass(frozen=True)
@@ -86,6 +111,11 @@ class Budgets:
 
     gamma: int
     gamma_prime: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gamma", _as_int(self.gamma, "gamma"))
+        object.__setattr__(self, "gamma_prime",
+                           _as_int(self.gamma_prime, "gamma_prime"))
 
     def validate(self, n: int) -> None:
         if not (0 <= self.gamma <= n):
@@ -173,8 +203,8 @@ class MultiRepSelection:
     def __init__(
         self, partitions: Sequence[Sequence[int]], quotas: Sequence[int]
     ):
-        parts = tuple(tuple(int(i) for i in p) for p in partitions)
-        qs = tuple(int(q) for q in quotas)
+        parts = _as_int_rows(partitions, "partitions")
+        qs = _as_int_tuple(quotas, "quotas")
         if len(parts) != len(qs):
             raise InputError("one quota per partition required")
         seen: set[int] = set()
@@ -249,10 +279,11 @@ class Knapsack:
         w = _as_int_tuple(weights, "weights")
         if any(v <= 0 for v in w):
             raise InputError("weights must be positive")
-        if int(capacity) <= 0:
+        capacity = _as_int(capacity, "capacity")
+        if capacity <= 0:
             raise InputError("capacity must be positive")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "capacity", int(capacity))
+        object.__setattr__(self, "capacity", capacity)
 
     @property
     def n(self) -> int:
@@ -330,8 +361,11 @@ class ShortestPath:
         source: int,
         target: int,
     ):
-        es = tuple((int(t), int(h)) for t, h in edges)
-        nc, s, t = int(node_count), int(source), int(target)
+        es = _as_int_rows(edges, "edges")
+        if any(len(e) != 2 for e in es):
+            raise InputError("edges must be [tail, head] pairs")
+        nc = _as_int(node_count, "nodes")
+        s, t = _as_int(source, "source"), _as_int(target, "target")
         if s == t:
             raise InputError("source and target must differ")
         for tail, head in es:
@@ -533,22 +567,32 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
-        fs = data["feasible_set"]
-        kind = fs["type"]
+        """The instance an instance file's JSON object describes.  A missing
+        field, or one of the wrong type or value, raises InputError naming
+        it."""
+
+        def field(obj, key: str):
+            try:
+                return obj[key]
+            except (KeyError, TypeError):  # TypeError: obj is no JSON object
+                raise InputError(f"instance file lacks field {key!r}") from None
+
+        fs = field(data, "feasible_set")
+        kind = field(fs, "type")
         feasible: FeasibleSet
         if kind == "multirep_selection":
-            feasible = MultiRepSelection(fs["partitions"], fs["p"])
+            feasible = MultiRepSelection(field(fs, "partitions"),
+                                         field(fs, "p"))
         elif kind == "knapsack":
-            feasible = Knapsack(fs["weights"], fs["capacity"])
+            feasible = Knapsack(field(fs, "weights"), field(fs, "capacity"))
         elif kind == "shortest_path":
-            feasible = ShortestPath(
-                fs["nodes"], fs["edges"], fs["source"], fs["target"]
-            )
+            feasible = ShortestPath(field(fs, "nodes"), field(fs, "edges"),
+                                    field(fs, "source"), field(fs, "target"))
         else:
             raise InputError(f"unknown feasible_set type {kind!r}")
         return cls(
-            costs=ItemCosts(data["c_hat"], data["d"]),
-            budgets=Budgets(int(data["gamma"]), int(data["gamma_prime"])),
+            costs=ItemCosts(field(data, "c_hat"), field(data, "d")),
+            budgets=Budgets(field(data, "gamma"), field(data, "gamma_prime")),
             feasible=feasible,
             name=str(data.get("name", "")),
         )

@@ -1,14 +1,15 @@
 """Self-contained bounded-scale mixed-binary linear programming.
 
 A dense two-phase tableau simplex plus a depth-first branch-and-bound.
-Each solve reads the model into arrays once (``_form``).  The root, and
-the children of an unbounded node, are cold-started: their tableau is
-built from those arrays, and phase 1 starts from the slack basis wherever
-a row's slack can be basic and carries artificials only for the other
-rows.  Every other node is warm-started: it adds its branching bound as
-one row to its parent's final tableau and restores feasibility with a
-dual simplex from the parent's basis.  Models at desk scale only;
-simplicity and debuggability over sparsity.
+Each solve reads the model into arrays once (``_form``).  Only the root is
+cold-started: its tableau is built from those arrays, and phase 1 starts
+from the slack basis wherever a row's slack can be basic and carries
+artificials only for the other rows.  Every other node is warm-started: it
+adds its branching bound as one row to its parent's final tableau and
+restores feasibility with a dual simplex from the parent's basis.  An
+unbounded relaxation is settled by the same search with a zero objective,
+which looks for an integral point.  Models at desk scale only; simplicity
+and debuggability over sparsity.
 """
 
 from __future__ import annotations
@@ -100,12 +101,6 @@ class MilpResult:
     pivots: int = 0  # simplex pivots over all of them, cold and warm
 
 
-class _Unbounded(Exception):
-    def __init__(self, pivots: int):
-        super().__init__(pivots)
-        self.pivots = pivots  # made before the unbounded column was seen
-
-
 class _Form(NamedTuple):
     """A model read into arrays: rows ``A x (sense) b``, where each row's
     slack enters with +1 ("<="), -1 (">=") or not at all ("="); bounds
@@ -121,15 +116,21 @@ class _Form(NamedTuple):
     binaries: np.ndarray
 
 
+def _zeros(rows: int, cols: int, what: str) -> np.ndarray:
+    """A zero array of ``rows`` x ``cols`` float64 entries, or ScaleError
+    before allocating one above MAX_TABLEAU_ENTRIES."""
+    if rows * cols > MAX_TABLEAU_ENTRIES:
+        raise ScaleError(f"{what} of {rows} x {cols} exceeds "
+                         f"{MAX_TABLEAU_ENTRIES} entries")
+    return np.zeros((rows, cols))
+
+
 def _form(model: MilpModel) -> _Form:
     """Read the model into arrays.  A dense ``A`` above MAX_TABLEAU_ENTRIES
-    raises ScaleError before it is allocated: every tableau of the model
-    without fixings is larger still."""
+    raises ScaleError before it is allocated: every tableau of the model is
+    larger still."""
     rows, variables = model.constraints, model.variables
-    if len(rows) * len(variables) > MAX_TABLEAU_ENTRIES:
-        raise ScaleError(f"model of {len(rows)} x {len(variables)} exceeds "
-                         f"{MAX_TABLEAU_ENTRIES} entries")
-    A = np.zeros((len(rows), len(variables)))
+    A = _zeros(len(rows), len(variables), "model")
     for i, (coefs, _, _) in enumerate(rows):
         A[i, list(coefs)] = list(coefs.values())
     sign = 1.0 if model.objective_sense == "min" else -1.0
@@ -148,51 +149,41 @@ def _form(model: MilpModel) -> _Form:
 
 
 class _Decode(NamedTuple):
-    """Map from tableau columns back to model space: the fixed values and
-    lower-bound shifts ``val``, the variables ``keep`` that have columns,
-    the ``split`` free ones, and each kept variable's first column ``col``
-    (a split variable's negative part is the next one)."""
+    """Map from tableau columns back to model space: the lower-bound
+    shifts ``val``, the ``split`` free variables, and each variable's first
+    column ``col`` (a split variable's negative part is the next one)."""
 
     val: np.ndarray
-    keep: np.ndarray
     split: np.ndarray
     col: np.ndarray
 
     def __call__(self, xstd: np.ndarray) -> np.ndarray:
-        x = self.val.copy()
-        x[self.keep] += xstd[self.col[self.keep]]
+        x = self.val + xstd[self.col]
         x[self.split] -= xstd[self.col[self.split] + 1]
         return x
 
 
-def _standardize(form: _Form, fixed: dict[int, float]):
+def _standardize(form: _Form):
     """Phase-1 tableau of min cᵀx', Ax' (sense) b, x' >= 0, b >= 0.
 
-    Fixed variables are substituted out; finite lower bounds are shifted,
-    free variables are split (the negative part's column right after the
-    positive part's), finite upper bounds become extra rows after the
-    model's, in variable order.  The columns are [structural | slacks |
-    artificials | rhs].  Rows with a negative rhs are negated, and so are
-    ">=" rows with rhs 0; a row whose slack then enters with +1 starts
-    with that slack basic (the slack crash basis), and only "=" rows and
-    rows left with a surplus slack get an artificial.  Returns the
-    tableau, the starting basis, the phase-2 costs of the structural and
-    slack columns, the objective constant, and a decoder back to model
-    space.
+    Finite lower bounds are shifted, free variables are split (the
+    negative part's column right after the positive part's), finite upper
+    bounds become extra rows after the model's, in variable order.  The
+    columns are [structural | slacks | artificials | rhs].  Rows with a
+    negative rhs are negated, and so are ">=" rows with rhs 0; a row whose
+    slack then enters with +1 starts with that slack basic (the slack
+    crash basis), and only "=" rows and rows left with a surplus slack get
+    an artificial.  Returns the tableau, the starting basis, the phase-2
+    costs of the structural and slack columns, the objective constant, and
+    a decoder back to model space.
     """
-    free = form.lb == -INF
-    val = np.where(free, 0.0, form.lb)  # fixed values and lower-bound shifts
-    keep = np.ones(len(val), dtype=bool)
-    if fixed:
-        idx = np.fromiter(fixed, np.intp, len(fixed))
-        val[idx] = np.fromiter(fixed.values(), float, len(fixed))
-        keep[idx] = False
-    split = free & keep
-    span = keep.astype(np.intp) + split  # columns per variable: 0, 1 or 2
-    col = np.cumsum(span) - span  # first column of each kept variable
+    split = form.lb == -INF
+    val = np.where(split, 0.0, form.lb)  # lower-bound shifts
+    span = 1 + split.astype(np.intp)  # columns per variable: 1 or 2
+    col = np.cumsum(span) - span  # first column of each variable
     ncols = int(span.sum())
-    pos, neg = col[keep], col[split] + 1
-    bounded = np.flatnonzero(keep & (form.ub < INF))
+    neg = col[split] + 1
+    bounded = np.flatnonzero(form.ub < INF)
 
     # Per row: the rhs, the sign that makes it non-negative (-1 also for
     # ">=" rows with rhs 0) and the slack's coefficient after that sign
@@ -205,16 +196,11 @@ def _standardize(form: _Form, fixed: dict[int, float]):
     has_slack, has_art = slack != 0.0, slack <= 0.0
     m, m0 = len(rhs), len(form.b)
     art = ncols + int(has_slack.sum())
-    width = art + int(has_art.sum()) + 1
-    if m * width > MAX_TABLEAU_ENTRIES:
-        raise ScaleError(f"LP tableau of {m} x {width} exceeds "
-                         f"{MAX_TABLEAU_ENTRIES} entries")
-
-    T = np.zeros((m, width))
-    T[:m0, pos] = form.A[:, keep]
+    T = _zeros(m, art + int(has_art.sum()) + 1, "LP tableau")
+    T[:m0, col] = form.A
     T[:m0, neg] -= form.A[:, split]
     brow, bcol = m0 + np.arange(len(bounded)), col[bounded]
-    bsplit = free[bounded]  # a split variable's bound holds both parts
+    bsplit = split[bounded]  # a split variable's bound holds both parts
     T[brow, bcol] = 1.0
     T[brow[bsplit], bcol[bsplit] + 1] = -1.0
     T[s < 0, :ncols] *= -1
@@ -226,10 +212,10 @@ def _standardize(form: _Form, fixed: dict[int, float]):
     basis = np.where(has_art, art_col, slack_col)
 
     c = np.zeros(art)
-    c[pos] += form.cost[keep]
+    c[col] += form.cost
     c[neg] -= form.cost[split]
     const = float(form.cost @ val)
-    return T, basis, c, const, _Decode(val, keep, split, col)
+    return T, basis, c, const, _Decode(val, split, col)
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
@@ -257,12 +243,13 @@ def _reduced_costs(T: np.ndarray, c: np.ndarray, basis: np.ndarray):
     return z
 
 
-def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> int:
-    """Iterate the tableau to optimality of the current objective row and
-    return the number of pivots made.
+def _run_simplex(T: np.ndarray, z: np.ndarray,
+                 basis: np.ndarray) -> tuple[str, int]:
+    """Iterate the tableau to optimality of the current objective row.
 
     ``z`` holds reduced costs (last entry: negated objective value).
-    Raises _Unbounded if a negative reduced-cost column has no pivot row.
+    Returns "optimal", or "unbounded" when a negative reduced-cost column
+    has no pivot row, and the number of pivots made.
     """
     degenerate = 0
     bland = False
@@ -271,12 +258,12 @@ def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> int:
         if not bland:
             cand = np.where(red < -FEAS_TOL)[0]
             if cand.size == 0:
-                return pivots
+                return "optimal", pivots
             cand = cand[np.argsort(red[cand], kind="stable")]
         else:
             cand = np.where(red < -PIVOT_TOL)[0]
             if cand.size == 0:
-                return pivots
+                return "optimal", pivots
         # A column with no positive entry certifies an unbounded ray, but
         # roundoff can also produce a barely negative reduced cost on such
         # a column; try the remaining candidates before giving up.
@@ -286,7 +273,7 @@ def _run_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray) -> int:
                 c = int(cj)
                 break
         if c < 0:
-            raise _Unbounded(pivots)
+            return "unbounded", pivots
         col = T[:, c]
         pos = col > MIN_PIVOT
         rhs = np.maximum(T[:, -1], 0.0)  # ignore roundoff drift below zero
@@ -393,20 +380,18 @@ def _optimum(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
                _Tableau(T[:, other], z, basis, c, const, decode))
 
 
-def _relax(form: _Form, fixed: dict[int, float]) -> _LP:
-    """The LP with ``fixed`` substituted out, cold-started from its
-    phase-1 tableau."""
-    T, basis, c, const, decode = _standardize(form, fixed)
+def _relax(form: _Form) -> _LP:
+    """The LP relaxation, cold-started from its phase-1 tableau."""
+    T, basis, c, const, decode = _standardize(form)
     art = len(c)
 
     # Phase 1: minimize the sum of the artificials, from the crash basis.
     c1 = np.zeros(T.shape[1] - 1)
     c1[art:] = 1.0
     z1 = _reduced_costs(T, c1, basis)
-    try:
-        pivots = _run_simplex(T, z1, basis)
-    except _Unbounded:  # phase 1 is bounded below by zero
-        raise InternalError("phase-1 unbounded") from None
+    status, pivots = _run_simplex(T, z1, basis)
+    if status == "unbounded":  # phase 1 is bounded below by zero
+        raise InternalError("phase-1 unbounded")
     if -z1[-1] > 1e-6:
         return _LP("infeasible", math.nan, None, pivots)
 
@@ -424,11 +409,10 @@ def _relax(form: _Form, fixed: dict[int, float]) -> _LP:
 
     # Phase 2: the model's objective over the structural and slack columns.
     z2 = _reduced_costs(T, c, basis)
-    try:
-        pivots += _run_simplex(T, z2, basis)
-    except _Unbounded as exc:
-        return _LP("unbounded", -math.inf, None, pivots + exc.pivots)
-    return _optimum(T, z2, basis, c, const, decode, pivots)
+    status, more = _run_simplex(T, z2, basis)
+    if status == "unbounded":
+        return _LP("unbounded", -math.inf, None, pivots + more)
+    return _optimum(T, z2, basis, c, const, decode, pivots + more)
 
 
 def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
@@ -443,16 +427,13 @@ def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
     child whose objective reaches ``cutoff - FEAS_TOL`` stops as "cutoff".
     """
     m, w = len(tab.basis), len(tab.c) + 1  # w counts the rhs column
-    if (m + 1) * (w + 1) > MAX_TABLEAU_ENTRIES:
-        raise ScaleError(f"LP tableau of {m + 1} x {w + 1} exceeds "
-                         f"{MAX_TABLEAU_ENTRIES} entries")
     col = tab.decode.col[j]
     r = np.flatnonzero(tab.basis == col)
     if r.size != 1:
         raise InternalError(f"branching variable {j} is not basic")
     # The node's tableau with a zero column for the new slack (column
     # w - 1) before the rhs, then the new row.
-    T = np.zeros((m + 1, w + 1))
+    T = _zeros(m + 1, w + 1, "LP tableau")
     other = np.ones(w + 1, dtype=bool)
     other[tab.basis] = False
     other[w - 1] = False
@@ -465,22 +446,20 @@ def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
     z = np.insert(tab.z, w - 1, 0.0)
     basis = np.append(tab.basis, w - 1)
     status, pivots = _dual_simplex(T, z, basis, cutoff - tab.const)
+    if status == "optimal":
+        status, more = _run_simplex(T, z, basis)
+        pivots += more
     if status != "optimal":
-        return _LP(status, math.nan, None, pivots)
-    try:
-        pivots += _run_simplex(T, z, basis)
-    except _Unbounded as exc:
-        return _LP("unbounded", -math.inf, None, pivots + exc.pivots)
+        return _LP(status, -math.inf if status == "unbounded" else math.nan,
+                   None, pivots)
     return _optimum(T, z, basis, np.append(tab.c, 0.0), tab.const,
                     tab.decode, pivots)
 
 
-def solve_lp(
-    model: MilpModel, fixed: Optional[dict[int, float]] = None
-) -> MilpResult:
+def solve_lp(model: MilpModel) -> MilpResult:
     """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
     form = _form(model)
-    lp = _relax(form, fixed or {})
+    lp = _relax(form)
     return MilpResult(lp.status, form.sign * lp.value,
                       [] if lp.x is None else lp.x.tolist(), 1, lp.pivots)
 
@@ -501,21 +480,23 @@ def solve_milp(
     Branches on the binary with fractional part closest to 0.5 (ties
     within 1e-12 go to the lowest index), exploring the
     rounding-toward-incumbent child first.  Each child is warm-started
-    from its parent's final tableau (``_branch``); the root and the
-    children of an unbounded node are solved cold (``_relax``).
+    from its parent's final tableau (``_branch``); only the root is
+    solved cold (``_relax``).  ``nodes`` counts every LP solved, those of
+    the zero-objective search for an unbounded model included.
     """
     form = _form(model)
     bins = form.binaries
 
     best_value = math.inf  # in minimization orientation
     best_x: Optional[np.ndarray] = None
-    limited = False
+    limited = unbounded = False
 
-    # Each entry: the node's fixings, its parent's tableau (None to solve
-    # cold) and the binary fixed last.  Both children of a node share its
-    # tableau, which is freed once both are popped.
-    stack: list[tuple[dict[int, float], Optional[_Tableau], int]] = [
-        ({}, None, -1)]
+    # Each entry: the node's branch record (the value each branched binary
+    # is bound to), its parent's tableau (None at the root) and the binary
+    # branched last.  Both children of a node share its tableau, which is
+    # freed once both are popped.
+    root: tuple[dict[int, float], Optional[_Tableau], int] = ({}, None, -1)
+    stack = [root]
     nodes = pivots = 0
     while stack:
         if nodes == node_limit:
@@ -527,22 +508,22 @@ def solve_milp(
         fixed, parent, j = stack.pop()
         nodes += 1
         if parent is None:
-            lp = _relax(form, fixed)
+            lp = _relax(form)
         else:
             lp = _branch(parent, j, fixed[j] == 1.0, best_value)
         pivots += lp.pivots
         if lp.status in ("infeasible", "cutoff"):
             continue
         if lp.status == "unbounded":
-            free = bins[~np.isin(bins, list(fixed))]
-            if not free.size:
-                return MilpResult("unbounded", -form.sign * math.inf, [],
-                                  nodes, pivots)
-            # No relaxation point to guide branching; split the first
-            # unfixed binary and keep searching.
-            j = int(free[0])
-            stack.append(({**fixed, j: 1.0}, None, j))
-            stack.append(({**fixed, j: 0.0}, None, j))
+            # Every binary lies in [0, 1], so the improving ray moves only
+            # continuous variables: the model is unbounded exactly when it
+            # has an integral point.  Without an incumbent, search for one
+            # from the root with a zero objective.
+            unbounded = True
+            if best_x is not None:
+                break
+            form = form._replace(cost=np.zeros_like(form.cost))
+            stack = [root]
             continue
         bound, x = lp.value, lp.x
         if bound >= best_value - FEAS_TOL:
@@ -554,6 +535,8 @@ def solve_milp(
             x[bins] = np.round(xb) + 0.0  # as round(): 0.0, never -0.0
             if _feasible(form, x):
                 best_value, best_x = bound, x
+                if unbounded:
+                    break
             continue
         k = int(np.argmax(dist <= dist.min() + 1e-12))
         j = int(bins[k])
@@ -567,6 +550,9 @@ def solve_milp(
     if best_x is None:
         return MilpResult("node_limit" if limited else "infeasible",
                           math.nan, [], nodes, pivots)
+    if unbounded:
+        return MilpResult("unbounded", -form.sign * math.inf, [], nodes,
+                          pivots)
     return MilpResult("node_limit" if limited else "optimal",
                       form.sign * best_value, best_x.tolist(), nodes, pivots)
 

@@ -96,6 +96,16 @@ class TestSolve:
     def test_usage_error(self):
         assert main(["solve", "--method", "iterative"]) == 1
 
+    def test_malformed_instance(self, tmp_path, example_one, caplog):
+        # A missing budget: one ERROR line and exit 1, no traceback.
+        data = example_one.to_dict()
+        del data["gamma"]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--instance", str(path), "--method",
+                     "iterative", "--out", str(tmp_path / "r.json")]) == 1
+        assert "lacks field 'gamma'" in caplog.text
+
     def test_internal_error_exits_two(self, tmp_path, example_one_file,
                                       monkeypatch, caplog):
         def broken(inst):

@@ -129,10 +129,44 @@ class TestSerialization:
         assert load_instance(path) == inst
 
     def test_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{nope")
-        with pytest.raises(InputError):
-            load_instance(path)
+        selection = gen_selection(6, 2).to_dict()
+        knapsack = gen_knapsack(5, 4).to_dict()
+        path = {**selection, "c_hat": [1, 1], "d": [1, 1], "gamma": 1,
+                "feasible_set": {"type": "shortest_path", "nodes": 3,
+                                 "edges": [[0, 1], [1, 2]], "source": 0,
+                                 "target": 2}}
+
+        def edit(data, key, value, fs=False):
+            data = json.loads(json.dumps(data))
+            target = data["feasible_set"] if fs else data
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
+            return json.dumps(data)
+
+        # Bad JSON, a missing key, a mistyped value, a top-level list, a
+        # short edge, and non-integers that int() would truncate.
+        texts = [
+            "{nope",
+            edit(selection, "gamma", None),
+            edit(selection, "gamma", "two"),
+            json.dumps([selection]),
+            edit(path, "edges", [[0, 1], [1]], fs=True),
+            edit(selection, "gamma", 1.5),
+            edit(selection, "p", [1.5], fs=True),
+            edit({**selection, "c_hat": [1, 2], "d": [0, 0]},
+                 "feasible_set", {"type": "multirep_selection",
+                                  "partitions": [[0.0, 1.9]], "p": [1]}),
+            edit(knapsack, "capacity", 2.7, fs=True),
+            edit(selection, "partitions", 5, fs=True),
+            edit(selection, "feasible_set", [1, 2]),
+        ]
+        for text in texts:
+            broken = tmp_path / "broken.json"
+            broken.write_text(text)
+            with pytest.raises(InputError):
+                load_instance(broken)
 
 
 class TestIngestGraph:

@@ -1,5 +1,6 @@
 """The bundled LP/MILP solver against hand solutions and exhaustion."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -81,6 +82,19 @@ def test_lp_unbounded():
     m.set_objective("max", {b: 1.0})
     assert milp.solve_lp(m).status == "unbounded"
     assert milp.solve_milp(m).status == "unbounded"
+    # A binary held to [0.4, hi] by two rows and a free variable the
+    # objective pushes without limit: every relaxation is unbounded, so the
+    # model is unbounded exactly when the binary can be integral.
+    for hi, status in ((0.6, "infeasible"), (1.0, "unbounded")):
+        m = milp.MilpModel()
+        x = m.add_binary()
+        free = m.add_continuous(-milp.INF)
+        m.add_constraint({x: 1.0}, ">=", 0.4)
+        m.add_constraint({x: 1.0}, "<=", hi)
+        m.set_objective("min", {free: 1.0})
+        assert milp.solve_lp(m).status == "unbounded"
+        assert milp.solve_milp(m).status == status
+        assert milp.solve_milp(m, node_limit=1).status == "node_limit"
 
 
 def test_lp_without_rows():
@@ -157,7 +171,7 @@ def test_crash_basis_puts_artificials_only_where_needed():
     for coefs, sense, rhs in rows:
         m.add_constraint(coefs, sense, rhs)
     m.set_objective("max", {b: 2.0, c: 1.0})
-    T, basis, cost, *_ = milp._standardize(milp._form(m), {})
+    T, basis, cost, *_ = milp._standardize(milp._form(m))
     art = len(cost)
     assert T.shape == (10, art + 5 + 1) and art == 4 + 7
     assert [i for i in range(10) if basis[i] >= art] == [2, 3, 4, 5, 6]
@@ -319,7 +333,7 @@ def _random_mixed_model(rng: SplitMix64):
     return m
 
 
-def _highs(model, fixed, relax):
+def _highs(model, relax):
     """Status and value of the model by HiGHS (scipy.optimize.milp).
 
     HiGHS may report an unbounded model as infeasible (status 2) or with
@@ -343,9 +357,8 @@ def _highs(model, fixed, relax):
     kwargs = dict(
         integrality=[0 if relax else int(v.kind == "binary")
                      for v in model.variables],
-        bounds=scipy_optimize.Bounds(
-            [fixed.get(j, v.lb) for j, v in enumerate(model.variables)],
-            [fixed.get(j, v.ub) for j, v in enumerate(model.variables)]),
+        bounds=scipy_optimize.Bounds([v.lb for v in model.variables],
+                                     [v.ub for v in model.variables]),
         constraints=scipy_optimize.LinearConstraint(A, lo, hi),
     )
     res = scipy_optimize.milp(cost, **kwargs)
@@ -364,11 +377,15 @@ def test_highs_agrees_on_random_mixed_models():
     seen = {}
     for _ in range(200):
         model = _random_mixed_model(rng)
-        fixed = {j: float(rng.randint(0, 1))
-                 for j in model.binary_indices() if rng.randint(0, 1)}
+        # The LP leg pins a random subset of the binaries with lb = ub.
+        pinned = copy.deepcopy(model)
+        for j in model.binary_indices():
+            if rng.randint(0, 1):
+                v = pinned.variables[j]
+                v.lb = v.ub = float(rng.randint(0, 1))
         for kind, ours, theirs in (
-            ("lp", milp.solve_lp(model, fixed), _highs(model, fixed, True)),
-            ("milp", milp.solve_milp(model), _highs(model, {}, False)),
+            ("lp", milp.solve_lp(pinned), _highs(pinned, True)),
+            ("milp", milp.solve_milp(model), _highs(model, False)),
         ):
             assert ours.status == theirs[0]
             seen[kind, ours.status] = seen.get((kind, ours.status), 0) + 1
@@ -380,28 +397,24 @@ def test_highs_agrees_on_random_mixed_models():
             assert seen.get((kind, status), 0) >= 20
 
 
-def _loop_standardize(model, fixed):
+def _loop_standardize(model):
     """Tableau, starting basis, phase-2 costs and objective constant of
     ``_standardize``, built by a loop over the model's rows and variables:
     the reference for its array form."""
     cols, ncols, rows = {}, 0, list(model.constraints)
     for j, v in enumerate(model.variables):
-        if j in fixed:
-            continue
         free = v.lb == -milp.INF
         cols[j] = (ncols, ncols + 1 if free else None)
         ncols += 2 if free else 1
         if v.ub < milp.INF:
             rows.append(({j: 1.0}, "<=", v.ub))
-    shift = [fixed.get(j, 0.0 if v.lb == -milp.INF else v.lb)
-             for j, v in enumerate(model.variables)]
+    shift = [0.0 if v.lb == -milp.INF else v.lb for v in model.variables]
 
     def expand(coefs, out):
         for j, a in coefs.items():
-            if j in cols:
-                out[cols[j][0]] += a
-                if cols[j][1] is not None:
-                    out[cols[j][1]] -= a
+            out[cols[j][0]] += a
+            if cols[j][1] is not None:
+                out[cols[j][1]] -= a
 
     signed = []
     for coefs, sense, b in rows:
@@ -434,8 +447,9 @@ def _loop_standardize(model, fixed):
 
 def test_standardize_matches_loop_reference():
     # Random mixed models whose free variables may also carry a finite
-    # upper bound, under random fixings; integer data, so the array form
-    # must agree exactly. Integral points are checked against the rows too.
+    # upper bound, with a random third of the variables pinned by lb = ub;
+    # integer data, so the array form must agree exactly. Integral points
+    # are checked against the rows too.
     rng = SplitMix64(77)
     seen = {True: 0, False: 0}
     for _ in range(300):
@@ -443,11 +457,12 @@ def test_standardize_matches_loop_reference():
         for v in model.variables:
             if v.lb == -milp.INF and rng.randint(0, 1):
                 v.ub = float(rng.randint(-3, 3))
-        fixed = {j: float(rng.randint(-2, 2))
-                 for j in range(len(model.variables)) if rng.randint(0, 2) == 0}
+        for v in model.variables:
+            if rng.randint(0, 2) == 0:
+                v.lb = v.ub = float(rng.randint(-2, 2))
         form = milp._form(model)
-        T, basis, c, const, _ = milp._standardize(form, fixed)
-        ref = _loop_standardize(model, fixed)
+        T, basis, c, const, _ = milp._standardize(form)
+        ref = _loop_standardize(model)
         assert np.array_equal(T, ref[0])
         assert basis.tolist() == ref[1]
         assert np.array_equal(c, ref[2]) and const == ref[3]
@@ -465,15 +480,18 @@ def test_standardize_matches_loop_reference():
 
 def _cold_branch_and_bound(model):
     """Status and value of the model by a depth-first branch-and-bound
-    whose every node is solved cold by ``milp._relax``: the reference for
-    the warm-started nodes of ``solve_milp``."""
+    whose every node is solved cold by ``milp._relax``, its fixings pinned
+    as lb = ub, and which splits the binaries of an unbounded node in
+    turn: the reference for the warm-started nodes of ``solve_milp``."""
     form = milp._form(model)
     bins = form.binaries.tolist()
     best = math.inf
     stack = [{}]
     while stack:
         fixed = stack.pop()
-        lp = milp._relax(form, fixed)
+        lb, ub = form.lb.copy(), form.ub.copy()
+        lb[list(fixed)] = ub[list(fixed)] = list(fixed.values())
+        lp = milp._relax(form._replace(lb=lb, ub=ub))
         if lp.status == "infeasible":
             continue
         if lp.status == "unbounded":
