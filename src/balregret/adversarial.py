@@ -159,10 +159,10 @@ def adversarial_selection_dp(
 ) -> AdversaryCertificate:
     """Exact adversarial value for multi-representative selection.
 
-    Loops over the break-point grid; for each grid value a per-partition
-    dynamic program chooses, per item, to skip it, pick it for the
-    adversary, or attack it, and partitions are combined by a convolution
-    over the shared attack budget.
+    Loops over the break points that can bind (``Instance.break_points``);
+    for each, a per-partition dynamic program chooses, per item, to skip
+    it, pick it for the adversary, or attack it, and partitions are
+    combined by a convolution over the shared attack budget.
     """
     f = inst.feasible
     if not isinstance(f, MultiRepSelection):
@@ -173,7 +173,7 @@ def adversarial_selection_dp(
     base = sum(ci * xi for ci, xi in zip(c, x.x))
 
     candidates = []
-    for s in inst.costs.break_points():
+    for s in inst.break_points():
         total, y_idx = _dp_for_s(inst, x, s)
         candidates.append((base + total - gamma_prime * s, y_idx))
     best_value, y_idx = max(candidates, key=lambda vy: vy[0])

@@ -42,6 +42,9 @@ def _as_int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
                          f"got {values!r}") from None
     out = []
     for v in items:
+        if type(v) is int:
+            out.append(v)
+            continue
         try:
             iv = int(v)
         except (TypeError, ValueError, OverflowError):
@@ -50,6 +53,15 @@ def _as_int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
             raise InputError(f"{what} must be integers, got {v!r}")
         out.append(iv)
     return tuple(out)
+
+
+def _as_bit_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` read by ``_as_int_tuple``; InputError unless each is 0
+    or 1."""
+    vals = _as_int_tuple(values, what)
+    if any(v not in (0, 1) for v in vals):
+        raise InputError(f"{what} entries must be 0 or 1")
+    return vals
 
 
 def _as_int(value: int, what: str) -> int:
@@ -133,10 +145,7 @@ class BinarySolution:
     x: tuple[int, ...]
 
     def __init__(self, x: Sequence[int]):
-        vals = tuple(int(v) for v in x)
-        if any(v not in (0, 1) for v in vals):
-            raise InputError("solution entries must be 0 or 1")
-        object.__setattr__(self, "x", vals)
+        object.__setattr__(self, "x", _as_bit_tuple(x, "solution"))
 
     @classmethod
     def from_indices(cls, indices: Sequence[int], n: int) -> "BinarySolution":
@@ -163,10 +172,7 @@ class Scenario:
     delta: tuple[int, ...]
 
     def __init__(self, delta: Sequence[int]):
-        vals = tuple(int(v) for v in delta)
-        if any(v not in (0, 1) for v in vals):
-            raise InputError("scenario entries must be 0 or 1")
-        object.__setattr__(self, "delta", vals)
+        object.__setattr__(self, "delta", _as_bit_tuple(delta, "scenario"))
 
     @classmethod
     def from_indices(cls, indices: Sequence[int], n: int) -> "Scenario":
@@ -368,6 +374,8 @@ class ShortestPath:
         s, t = _as_int(source, "source"), _as_int(target, "target")
         if s == t:
             raise InputError("source and target must differ")
+        if not (0 <= s < nc and 0 <= t < nc):
+            raise InputError("source or target out of range")
         for tail, head in es:
             if not (0 <= tail < nc and 0 <= head < nc):
                 raise InputError("edge endpoint out of range")
@@ -382,8 +390,14 @@ class ShortestPath:
     def n(self) -> int:
         return len(self.edges)
 
-    def _out_edges(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.node_count)]
+    def _nodes(self) -> list[int]:
+        """The nodes that occur in an edge, plus the source and the target,
+        in increasing order; ``node_count`` may declare many more."""
+        return sorted({self.source, self.target,
+                       *itertools.chain.from_iterable(self.edges)})
+
+    def _out_edges(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {v: [] for v in self._nodes()}
         for e, (tail, _) in enumerate(self.edges):
             out[tail].append(e)
         return out
@@ -496,12 +510,12 @@ class ShortestPath:
 
     def linear_rows(self) -> list[tuple[dict[int, float], str, float]]:
         """Flow-conservation rows; solvers strip value-neutral cycles."""
-        coefs: list[dict[int, float]] = [{} for _ in range(self.node_count)]
+        coefs: dict[int, dict[int, float]] = {v: {} for v in self._nodes()}
         for e, (tail, head) in enumerate(self.edges):
             coefs[tail][e] = coefs[tail].get(e, 0.0) + 1.0
             coefs[head][e] = coefs[head].get(e, 0.0) - 1.0
         rows = []
-        for v, row in enumerate(coefs):
+        for v, row in coefs.items():
             if v == self.source:
                 rhs = 1.0
             elif v == self.target:
@@ -533,6 +547,15 @@ class Instance:
     @property
     def n(self) -> int:
         return self.costs.n
+
+    def break_points(self) -> tuple[int, ...]:
+        """The break points of the balancing dual that can bind: all of
+        ``costs.break_points()``, or only the largest, max d, when
+        gamma_prime = 0.  There every ``max(d_i - s, 0)`` is 0, and with no
+        ``-gamma_prime * s`` term each point's value is non-decreasing in
+        s."""
+        points = self.costs.break_points()
+        return points if self.budgets.gamma_prime else points[-1:]
 
     def to_dict(self) -> dict:
         f = self.feasible

@@ -3,7 +3,8 @@
 Three routes: full scenario enumeration, iterative scenario generation
 (master relaxation gives lower bounds, the adversarial problem gives upper
 bounds), and a compact MILP for multi-representative selection obtained by
-enumerating the balancing dual's break points.
+enumerating the balancing dual's break points. On selection, the compact
+MILP and enumeration first try the zero-value theorem's candidate.
 """
 
 from __future__ import annotations
@@ -137,21 +138,62 @@ def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
         # x is integral their relaxation is integral, so they stay
         # continuous and branch and bound runs over x alone. Their rows
         # eps_i + x_i <= 1 cap them at 1, so they carry no upper bound.
-        eps_vars = {i: model.add_continuous(0.0) for i in range(n) if y.x[i]}
+        # At gamma_prime = 0 the budget row would pin them to 0, so the
+        # scenario keeps only its value row.
+        eps_vars = ({i: model.add_continuous(0.0) for i in range(n) if y.x[i]}
+                    if gp else {})
         coefs: dict[int, float] = {z: 1.0}
         rhs = 0.0
         for i in range(n):
             coefs[x_vars[i]] = -float(c[i] + d[i] * delta.delta[i])
             if y.x[i]:
-                coefs[eps_vars[i]] = float(d[i])
                 rhs -= c[i] + d[i] * delta.delta[i]
+        for i, v in eps_vars.items():
+            coefs[v] = float(d[i])
         model.add_constraint(coefs, ">=", rhs)
         for i, v in eps_vars.items():
             model.add_constraint({v: 1.0, x_vars[i]: 1.0}, "<=", 1.0)
-        model.add_constraint(
-            {v: 1.0 for v in eps_vars.values()}, "<=", float(gp)
-        )
+        if gp:
+            model.add_constraint(
+                {v: 1.0 for v in eps_vars.values()}, "<=", float(gp)
+            )
     return model
+
+
+def zero_solution(inst: Instance) -> Optional[BinarySolution]:
+    """The zero-value theorem's candidate on multi-representative
+    selection, the per-partition cheapest items under c + d, if its exact
+    DP value is 0; None otherwise.
+
+    With attack budgets of at least one on both sides no other solution
+    can reach zero, so None then means that the optimum is positive.
+    """
+    f = inst.feasible
+    if not isinstance(f, MultiRepSelection):
+        raise InputError("zero check requires multi-representative selection")
+    c, d = inst.costs.c_hat, inst.costs.d
+    picked: list[int] = []
+    for part, quota in zip(f.partitions, f.quotas):
+        order = sorted(part, key=lambda i: (c[i] + d[i], c[i], i))
+        picked.extend(order[:quota])
+    candidate = BinarySolution.from_indices(picked, inst.n)
+    cert = adversarial_selection_dp(inst, candidate)
+    return candidate if cert.value == 0 else None
+
+
+def _zero_report(inst: Instance, method: str,
+                 start: float) -> Optional[SolveReport]:
+    """The exact report of value 0 when ``zero_solution`` finds one on a
+    selection instance with both budgets at least one; None otherwise,
+    and the caller solves its model."""
+    b = inst.budgets
+    if (not isinstance(inst.feasible, MultiRepSelection)
+            or b.gamma < 1 or b.gamma_prime < 1):
+        return None
+    x0 = zero_solution(inst)
+    if x0 is None:
+        return None
+    return SolveReport.exact(x0, 0, method, time.monotonic() - start)
 
 
 def _initial_scenario(inst: Instance) -> tuple[BinarySolution, Scenario]:
@@ -258,6 +300,9 @@ def _full_pool(inst: Instance) -> ScenarioPool:
 def solve_enumeration(inst: Instance) -> SolveReport:
     """One-shot master over the full scenario set."""
     start = time.monotonic()
+    zero = _zero_report(inst, "enumeration", start)
+    if zero is not None:
+        return zero
     pool = _full_pool(inst)
     model = build_master(inst, pool)
     res = milp.solve_milp(model)
@@ -267,17 +312,15 @@ def solve_enumeration(inst: Instance) -> SolveReport:
                              "enumeration", time.monotonic() - start)
 
 
-def solve_compact_mrs(inst: Instance) -> SolveReport:
-    """Compact MILP for multi-representative selection: dualize the
-    adversary for each break point of the balancing dual."""
+def build_compact(inst: Instance) -> milp.MilpModel:
+    """Compact MILP for multi-representative selection: one dualized
+    adversary block per break point that can bind."""
     f = inst.feasible
     if not isinstance(f, MultiRepSelection):
         raise InputError("compact formulation requires multi-representative selection")
-    start = time.monotonic()
     n, L = inst.n, f.num_partitions
     c, d = inst.costs.c_hat, inst.costs.d
     gamma, gp = inst.budgets.gamma, inst.budgets.gamma_prime
-    grid = inst.costs.break_points()
 
     model, t, x_vars = _first_stage_model(inst)
 
@@ -286,7 +329,7 @@ def solve_compact_mrs(inst: Instance) -> SolveReport:
         for i in part:
             part_of[i] = l
 
-    for s in grid:
+    for s in inst.break_points():
         pi = model.add_continuous(0.0)
         rho = [model.add_continuous(0.0) for _ in range(n)]
         kappa = [model.add_continuous(-milp.INF) for _ in range(L)]
@@ -312,8 +355,17 @@ def solve_compact_mrs(inst: Instance) -> SolveReport:
                 ">=",
                 -float(c[i] + bump),
             )
+    return model
 
-    res = milp.solve_milp(model)
+
+def solve_compact_mrs(inst: Instance) -> SolveReport:
+    """Solve ``build_compact``'s MILP, unless the zero check settles the
+    instance first."""
+    start = time.monotonic()
+    zero = _zero_report(inst, "compact", start)
+    if zero is not None:
+        return zero
+    res = milp.solve_milp(build_compact(inst))
     if res.status not in ("optimal", "node_limit") or not res.assignment:
         raise ScaleError(f"compact solve failed with status {res.status}")
     return SolveReport.exact(

@@ -4,11 +4,13 @@ Covers the regret problem without a balancing stage (gamma_prime = 0),
 detection of zero-value solutions, dominance preprocessing, and the
 constant-cost-vector shortcut.
 
-Only ``solve_regret_budgeted_mrs`` is called by a solver (the CLI's
-``regret-poly`` method, ``crosscheck`` and the criteria matrix).
-``check_zero_solution``, ``dominance_reduce`` and ``solve_constant_case``
-are tested library functions for the paper's results; no solver or CLI
-path calls them.
+``solve_regret_budgeted_mrs`` is called by the CLI's ``regret-poly``
+method, ``crosscheck`` and the criteria matrix.  The zero check's body is
+``master.zero_solution``, which ``solve_compact_mrs`` and
+``solve_enumeration`` call before building a model; ``check_zero_solution``
+is its entry point with the theorem's budget precondition.
+``dominance_reduce`` and ``solve_constant_case`` are tested library
+functions for the paper's results; no solver or CLI path calls them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (
     InputError,
     MultiRepSelection,
 )
-from .master import SolveReport
+from .master import SolveReport, zero_solution
 
 
 def _require_mrs(inst: Instance) -> MultiRepSelection:
@@ -136,23 +138,14 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
 
 
 def check_zero_solution(inst: Instance) -> BinarySolution | None:
-    """Return a first-stage solution of value zero if one exists.
-
-    Only the per-partition cheapest items under c + d can reach zero, so a
-    single candidate needs checking.  Requires attack budgets of at least
-    one on both sides.
-    """
-    f = _require_mrs(inst)
+    """Return a first-stage solution of value zero if one exists
+    (``master.zero_solution``).  Requires attack budgets of at least one
+    on both sides, where the theorem says that its one candidate is the
+    only one that needs checking."""
+    _require_mrs(inst)
     if inst.budgets.gamma < 1 or inst.budgets.gamma_prime < 1:
         raise InputError("zero check requires gamma >= 1 and gamma_prime >= 1")
-    c, d = inst.costs.c_hat, inst.costs.d
-    picked: list[int] = []
-    for part, quota in zip(f.partitions, f.quotas):
-        order = sorted(part, key=lambda i: (c[i] + d[i], c[i], i))
-        picked.extend(order[:quota])
-    candidate = BinarySolution.from_indices(picked, inst.n)
-    cert = adversarial_selection_dp(inst, candidate)
-    return candidate if cert.value == 0 else None
+    return zero_solution(inst)
 
 
 @dataclass

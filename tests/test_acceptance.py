@@ -313,8 +313,37 @@ def test_c08_zero_value_characterization():
             assert adversarial_selection_dp(inst, x).value == 0
             zeros += 1
     assert zeros >= 20
+    # The same property with two or three partitions, where the compact
+    # solver answers value-0 instances through the check alone.
+    multi_zeros = 0
+    for k in range(120):
+        n = 6 + k % 3
+        cuts: set[int] = set()
+        while len(cuts) < 1 + k % 2:  # two or three contiguous partitions
+            cuts.add(1 + rng.randint(0, n - 2))
+        bounds = [0, *sorted(cuts), n]
+        parts = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+        # Wider costs, half quotas and gamma_prime = 1 keep about a fifth
+        # of these instances above zero.
+        inst = Instance(
+            ItemCosts(tuple(rng.randint(0, 20) for _ in range(n)),
+                      tuple(rng.randint(0, 20) for _ in range(n))),
+            Budgets(1 + rng.randint(0, n - 1), 1),
+            MultiRepSelection(parts, tuple(max(1, len(p) // 2)
+                                           for p in parts)),
+            name=f"zero-multi{k}",
+        )
+        x = polyalg.check_zero_solution(inst)
+        optimum = master.solve_bruteforce(inst).value
+        assert (x is None) == (optimum > 0), inst.name
+        assert master.solve_compact_mrs(inst).value == optimum, inst.name
+        if x is not None:
+            assert adversarial_selection_dp(inst, x).value == 0
+            multi_zeros += 1
+    assert 20 <= multi_zeros <= 110
     _passed("criterion 8",
-            f"200 instances: zero detected iff optimum 0 ({zeros} zeros)")
+            f"200 instances: zero detected iff optimum 0 ({zeros} zeros); "
+            f"120 with 2-3 partitions ({multi_zeros} zeros)")
 
 
 def test_c09_structural_properties():

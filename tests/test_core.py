@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from balregret.core import (
@@ -62,6 +63,15 @@ class TestBinarySolution:
     def test_non_binary_rejected(self):
         with pytest.raises(InputError):
             BinarySolution((0, 2))
+
+    @pytest.mark.parametrize("kind", [BinarySolution, Scenario])
+    def test_non_integral_rejected_not_truncated(self, kind):
+        for bad in ([0.7, 1], [1.5, 0], [1, "1"], [0, None]):
+            with pytest.raises(InputError):
+                kind(bad)
+        assert kind([1.0, 0.0]) == kind([1, 0])
+        assert kind(np.array([0, 1], dtype=np.int64)) == kind([0, 1])
+        assert kind([np.int32(1), np.uint8(0)]) == kind([1, 0])
 
 
 class TestBudgets:
@@ -145,6 +155,19 @@ class TestShortestPath:
     def test_unreachable_target_rejected(self):
         with pytest.raises(InfeasibleError):
             ShortestPath(3, [(0, 1)], 0, 2)
+
+    def test_source_and_target_must_be_nodes(self):
+        for s, t in ((0, 3), (-1, 1), (3, 0)):
+            with pytest.raises(InputError):
+                ShortestPath(3, [(0, 1), (1, 2)], s, t)
+
+    def test_declared_nodes_are_not_allocated(self):
+        # Only the nodes of edges, the source and the target get rows; a
+        # list per declared node would need tens of GB here.
+        f = ShortestPath(10**9, [(0, 5), (5, 999_999_999)], 0, 999_999_999)
+        assert [rhs for _, _, rhs in f.linear_rows()] == [1.0, 0.0, -1.0]
+        assert [x.indices() for x in f.enumerate_solutions()] == [(0, 1)]
+        assert f.nominal_solve((1, 1)).indices() == (0, 1)
 
     def test_enumeration(self):
         f = diamond_graph()

@@ -14,8 +14,13 @@ from balregret.core import (
     ShortestPath,
 )
 from balregret.instances import SplitMix64, gen_selection
-from balregret import master
+from balregret import master, polyalg
 from conftest import rand_mrs
+
+
+def _with_gamma_prime(inst: Instance, gamma_prime: int) -> Instance:
+    return Instance(inst.costs, Budgets(inst.budgets.gamma, gamma_prime),
+                    inst.feasible, name=inst.name)
 
 
 def test_example_one_all_methods(example_one):
@@ -124,3 +129,90 @@ def test_compact_exact_on_scaled_selection():
                     base.budgets, base.feasible)
     assert master.solve_bruteforce(inst).value == 600000
     assert master.solve_compact_mrs(inst).value == 600000
+
+
+def test_gamma_prime_zero_methods_agree_with_regret_algorithm():
+    # At gamma_prime = 0 the compact model keeps one break-point block, the
+    # masters keep no balancing variables and the DP runs once; the
+    # polynomial regret algorithm and brute force check all three.
+    rng = SplitMix64(41017)
+    for trial in range(40):
+        inst = _with_gamma_prime(
+            rand_mrs(rng, n_lo=3, n_hi=7, max_parts=3, name=f"gp0-{trial}"),
+            0)
+        want = master.solve_bruteforce(inst).value
+        assert polyalg.solve_regret_budgeted_mrs(inst).value == want, inst
+        for solve in (master.solve_compact_mrs, master.solve_enumeration,
+                      master.solve_iterative):
+            rep = solve(inst)
+            assert rep.value == want, (solve.__name__, inst)
+            assert inst.feasible.is_feasible(rep.x)
+
+
+def test_gamma_prime_zero_models_drop_balancing_structure():
+    inst = gen_selection(7, 4, gamma=3, gamma_prime=1)
+    n, parts = inst.n, inst.feasible.num_partitions
+    zero = _with_gamma_prime(inst, 0)
+    pool = master._full_pool(zero)
+    # Master: the value variable, x, and one value row per scenario.
+    model = master.build_master(zero, pool)
+    assert len(model.variables) == 1 + n
+    assert len(model.constraints) == parts + len(pool)
+    balanced = master.build_master(inst, pool)
+    assert len(balanced.variables) > 1 + n
+    # Compact: one block (pi, rho, kappa; a value row and two rows per item)
+    # for the largest break point only.
+    block_vars, block_rows = 1 + n + parts, 1 + 2 * n
+    model = master.build_compact(zero)
+    assert len(model.variables) == 1 + n + block_vars
+    assert len(model.constraints) == parts + block_rows
+    blocks = len(inst.costs.break_points())
+    assert blocks > 1
+    model = master.build_compact(inst)
+    assert len(model.variables) == 1 + n + blocks * block_vars
+    assert len(model.constraints) == parts + blocks * block_rows
+    assert zero.break_points() == (max(inst.costs.d),)
+
+
+def test_zero_value_instances_build_no_model(monkeypatch):
+    calls = []
+    solve_milp = master.milp.solve_milp
+    monkeypatch.setattr(master.milp, "solve_milp",
+                        lambda model: calls.append(1) or solve_milp(model))
+    rng = SplitMix64(41018)
+    zeros = positives = 0
+    for trial in range(100):
+        inst = rand_mrs(rng, n_lo=5, n_hi=8, max_parts=3, name=f"z{trial}")
+        inst = Instance(inst.costs, Budgets(3, 1 + trial % 2), inst.feasible,
+                        name=inst.name)
+        want = master.solve_bruteforce(inst).value
+        solvers = [(master.solve_compact_mrs, "compact")]
+        if inst.n <= 6:
+            solvers.append((master.solve_enumeration, "enumeration"))
+        for solve, method in solvers:
+            del calls[:]
+            rep = solve(inst)
+            assert rep.value == want and rep.method == method
+            assert rep.optimal and rep.iterations == 1
+            if want == 0:
+                assert not calls, (method, inst)
+                assert rep.x == polyalg.check_zero_solution(inst)
+            else:
+                assert calls, (method, inst)
+        zeros += want == 0
+        positives += want > 0
+    assert zeros >= 20 and positives >= 5
+
+
+def test_huge_declared_node_count_solves_like_two_nodes():
+    def path_instance(nodes: int) -> Instance:
+        return Instance(ItemCosts((3,), (2,)), Budgets(1, 0),
+                        ShortestPath(nodes, [(0, 1)], 0, 1))
+
+    small, huge = path_instance(2), path_instance(10**9)
+    assert huge.feasible.linear_rows() == small.feasible.linear_rows()
+    for solve in (master.solve_iterative, master.solve_enumeration,
+                  master.solve_bruteforce):
+        want, got = solve(small).to_dict(), solve(huge).to_dict()
+        del want["time"], got["time"]
+        assert got == want
