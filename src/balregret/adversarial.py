@@ -160,9 +160,8 @@ def adversarial_selection_dp(
     """Exact adversarial value for multi-representative selection.
 
     Loops over the break points that can bind (``Instance.break_points``);
-    for each, a per-partition dynamic program chooses, per item, to skip
-    it, pick it for the adversary, or attack it, and partitions are
-    combined by a convolution over the shared attack budget.
+    for each, one dynamic program over the items chooses, per item, to skip
+    it, pick it for the adversary, or attack it.
     """
     f = inst.feasible
     if not isinstance(f, MultiRepSelection):
@@ -190,24 +189,25 @@ def _dp_for_s(
     """Best adversary gain for a fixed break point.
 
     Returns ``max over (y, delta)`` of attack gains minus discounted
-    adversary costs, plus the maximizing pick ``y``'s items.
+    adversary costs, plus the maximizing pick ``y``'s items. One DP runs
+    over the items in partition order; its state is (picks in the current
+    partition, attacks so far), and each partition's row with the quota
+    met seeds the next partition, so the attack budget is shared.
     """
     f = inst.feasible
     c, d = inst.costs.c_hat, inst.costs.d
-    gamma = min(inst.budgets.gamma, inst.n)
+    attackable = [x.x[i] == 1 and d[i] > 0 for i in range(inst.n)]
+    width = min(inst.budgets.gamma, sum(attackable))
 
     NEG = float("-inf")
-    part_tables = []
+    done = [0] + [NEG] * width  # done[ac]: best value with every quota met
+    # moves[j][yc][ac] records the choice at the j-th item in order.
+    moves: list[list[list[int]]] = []
     for part, quota in zip(f.partitions, f.quotas):
-        items = list(part)
-        width = min(gamma, sum(1 for i in items if x.x[i] == 1 and d[i] > 0))
-        # dp[yc][ac] -> best value; moves[j] records the choice table.
-        dp = [[NEG] * (width + 1) for _ in range(quota + 1)]
-        dp[0][0] = 0
-        moves: list[list[list[int]]] = []
-        for i in items:
+        dp = [done] + [[NEG] * (width + 1) for _ in range(quota)]
+        for i in part:
             cost = c[i] + max(d[i] * (1 - x.x[i]) - s, 0)
-            attackable = x.x[i] == 1 and d[i] > 0
+            hit = attackable[i]
             nxt = [[NEG] * (width + 1) for _ in range(quota + 1)]
             mv = [[-1] * (width + 1) for _ in range(quota + 1)]
             for yc in range(quota + 1):
@@ -221,57 +221,26 @@ def _dp_for_s(
                     if yc < quota and cur - cost > nxt[yc + 1][ac]:
                         nxt[yc + 1][ac] = cur - cost
                         mv[yc + 1][ac] = 1
-                    if attackable and ac < width and cur + d[i] > nxt[yc][ac + 1]:
+                    if hit and ac < width and cur + d[i] > nxt[yc][ac + 1]:
                         nxt[yc][ac + 1] = cur + d[i]
                         mv[yc][ac + 1] = 2
             dp = nxt
             moves.append(mv)
-        part_tables.append((items, quota, width, dp[quota], moves))
+        done = dp[quota]
 
-    # Combine partitions over the shared attack budget.
-    comb = [0] + [NEG] * gamma
-    tracks: list[list[Optional[tuple[int, int]]]] = [
-        [None] * (gamma + 1)
-    ]
-    for items, quota, width, final, moves in part_tables:
-        nxt = [NEG] * (gamma + 1)
-        track: list[Optional[tuple[int, int]]] = [None] * (gamma + 1)
-        for a_total in range(gamma + 1):
-            for a_here in range(min(width, a_total) + 1):
-                prev = comb[a_total - a_here]
-                here = final[a_here]
-                if prev == NEG or here == NEG:
-                    continue
-                cand = prev + here
-                if cand > nxt[a_total]:
-                    nxt[a_total] = cand
-                    track[a_total] = (a_here, a_total - a_here)
-        comb = nxt
-        tracks.append(track)
+    best_a = max(range(width + 1), key=done.__getitem__)  # smallest on ties
 
-    best_a = 0
-    for a in range(gamma + 1):
-        if comb[a] > comb[best_a]:
-            best_a = a
-    total = comb[best_a]
-
-    # Backtrack: split the budget, then replay each partition's DP.
-    splits = []
-    a = best_a
-    for k in range(len(part_tables), 0, -1):
-        a_here, a_prev = tracks[k][a]  # type: ignore[misc]
-        splits.append(a_here)
-        a = a_prev
-    splits.reverse()
-
+    # Backtrack over the items in reverse, the pick count starting at the
+    # quota at each partition's end.
     y_idx: list[int] = []
-    for (items, quota, width, final, moves), a_here in zip(part_tables, splits):
-        yc, ac = quota, a_here
-        for j in range(len(items) - 1, -1, -1):
-            choice = moves[j][yc][ac]
+    ac = best_a
+    for part, quota in zip(reversed(f.partitions), reversed(f.quotas)):
+        yc = quota
+        for i in reversed(part):
+            choice = moves.pop()[yc][ac]
             if choice == 1:
-                y_idx.append(items[j])
+                y_idx.append(i)
                 yc -= 1
             elif choice == 2:
                 ac -= 1
-    return int(total), sorted(y_idx)
+    return int(done[best_a]), sorted(y_idx)

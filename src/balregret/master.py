@@ -15,11 +15,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import milp
 from .adversarial import (
     adversarial_bruteforce,
     adversarial_milp,
     adversarial_selection_dp,
+    evaluate_against,
 )
 from .core import (
     ENUMERATION_GUARD,
@@ -379,10 +382,6 @@ def solve_compact_mrs(inst: Instance) -> SolveReport:
 
 def solve_bruteforce(inst: Instance) -> SolveReport:
     """Double loop: evaluate every feasible first-stage solution exactly."""
-    import numpy as np
-
-    from .adversarial import evaluate_against
-
     start = time.monotonic()
     candidates = enumerate_solutions(inst.feasible, ENUMERATION_GUARD)
     ys = np.array([y.x for y in candidates], dtype=np.int64)

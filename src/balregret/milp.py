@@ -555,32 +555,3 @@ def solve_milp(
                           pivots)
     return MilpResult("node_limit" if limited else "optimal",
                       form.sign * best_value, best_x.tolist(), nodes, pivots)
-
-
-def write_lp(model: MilpModel, path: str) -> None:
-    """Dump the model in LP text format for external cross-checking."""
-
-    def term(coefs: dict[int, float]) -> str:
-        parts = []
-        for j in sorted(coefs):
-            a = coefs[j]
-            sign = "+" if a >= 0 else "-"
-            parts.append(f"{sign} {abs(a):g} x{j}")
-        return " ".join(parts) if parts else "0"
-
-    lines = [f"{model.objective_sense}imize", f" obj: {term(model.objective)}"]
-    lines.append("subject to")
-    for k, (coefs, sense, rhs) in enumerate(model.constraints):
-        lines.append(f" c{k}: {term(coefs)} {sense} {rhs:g}")
-    lines.append("bounds")
-    for j, var in enumerate(model.variables):
-        lo = "-inf" if var.lb == -INF else f"{var.lb:g}"
-        hi = "+inf" if var.ub == INF else f"{var.ub:g}"
-        lines.append(f" {lo} <= x{j} <= {hi}")
-    bins = model.binary_indices()
-    if bins:
-        lines.append("binary")
-        lines.append(" " + " ".join(f"x{j}" for j in bins))
-    lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

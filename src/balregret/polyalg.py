@@ -1,16 +1,15 @@
 """Polynomial special cases for multi-representative selection.
 
 Covers the regret problem without a balancing stage (gamma_prime = 0),
-detection of zero-value solutions, dominance preprocessing, and the
-constant-cost-vector shortcut.
+detection of zero-value solutions, and dominance preprocessing.
 
 ``solve_regret_budgeted_mrs`` is called by the CLI's ``regret-poly``
 method, ``crosscheck`` and the criteria matrix.  The zero check's body is
 ``master.zero_solution``, which ``solve_compact_mrs`` and
 ``solve_enumeration`` call before building a model; ``check_zero_solution``
 is its entry point with the theorem's budget precondition.
-``dominance_reduce`` and ``solve_constant_case`` are tested library
-functions for the paper's results; no solver or CLI path calls them.
+``dominance_reduce`` is a tested library function for the paper's
+dominance result; no solver or CLI path calls it yet.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversarial import adversarial_selection_dp
 from .core import (
     BinarySolution,
     Instance,
@@ -187,25 +185,3 @@ def dominance_reduce(inst: Instance) -> DominanceResult:
             if above[i] + 1 > quota:
                 out.forced_out.add(i)
     return out
-
-
-def solve_constant_case(inst: Instance) -> SolveReport | None:
-    """Shortcut when one cost vector is constant: dominance makes the
-    per-partition smallest entries of the other vector optimal."""
-    f = _require_mrs(inst)
-    c, d = inst.costs.c_hat, inst.costs.d
-    start = time.monotonic()
-    if len(set(c)) == 1:
-        key = lambda i: (d[i], i)
-    elif len(set(d)) == 1:
-        key = lambda i: (c[i], i)
-    else:
-        return None
-    picked: list[int] = []
-    for part, quota in zip(f.partitions, f.quotas):
-        picked.extend(sorted(part, key=key)[:quota])
-    x = BinarySolution.from_indices(picked, inst.n)
-    cert = adversarial_selection_dp(inst, x)
-    return SolveReport.exact(
-        x, cert.value, "constant-case", time.monotonic() - start
-    )

@@ -48,10 +48,20 @@ def test_example_one_value(example_one):
         assert _certificate_value(example_one, x, cert) == 1
 
 
-def test_methods_agree_on_random_selection():
+def _agreement_instances():
     rng = SplitMix64(7001)
     for trial in range(60):
-        inst = rand_mrs(rng, n_lo=3, n_hi=8, name=f"adv{trial}")
+        yield rand_mrs(rng, n_lo=3, n_hi=8, name=f"adv{trial}")
+    # Small costs and large attack budgets over up to three partitions:
+    # ties across partitions, where the DP's choice of y is made.
+    rng = SplitMix64(7004)
+    for trial in range(60):
+        yield rand_mrs(rng, n_lo=3, n_hi=8, max_parts=3, cost_hi=3,
+                       dev_hi=3, gamma_hi=8, name=f"tie{trial}")
+
+
+def test_methods_agree_on_random_selection():
+    for inst in _agreement_instances():
         candidates = enumerate_solutions(inst.feasible, 10**6)
         for x in candidates[:: max(1, len(candidates) // 4)]:
             a = adversarial_bruteforce(inst, x, candidates)

@@ -297,18 +297,6 @@ def test_node_limit_reports_status():
     assert res.status in ("node_limit", "optimal", "infeasible")
 
 
-def test_write_lp(tmp_path):
-    m = milp.MilpModel()
-    a = m.add_binary()
-    b = m.add_continuous(0.0, 2.0)
-    m.add_constraint({a: 1.0, b: -1.0}, "<=", 0.5)
-    m.set_objective("min", {a: 1.0, b: 1.0})
-    path = tmp_path / "model.lp"
-    milp.write_lp(m, str(path))
-    text = path.read_text()
-    assert "minimize" in text and "binary" in text and "x0" in text
-
-
 def _random_mixed_model(rng: SplitMix64):
     """A random model over binaries, free variables and shifted, possibly
     bounded continuous variables, with rows of every sense and rhs sign."""

@@ -135,15 +135,18 @@ class TestDominance:
 
 
 class TestConstantCase:
+    """With one cost vector constant, the nominal optimum under the other
+    vector is an optimal first stage."""
+
     def test_constant_nominal_vector(self):
         rng = SplitMix64(8106)
         for trial in range(25):
             base = rand_mrs(rng, n_lo=3, n_hi=6, name=f"cn{trial}")
             costs = ItemCosts((7,) * base.n, base.costs.d)
             inst = Instance(costs, base.budgets, base.feasible)
-            rep = polyalg.solve_constant_case(inst)
-            assert rep is not None
-            assert rep.value == master.solve_bruteforce(inst).value
+            x = inst.feasible.nominal_solve(inst.costs.d)
+            assert (adversarial_selection_dp(inst, x).value
+                    == master.solve_bruteforce(inst).value)
 
     def test_constant_deviation_vector(self):
         rng = SplitMix64(8107)
@@ -151,9 +154,6 @@ class TestConstantCase:
             base = rand_mrs(rng, n_lo=3, n_hi=6, name=f"cd{trial}")
             costs = ItemCosts(base.costs.c_hat, (5,) * base.n)
             inst = Instance(costs, base.budgets, base.feasible)
-            rep = polyalg.solve_constant_case(inst)
-            assert rep is not None
-            assert rep.value == master.solve_bruteforce(inst).value
-
-    def test_general_instance_declined(self, example_one):
-        assert polyalg.solve_constant_case(example_one) is None
+            x = inst.feasible.nominal_solve(inst.costs.c_hat)
+            assert (adversarial_selection_dp(inst, x).value
+                    == master.solve_bruteforce(inst).value)
