@@ -276,7 +276,12 @@ class MultiRepSelection:
 
 @dataclass(frozen=True)
 class Knapsack:
-    """All packings with total weight at most ``capacity``."""
+    """All packings with total weight at most ``capacity``.
+
+    Costs are non-negative, so the empty packing makes every first-stage
+    knapsack solve worth 0: the family serves as adversary traffic, the
+    value of a given packing, only.
+    """
 
     weights: tuple[int, ...]
     capacity: int

@@ -4,7 +4,10 @@ Three routes: full scenario enumeration, iterative scenario generation
 (master relaxation gives lower bounds, the adversarial problem gives upper
 bounds), and a compact MILP for multi-representative selection obtained by
 enumerating the balancing dual's break points. On selection, the compact
-MILP and enumeration first try the zero-value theorem's candidate.
+MILP and enumeration first try the zero-value theorem's candidate, and
+every first-stage model (the masters of iterative and enumeration, and the
+compact MILP) carries the dominance order: one precedence row per cover
+pair, and bounds on the items it forces in or out.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,13 +114,26 @@ def _first_stage_model(
     inst: Instance,
 ) -> tuple[milp.MilpModel, int, list[int]]:
     """Minimize a free value variable (index 0) over n binaries x (indices
-    1..n) held to the feasible set's rows; the caller bounds the value."""
+    1..n) held to the feasible set's rows; the caller bounds the value.
+
+    On selection the binaries also follow ``dominance_reduce``: a row
+    x_i - x_j >= 0 per cover pair, and the bound lb = 1 or ub = 0 on each
+    forced item.
+    """
     model = milp.MilpModel()
     value_var = model.add_continuous(-milp.INF)
     x_vars = [model.add_binary() for _ in range(inst.n)]
     model.set_objective("min", {value_var: 1.0})
     for coefs, sense, rhs in inst.feasible.linear_rows():
         model.add_constraint({x_vars[j]: a for j, a in coefs.items()}, sense, rhs)
+    if isinstance(inst.feasible, MultiRepSelection):
+        order = dominance_reduce(inst)
+        for i, j in order.precedences:
+            model.add_constraint({x_vars[i]: 1.0, x_vars[j]: -1.0}, ">=", 0.0)
+        for i in order.forced_in:
+            model.variables[x_vars[i]].lb = 1.0
+        for i in order.forced_out:
+            model.variables[x_vars[i]].ub = 0.0
     return model, value_var, x_vars
 
 
@@ -182,6 +198,58 @@ def zero_solution(inst: Instance) -> Optional[BinarySolution]:
     candidate = BinarySolution.from_indices(picked, inst.n)
     cert = adversarial_selection_dp(inst, candidate)
     return candidate if cert.value == 0 else None
+
+
+@dataclass
+class DominanceResult:
+    """Item-precedence cuts x_i >= x_j plus the memberships they force."""
+
+    precedences: list[tuple[int, int]] = field(default_factory=list)
+    forced_in: set[int] = field(default_factory=set)
+    forced_out: set[int] = field(default_factory=set)
+
+
+def dominance_reduce(inst: Instance) -> DominanceResult:
+    """The dominance order on multi-representative selection: item i
+    dominates j in its partition when it is no worse under both the
+    nominal and the fully attacked cost (ties keep the lower index as
+    dominator), and some optimum then takes i whenever it takes j.
+
+    ``precedences`` holds only the cover pairs, those (i, j) with no k
+    between them (i dominates k, k dominates j); the relation is
+    transitive, so every other pair's row is a sum of theirs.  The forced
+    items are counted on the full relation: i is forced in when fewer
+    than the quota of its partition's other items are left once i's
+    dominated items go, and forced out when i and its dominators exceed
+    the quota.
+    """
+    f = inst.feasible
+    if not isinstance(f, MultiRepSelection):
+        raise InputError("dominance order requires multi-representative "
+                         "selection")
+    c, d = inst.costs.c_hat, inst.costs.d
+    out = DominanceResult()
+
+    def dominates(i: int, j: int) -> bool:
+        if c[i] > c[j] or c[i] + d[i] > c[j] + d[j]:
+            return False
+        if c[i] < c[j] or c[i] + d[i] < c[j] + d[j]:
+            return True
+        return i < j
+
+    for part, quota in zip(f.partitions, f.quotas):
+        below = {i: {j for j in part if i != j and dominates(i, j)}
+                 for i in part}
+        above = {j: sum(j in below[i] for i in part) for j in part}
+        for i in part:
+            out.precedences.extend(
+                (i, j) for j in part
+                if j in below[i] and not any(j in below[k] for k in below[i]))
+            if len(part) - 1 - len(below[i]) < quota:
+                out.forced_in.add(i)
+            if above[i] + 1 > quota:
+                out.forced_out.add(i)
+    return out
 
 
 def _zero_report(inst: Instance, method: str,

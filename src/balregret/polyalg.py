@@ -8,14 +8,16 @@ method, ``crosscheck`` and the criteria matrix.  The zero check's body is
 ``master.zero_solution``, which ``solve_compact_mrs`` and
 ``solve_enumeration`` call before building a model; ``check_zero_solution``
 is its entry point with the theorem's budget precondition.
-``dominance_reduce`` is a tested library function for the paper's
-dominance result; no solver or CLI path calls it yet.
+The dominance order, ``dominance_reduce`` and ``DominanceResult``, lives
+in ``master`` too: ``master._first_stage_model`` applies it to every
+selection model (the masters of ``solve_iterative`` and
+``solve_enumeration``, and ``solve_compact_mrs``'s MILP); it is
+re-exported here.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +27,12 @@ from .core import (
     InputError,
     MultiRepSelection,
 )
-from .master import SolveReport, zero_solution
+from .master import (
+    DominanceResult,
+    SolveReport,
+    dominance_reduce,
+    zero_solution,
+)
 
 
 def _require_mrs(inst: Instance) -> MultiRepSelection:
@@ -144,44 +151,3 @@ def check_zero_solution(inst: Instance) -> BinarySolution | None:
     if inst.budgets.gamma < 1 or inst.budgets.gamma_prime < 1:
         raise InputError("zero check requires gamma >= 1 and gamma_prime >= 1")
     return zero_solution(inst)
-
-
-@dataclass
-class DominanceResult:
-    """Item-precedence cuts x_i >= x_j plus the memberships they force."""
-
-    precedences: list[tuple[int, int]] = field(default_factory=list)
-    forced_in: set[int] = field(default_factory=set)
-    forced_out: set[int] = field(default_factory=set)
-
-
-def dominance_reduce(inst: Instance) -> DominanceResult:
-    """Precedence pairs within partitions: item i dominates j when it is no
-    worse under both the nominal and the fully attacked cost (ties keep the
-    lower index as dominator)."""
-    f = _require_mrs(inst)
-    c, d = inst.costs.c_hat, inst.costs.d
-    out = DominanceResult()
-
-    def dominates(i: int, j: int) -> bool:
-        if c[i] > c[j] or c[i] + d[i] > c[j] + d[j]:
-            return False
-        if c[i] < c[j] or c[i] + d[i] < c[j] + d[j]:
-            return True
-        return i < j
-
-    for part, quota in zip(f.partitions, f.quotas):
-        below = {i: 0 for i in part}
-        above = {i: 0 for i in part}
-        for i in part:
-            for j in part:
-                if i != j and dominates(i, j):
-                    out.precedences.append((i, j))
-                    below[i] += 1
-                    above[j] += 1
-        for i in part:
-            if len(part) - 1 - below[i] < quota:
-                out.forced_in.add(i)
-            if above[i] + 1 > quota:
-                out.forced_out.add(i)
-    return out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from balregret.adversarial import adversarial_bruteforce
 from balregret.core import (
     AdversaryCertificate,
     Budgets,
@@ -42,6 +43,28 @@ def test_methods_agree_on_random_selection():
                           master.solve_compact_mrs, master.solve_bruteforce)
         }
         assert len(vals) == 1, (inst, vals)
+    # Tie-heavy costs over 2-3 partitions, where the dominance order's
+    # index rule decides between equal items.  Both attack budgets of
+    # rand_mrs make most such instances worth 0; gamma >= 1 and
+    # gamma_prime <= 1 leave about a fifth positive.
+    ties = 0
+    while ties < 150:
+        inst = rand_mrs(rng, n_lo=4, n_hi=7, max_parts=3, cost_hi=3,
+                        dev_hi=3, name=f"ties{ties}")
+        if inst.feasible.num_partitions < 2:
+            continue
+        inst = Instance(inst.costs, Budgets(1 + ties % 3, ties % 2),
+                        inst.feasible, name=inst.name)
+        ties += 1
+        want = master.solve_bruteforce(inst).value
+        solvers = [master.solve_iterative, master.solve_compact_mrs]
+        if inst.n <= 6:
+            solvers.append(master.solve_enumeration)
+        for solve in solvers:
+            rep = solve(inst)
+            assert rep.value == want, (solve.__name__, inst)
+            assert adversarial_bruteforce(inst, rep.x).value == want, (
+                solve.__name__, inst)
 
 
 def test_iterative_bound_traces():
@@ -154,10 +177,15 @@ def test_gamma_prime_zero_models_drop_balancing_structure():
     n, parts = inst.n, inst.feasible.num_partitions
     zero = _with_gamma_prime(inst, 0)
     pool = master._full_pool(zero)
+    # Every selection model starts with the partition rows and one row per
+    # cover pair of the dominance order.
+    order = master.dominance_reduce(inst)
+    first = parts + len(order.precedences)
+    assert order.precedences
     # Master: the value variable, x, and one value row per scenario.
     model = master.build_master(zero, pool)
     assert len(model.variables) == 1 + n
-    assert len(model.constraints) == parts + len(pool)
+    assert len(model.constraints) == first + len(pool)
     balanced = master.build_master(inst, pool)
     assert len(balanced.variables) > 1 + n
     # Compact: one block (pi, rho, kappa; a value row and two rows per item)
@@ -165,13 +193,38 @@ def test_gamma_prime_zero_models_drop_balancing_structure():
     block_vars, block_rows = 1 + n + parts, 1 + 2 * n
     model = master.build_compact(zero)
     assert len(model.variables) == 1 + n + block_vars
-    assert len(model.constraints) == parts + block_rows
+    assert len(model.constraints) == first + block_rows
     blocks = len(inst.costs.break_points())
     assert blocks > 1
     model = master.build_compact(inst)
     assert len(model.variables) == 1 + n + blocks * block_vars
-    assert len(model.constraints) == parts + blocks * block_rows
+    assert len(model.constraints) == first + blocks * block_rows
     assert zero.break_points() == (max(inst.costs.d),)
+
+
+def test_first_stage_models_carry_the_dominance_order():
+    inst = gen_selection(7, 4, gamma=3, gamma_prime=1)
+    order = master.dominance_reduce(inst)
+    assert order.forced_in and order.forced_out
+    model, _, x_vars = master._first_stage_model(inst)
+    rows = inst.feasible.linear_rows()
+    assert model.constraints[len(rows):] == [
+        ({x_vars[i]: 1.0, x_vars[j]: -1.0}, ">=", 0.0)
+        for i, j in order.precedences]
+    for i, v in enumerate(x_vars):
+        bounds = (model.variables[v].lb, model.variables[v].ub)
+        want = ((1.0, 1.0) if i in order.forced_in
+                else (0.0, 0.0) if i in order.forced_out else (0.0, 1.0))
+        assert bounds == want, i
+    # Knapsack and path models get the feasible set's rows and free
+    # binaries only.
+    for f in (Knapsack((3, 2, 4), 5),
+              ShortestPath(3, [(0, 1), (1, 2), (0, 2)], 0, 2)):
+        other = Instance(ItemCosts((1, 2, 3), (3, 2, 1)), Budgets(1, 1), f)
+        model, _, x_vars = master._first_stage_model(other)
+        assert len(model.constraints) == len(f.linear_rows())
+        assert all((model.variables[v].lb, model.variables[v].ub) == (0.0, 1.0)
+                   for v in x_vars)
 
 
 def test_zero_value_instances_build_no_model(monkeypatch):

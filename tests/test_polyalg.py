@@ -133,6 +133,53 @@ class TestDominance:
                            adversarial_selection_dp(inst, x).value)
             assert best == optimum
 
+    @staticmethod
+    def _full_relation(inst: Instance) -> set[tuple[int, int]]:
+        """Every (i, j) in one partition with i no worse than j nominally
+        and fully attacked, the lower index winning exact ties."""
+        c, d = inst.costs.c_hat, inst.costs.d
+        pairs = set()
+        for part in inst.feasible.partitions:
+            for i in part:
+                for j in part:
+                    a, b = (c[i], c[i] + d[i]), (c[j], c[j] + d[j])
+                    if i != j and a[0] <= b[0] and a[1] <= b[1] and (
+                            a != b or i < j):
+                        pairs.add((i, j))
+        return pairs
+
+    @staticmethod
+    def _closure(pairs) -> set[tuple[int, int]]:
+        closed = set(pairs)
+        while True:
+            more = {(i, k) for i, j in closed for j2, k in closed if j == j2}
+            if more <= closed:
+                return closed
+            closed |= more
+
+    def test_cover_pairs_preserve_the_optimum(self):
+        # Wide costs, tie-heavy costs, and small costs under large budgets.
+        ranges = [(30, 30, 3, 3), (3, 3, 3, 3), (2, 5, 8, 8)]
+        rng = SplitMix64(8108)
+        for cost_hi, dev_hi, gamma_hi, gp_hi in ranges:
+            for trial in range(200):
+                inst = rand_mrs(rng, n_lo=3, n_hi=8, max_parts=3,
+                                cost_hi=cost_hi, dev_hi=dev_hi,
+                                gamma_hi=gamma_hi, gp_hi=gp_hi,
+                                name=f"cover{cost_hi}-{trial}")
+                res = polyalg.dominance_reduce(inst)
+                assert self._closure(res.precedences) == \
+                    self._full_relation(inst), inst
+                best = math.inf
+                for x in enumerate_solutions(inst.feasible, 10**6):
+                    if (any(x.x[i] < x.x[j] for i, j in res.precedences)
+                            or any(x.x[i] == 0 for i in res.forced_in)
+                            or any(x.x[i] == 1 for i in res.forced_out)):
+                        continue
+                    best = min(best,
+                               adversarial_selection_dp(inst, x).value)
+                assert best == master.solve_bruteforce(inst).value, inst
+
 
 class TestConstantCase:
     """With one cost vector constant, the nominal optimum under the other
