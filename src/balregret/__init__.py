@@ -20,9 +20,7 @@ from .core import (
     Scenario,
     ShortestPath,
     enumerate_solutions,
-    is_feasible,
     nominal_solve,
-    solution_count,
 )
 
 __version__ = "0.1.0"
@@ -42,8 +40,6 @@ __all__ = [
     "Scenario",
     "ShortestPath",
     "enumerate_solutions",
-    "is_feasible",
     "nominal_solve",
-    "solution_count",
     "__version__",
 ]

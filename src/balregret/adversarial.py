@@ -14,7 +14,6 @@ import numpy as np
 from . import milp
 from .balancing import solve_balancing
 from .core import (
-    ENUMERATION_GUARD,
     AdversaryCertificate,
     BinarySolution,
     Instance,
@@ -95,7 +94,7 @@ def adversarial_bruteforce(
     """
     _check_scale(inst)
     if candidates is None:
-        candidates = enumerate_solutions(inst.feasible, ENUMERATION_GUARD)
+        candidates = enumerate_solutions(inst.feasible)
     ys = np.array([y.x for y in candidates], dtype=np.int64)
     values = evaluate_against(inst, x, ys)
     best = int(np.argmax(values))

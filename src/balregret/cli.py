@@ -23,7 +23,6 @@ from .core import (
     InternalError,
     MultiRepSelection,
     ScaleError,
-    solution_count,
 )
 from .evaluation import criteria_matrix
 from .instances import (
@@ -79,7 +78,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--method", required=True,
                    choices=["iterative", "enumeration", "compact",
                             "bruteforce", "regret-poly"])
-    s.add_argument("--adversary", choices=["dp", "milp", "bruteforce"])
+    s.add_argument("--adversary", choices=list(master.ADVERSARY_METHODS))
     s.add_argument("--time-limit", type=float,
                    default=master.DEFAULT_TIME_LIMIT)
     s.add_argument("--out", required=True)
@@ -110,7 +109,11 @@ def _cmd_generate(args) -> int:
         if args.capacity_rule != "half":
             if not args.capacity_rule.startswith("value:"):
                 raise _UsageError("capacity rule must be half or value:C")
-            cap = int(args.capacity_rule.split(":", 1)[1])
+            try:
+                cap = int(args.capacity_rule.split(":", 1)[1])
+            except ValueError:
+                raise _UsageError("capacity rule must be half or "
+                                  "value:C") from None
         inst = gen_knapsack(args.n, args.seed, gamma=args.gamma,
                             gamma_prime=args.gamma_prime, capacity=cap)
     else:
@@ -189,7 +192,7 @@ def _cmd_crosscheck(args) -> int:
             log.info("%s skipped (n=%d > %d)", inst.name, inst.n, args.max_n)
             continue
         methods = ["iterative", "enumeration"]
-        if solution_count(inst.feasible) <= _BRUTEFORCE_CAP:
+        if inst.feasible.solution_count() <= _BRUTEFORCE_CAP:
             methods.append("bruteforce")
         if isinstance(inst.feasible, MultiRepSelection):
             methods.append("compact")

@@ -181,16 +181,9 @@ class Scenario:
             d[i] = 1
         return cls(d)
 
-    @classmethod
-    def empty(cls, n: int) -> "Scenario":
-        return cls((0,) * n)
-
     @property
     def n(self) -> int:
         return len(self.delta)
-
-    def size(self) -> int:
-        return sum(self.delta)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.delta) if v)
@@ -388,7 +381,7 @@ class ShortestPath:
         object.__setattr__(self, "edges", es)
         object.__setattr__(self, "source", s)
         object.__setattr__(self, "target", t)
-        if self._shortest(None) is None:
+        if self._walk(BinarySolution((1,) * self.n)) is None:
             raise InfeasibleError("target unreachable from source")
 
     @property
@@ -454,9 +447,7 @@ class ShortestPath:
             return x
         return BinarySolution.from_indices(path, self.n)
 
-    def _shortest(
-        self, costs: Optional[Sequence[float]]
-    ) -> Optional[list[int]]:
+    def _shortest(self, costs: Sequence[float]) -> Optional[list[int]]:
         """Deterministic Dijkstra returning the edge list of a minimum path."""
         out = self._out_edges()
         dist: dict[int, float] = {self.source: 0.0}
@@ -469,9 +460,8 @@ class ShortestPath:
                 continue
             done.add(v)
             for e in out[v]:
-                w = 0.0 if costs is None else float(costs[e])
                 _, head = self.edges[e]
-                nd = dv + w
+                nd = dv + float(costs[e])
                 if head not in dist or nd < dist[head] - 1e-12:
                     dist[head] = nd
                     pred[head] = e
@@ -644,11 +634,6 @@ def _check_dim(got: int, want: int) -> None:
         raise InputError(f"dimension mismatch: got {got}, expected {want}")
 
 
-def is_feasible(x: BinarySolution, f: FeasibleSet) -> bool:
-    """Whether x satisfies the feasible set's constraints."""
-    return f.is_feasible(x)
-
-
 def _read_solution(f: FeasibleSet, values: Sequence[float]) -> BinarySolution:
     """The 0/1 solution of f that a MILP's values encode, rounded.
 
@@ -671,19 +656,14 @@ def nominal_solve(f: FeasibleSet, costs: Sequence[int]) -> BinarySolution:
     return f.nominal_solve(costs)
 
 
-def solution_count(f: FeasibleSet) -> int:
-    return f.solution_count()
-
-
-def enumerate_solutions(
-    f: FeasibleSet, guard: int = ENUMERATION_GUARD
-) -> list[BinarySolution]:
+def enumerate_solutions(f: FeasibleSet) -> list[BinarySolution]:
     """All feasible solutions, guarded against combinatorial blowup."""
-    if isinstance(f, MultiRepSelection) and f.solution_count() > guard:
+    if (isinstance(f, MultiRepSelection)
+            and f.solution_count() > ENUMERATION_GUARD):
         raise ScaleError("feasible set too large to enumerate")
     out = []
     for x in f.enumerate_solutions():
         out.append(x)
-        if len(out) > guard:
+        if len(out) > ENUMERATION_GUARD:
             raise ScaleError("feasible set too large to enumerate")
     return out

@@ -18,15 +18,12 @@ from .core import (
     InputError,
     Instance,
     MultiRepSelection,
-    is_feasible,
     nominal_solve,
 )
 from .master import SolveReport
 from .polyalg import solve_regret_budgeted_mrs
 
 CRITERIA = ("BC", "WC-I", "WC-G", "R-I", "R-G", "BR")
-
-EXCLUDED = math.inf  # sentinel for a relative difference with optimum 0
 
 
 def _with_budgets(inst: Instance, gamma: int | None = None,
@@ -45,7 +42,7 @@ def eval_criterion(inst: Instance, x: BinarySolution, criterion: str) -> int:
     """Objective value of a fixed solution under one criterion."""
     if criterion not in CRITERIA:
         raise InputError(f"unknown criterion {criterion!r}")
-    if not is_feasible(x, inst.feasible):
+    if not inst.feasible.is_feasible(x):
         raise InputError("solution is infeasible for the instance")
     c, d = inst.costs.c_hat, inst.costs.d
     if criterion == "BC":

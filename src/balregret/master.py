@@ -4,10 +4,13 @@ Three routes: full scenario enumeration, iterative scenario generation
 (master relaxation gives lower bounds, the adversarial problem gives upper
 bounds), and a compact MILP for multi-representative selection obtained by
 enumerating the balancing dual's break points. On selection, the compact
-MILP and enumeration first try the zero-value theorem's candidate, and
-every first-stage model (the masters of iterative and enumeration, and the
-compact MILP) carries the dominance order: one precedence row per cover
-pair, and bounds on the items it forces in or out.
+MILP and enumeration first try the zero-value theorem's candidate
+(``zero_solution``), and every first-stage model (the masters of iterative
+and enumeration, and the compact MILP) carries the dominance order
+(``dominance_reduce``): bounds on the items it forces in or out, and a
+precedence row per cover pair that those bounds leave open.  This module
+holds the one implementation of both theorems; ``polyalg`` holds the
+gamma_prime = 0 algorithm.
 """
 
 from __future__ import annotations
@@ -116,9 +119,11 @@ def _first_stage_model(
     """Minimize a free value variable (index 0) over n binaries x (indices
     1..n) held to the feasible set's rows; the caller bounds the value.
 
-    On selection the binaries also follow ``dominance_reduce``: a row
-    x_i - x_j >= 0 per cover pair, and the bound lb = 1 or ub = 0 on each
-    forced item.
+    On selection the binaries also follow ``dominance_reduce``: the bound
+    lb = 1 or ub = 0 on each forced item, and a row x_i - x_j >= 0 per
+    cover pair with neither end forced.  A pair with a forced end holds
+    under the bounds alone: i forced in or j forced out meets it, and the
+    order forces j out with i, and i in with j.
     """
     model = milp.MilpModel()
     value_var = model.add_continuous(-milp.INF)
@@ -128,8 +133,11 @@ def _first_stage_model(
         model.add_constraint({x_vars[j]: a for j, a in coefs.items()}, sense, rhs)
     if isinstance(inst.feasible, MultiRepSelection):
         order = dominance_reduce(inst)
+        forced = order.forced_in | order.forced_out
         for i, j in order.precedences:
-            model.add_constraint({x_vars[i]: 1.0, x_vars[j]: -1.0}, ">=", 0.0)
+            if i not in forced and j not in forced:
+                model.add_constraint({x_vars[i]: 1.0, x_vars[j]: -1.0},
+                                     ">=", 0.0)
         for i in order.forced_in:
             model.variables[x_vars[i]].lb = 1.0
         for i in order.forced_out:
@@ -184,8 +192,11 @@ def zero_solution(inst: Instance) -> Optional[BinarySolution]:
     selection, the per-partition cheapest items under c + d, if its exact
     DP value is 0; None otherwise.
 
-    With attack budgets of at least one on both sides no other solution
-    can reach zero, so None then means that the optimum is positive.
+    A returned candidate is optimal at any budgets: no value is below 0,
+    because the adversary may copy x.  None means that the optimum is
+    positive only when gamma and gamma_prime are both at least 1, where
+    no other solution can reach 0; ``_zero_report`` applies that
+    condition.
     """
     f = inst.feasible
     if not isinstance(f, MultiRepSelection):
@@ -358,7 +369,7 @@ def _full_pool(inst: Instance) -> ScenarioPool:
     d = inst.costs.d
     gamma = inst.budgets.gamma
     pool: ScenarioPool = {}
-    for y in enumerate_solutions(inst.feasible, ENUMERATION_GUARD):
+    for y in enumerate_solutions(inst.feasible):
         targets = [i for i in range(inst.n) if y.x[i] == 0 and d[i] > 0]
         k = min(gamma, len(targets))
         for combo in itertools.combinations(targets, k):
@@ -451,7 +462,7 @@ def solve_compact_mrs(inst: Instance) -> SolveReport:
 def solve_bruteforce(inst: Instance) -> SolveReport:
     """Double loop: evaluate every feasible first-stage solution exactly."""
     start = time.monotonic()
-    candidates = enumerate_solutions(inst.feasible, ENUMERATION_GUARD)
+    candidates = enumerate_solutions(inst.feasible)
     ys = np.array([y.x for y in candidates], dtype=np.int64)
     worst = [int(evaluate_against(inst, x, ys).max()) for x in candidates]
     best = min(range(len(candidates)), key=worst.__getitem__)

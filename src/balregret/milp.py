@@ -86,11 +86,6 @@ class MilpModel:
         self.objective_sense = sense
         self.objective = {j: float(v) for j, v in coefs.items()}
 
-    def binary_indices(self) -> list[int]:
-        return [
-            j for j, v in enumerate(self.variables) if v.kind == "binary"
-        ]
-
 
 @dataclass
 class MilpResult:

@@ -1,18 +1,6 @@
-"""Polynomial special cases for multi-representative selection.
-
-Covers the regret problem without a balancing stage (gamma_prime = 0),
-detection of zero-value solutions, and dominance preprocessing.
-
-``solve_regret_budgeted_mrs`` is called by the CLI's ``regret-poly``
-method, ``crosscheck`` and the criteria matrix.  The zero check's body is
-``master.zero_solution``, which ``solve_compact_mrs`` and
-``solve_enumeration`` call before building a model; ``check_zero_solution``
-is its entry point with the theorem's budget precondition.
-The dominance order, ``dominance_reduce`` and ``DominanceResult``, lives
-in ``master`` too: ``master._first_stage_model`` applies it to every
-selection model (the masters of ``solve_iterative`` and
-``solve_enumeration``, and ``solve_compact_mrs``'s MILP); it is
-re-exported here.
+"""The polynomial min-max regret algorithm for multi-representative
+selection without a balancing stage (gamma_prime = 0), which the CLI's
+``regret-poly`` method, ``crosscheck`` and the criteria matrix call.
 """
 
 from __future__ import annotations
@@ -27,12 +15,7 @@ from .core import (
     InputError,
     MultiRepSelection,
 )
-from .master import (
-    DominanceResult,
-    SolveReport,
-    dominance_reduce,
-    zero_solution,
-)
+from .master import SolveReport
 
 
 def _require_mrs(inst: Instance) -> MultiRepSelection:
@@ -100,21 +83,15 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
     cs = [c_all[p] for p in parts]
     ds = [d_all[p] for p in parts]
 
-    # Grid of pi values.  Besides the plain kinks {0, d_i}, the optimum may
-    # sit where pi ties with one partition's kappa_j as c_k + d_k - kappa_j;
-    # substituting the explicit kappa_j candidate superset for every anchor
-    # item k turns that case into extra grid points, because the anchor's
-    # own kappa_j = c_k + d_k - pi reappears among the per-partition kink
-    # candidates once pi is fixed.
-    anchors = c_all + d_all
-    pair_diffs = np.concatenate(
-        [(cs[l][:, None] - cs[l][None, :] - ds[l][None, :]).ravel()
-         for l in range(f.num_partitions)]
-    )
-    grid = np.concatenate((
-        [0.0], d_all, anchors, -pair_diffs,
-        (anchors[:, None] - c_all[None, :]).ravel(),
-    ))
+    # Grid of pi values, the breakpoint argument of Bertsimas and Sim
+    # (2004): the optimum sits at pi = 0 or where pi ties some item k's
+    # deviation to its partition's kappa, d_k - pi = kappa - c_k, that is
+    # pi = c_k + d_k - kappa.  Only kappa's pi-free candidates, 0 and the
+    # c_j, give points; in a pi-dependent one, c_j - pi or c_j + d_j - pi,
+    # pi cancels from the tie.  kappa = c_k gives the plain kink d_k.
+    kinks = np.concatenate(([0.0], c_all))
+    grid = np.concatenate(
+        ([0.0], (c_all + d_all)[:, None] - kinks[None, :]), axis=None)
     grid = np.unique(grid[grid >= 0.0])
 
     totals = np.full(len(grid), gamma, dtype=float) * grid
@@ -140,14 +117,3 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
     return SolveReport.exact(
         x, int(round(best_val)), "regret-poly", time.monotonic() - start
     )
-
-
-def check_zero_solution(inst: Instance) -> BinarySolution | None:
-    """Return a first-stage solution of value zero if one exists
-    (``master.zero_solution``).  Requires attack budgets of at least one
-    on both sides, where the theorem says that its one candidate is the
-    only one that needs checking."""
-    _require_mrs(inst)
-    if inst.budgets.gamma < 1 or inst.budgets.gamma_prime < 1:
-        raise InputError("zero check requires gamma >= 1 and gamma_prime >= 1")
-    return zero_solution(inst)

@@ -43,8 +43,8 @@ def test_zero_budget_changes_nothing():
     costs = ItemCosts((3, 4), (5, 6))
     x = BinarySolution((1, 0))
     y = BinarySolution((0, 1))
-    eps, value = solve_balancing(costs, 0, x, Scenario.empty(2), y)
-    assert eps.size() == 0
+    eps, value = solve_balancing(costs, 0, x, Scenario((0, 0)), y)
+    assert sum(eps.delta) == 0
     assert value == 3 - 4
 
 
@@ -66,5 +66,5 @@ def test_greedy_matches_exhaustive():
         eps, value = solve_balancing(costs, gp, x, delta, y)
         assert value == _exhaustive(costs, gp, x, delta, y)
         # the raise set stays on the adversary's side and within budget
-        assert eps.size() <= gp
+        assert sum(eps.delta) <= gp
         assert all(x.x[i] == 0 and y.x[i] == 1 for i in eps.indices())

@@ -10,6 +10,10 @@ from balregret.core import InternalError
 from balregret.instances import load_instance, save_instance, gen_selection
 
 
+def _error_lines(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+
 @pytest.fixture()
 def example_one_file(tmp_path, example_one):
     path = tmp_path / "example_one.json"
@@ -42,15 +46,20 @@ class TestGenerate:
         assert main(args[:-1] + [str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_capacity_rule(self, tmp_path):
+    def test_capacity_rule(self, tmp_path, caplog):
         out = tmp_path / "k.json"
         assert main(["generate", "--family", "knapsack", "--n", "5",
                      "--seed", "1", "--capacity-rule", "value:12",
                      "--out", str(out)]) == 0
         assert load_instance(out).feasible.capacity == 12
-        assert main(["generate", "--family", "knapsack", "--n", "5",
-                     "--seed", "1", "--capacity-rule", "third",
-                     "--out", str(out)]) == 1
+        # A malformed rule exits 1 with one ERROR line, not a traceback.
+        for rule in ("third", "value:abc", "value:"):
+            caplog.clear()
+            assert main(["generate", "--family", "knapsack", "--n", "5",
+                         "--seed", "1", "--capacity-rule", rule,
+                         "--out", str(out)]) == 1
+            assert _error_lines(caplog) == [
+                "usage: capacity rule must be half or value:C"]
 
     def test_reduction_families(self, tmp_path):
         for family in ("equipartition", "partition"):
@@ -105,6 +114,17 @@ class TestSolve:
         assert main(["solve", "--instance", str(path), "--method",
                      "iterative", "--out", str(tmp_path / "r.json")]) == 1
         assert "lacks field 'gamma'" in caplog.text
+
+    def test_enumeration_guard_exits_two(self, tmp_path, caplog):
+        # C(24, 12) = 2.7e6 first-stage solutions exceed the guard.
+        path = tmp_path / "big.json"
+        save_instance(gen_selection(24, 1), path)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", str(path), "--method",
+                     "bruteforce", "--out", str(out)]) == 2
+        assert _error_lines(caplog) == [
+            "feasible set too large to enumerate"]
+        assert not out.exists()
 
     def test_internal_error_exits_two(self, tmp_path, example_one_file,
                                       monkeypatch, caplog):

@@ -14,14 +14,14 @@ from balregret.core import (
     ItemCosts,
     Knapsack,
     MultiRepSelection,
+    ScaleError,
     Scenario,
     ShortestPath,
     enumerate_solutions,
-    is_feasible,
     nominal_solve,
-    solution_count,
     _read_solution,
 )
+from balregret.instances import gen_selection
 
 
 class TestItemCosts:
@@ -254,18 +254,30 @@ class TestInstance:
 
     def test_dispatch_helpers(self, example_one):
         f = example_one.feasible
-        assert solution_count(f) == 10
-        xs = enumerate_solutions(f, 100)
-        assert len(xs) == 10
-        assert all(is_feasible(x, f) for x in xs)
+        xs = enumerate_solutions(f)
+        assert len(xs) == f.solution_count() == 10
+        assert all(f.is_feasible(x) for x in xs)
         x = nominal_solve(f, example_one.costs.c_hat)
         assert x.indices() == (1, 2)
+
+    def test_enumeration_guards(self, monkeypatch):
+        # C(24, 12) = 2.7e6 selections exceed the guard of 10^6: the count
+        # alone refuses them, before any solution is built.
+        f = gen_selection(24, 1).feasible
+        assert f.solution_count() > 10**6
+        monkeypatch.setattr(MultiRepSelection, "enumerate_solutions",
+                            lambda self: pytest.fail("enumerated"))
+        with pytest.raises(ScaleError):
+            enumerate_solutions(f)
+        # 2^22 bit vectors are too many to filter by capacity.
+        with pytest.raises(ScaleError):
+            enumerate_solutions(Knapsack((1,) * 22, 5))
 
 
 class TestScenario:
     def test_empty(self):
-        s = Scenario.empty(4)
-        assert s.size() == 0 and s.n == 4
+        s = Scenario((0,) * 4)
+        assert s.indices() == () and s.n == 4
 
     def test_indices_roundtrip(self):
         s = Scenario.from_indices([1, 3], 4)

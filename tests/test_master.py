@@ -134,7 +134,7 @@ def test_stuck_adversary_raises_internal_error(example_one, monkeypatch):
     # An adversary that keeps answering with the pooled warm-start scenario
     # and a value no master reaches can never close the gap.
     y, delta = master._initial_scenario(example_one)
-    stuck = AdversaryCertificate(10**6, y, delta, Scenario.empty(y.n))
+    stuck = AdversaryCertificate(10**6, y, delta, Scenario((0,) * y.n))
     monkeypatch.setitem(master.ADVERSARY_METHODS, "dp",
                         lambda inst, x: stuck)
     # Without the check the loop would spin to the time limit instead.
@@ -172,16 +172,22 @@ def test_gamma_prime_zero_methods_agree_with_regret_algorithm():
             assert inst.feasible.is_feasible(rep.x)
 
 
+def _open_pairs(order):
+    """The cover pairs with neither end forced in or out."""
+    forced = order.forced_in | order.forced_out
+    return [(i, j) for i, j in order.precedences
+            if i not in forced and j not in forced]
+
+
 def test_gamma_prime_zero_models_drop_balancing_structure():
-    inst = gen_selection(7, 4, gamma=3, gamma_prime=1)
+    inst = gen_selection(7, 2, gamma=3, gamma_prime=1)
     n, parts = inst.n, inst.feasible.num_partitions
     zero = _with_gamma_prime(inst, 0)
     pool = master._full_pool(zero)
     # Every selection model starts with the partition rows and one row per
-    # cover pair of the dominance order.
-    order = master.dominance_reduce(inst)
-    first = parts + len(order.precedences)
-    assert order.precedences
+    # cover pair of the dominance order that its bounds leave open.
+    first = parts + len(_open_pairs(master.dominance_reduce(inst)))
+    assert first > parts
     # Master: the value variable, x, and one value row per scenario.
     model = master.build_master(zero, pool)
     assert len(model.variables) == 1 + n
@@ -203,14 +209,16 @@ def test_gamma_prime_zero_models_drop_balancing_structure():
 
 
 def test_first_stage_models_carry_the_dominance_order():
-    inst = gen_selection(7, 4, gamma=3, gamma_prime=1)
+    inst = gen_selection(7, 2, gamma=3, gamma_prime=1)
     order = master.dominance_reduce(inst)
     assert order.forced_in and order.forced_out
+    # A pair with a forced end holds under the bounds and gets no row.
+    pairs = _open_pairs(order)
+    assert 0 < len(pairs) < len(order.precedences)
     model, _, x_vars = master._first_stage_model(inst)
     rows = inst.feasible.linear_rows()
     assert model.constraints[len(rows):] == [
-        ({x_vars[i]: 1.0, x_vars[j]: -1.0}, ">=", 0.0)
-        for i, j in order.precedences]
+        ({x_vars[i]: 1.0, x_vars[j]: -1.0}, ">=", 0.0) for i, j in pairs]
     for i, v in enumerate(x_vars):
         bounds = (model.variables[v].lb, model.variables[v].ub)
         want = ((1.0, 1.0) if i in order.forced_in
@@ -249,7 +257,7 @@ def test_zero_value_instances_build_no_model(monkeypatch):
             assert rep.optimal and rep.iterations == 1
             if want == 0:
                 assert not calls, (method, inst)
-                assert rep.x == polyalg.check_zero_solution(inst)
+                assert rep.x == master.zero_solution(inst)
             else:
                 assert calls, (method, inst)
         zeros += want == 0

@@ -284,7 +284,8 @@ def test_unit_interval_continuous_reaches_binary_optimum():
 
     _, full = solve(lambda m: m.add_binary())
     mixed_model, mixed = solve(lambda m: m.add_continuous(0.0, 1.0))
-    assert mixed_model.binary_indices() == [0]
+    assert [v.kind for v in mixed_model.variables] == [
+        "binary", "continuous", "continuous"]
     assert full.status == mixed.status == "optimal"
     assert mixed.value == pytest.approx(full.value) == pytest.approx(2.0)
     assert mixed.assignment[0] in (0.0, 1.0)
@@ -367,9 +368,8 @@ def test_highs_agrees_on_random_mixed_models():
         model = _random_mixed_model(rng)
         # The LP leg pins a random subset of the binaries with lb = ub.
         pinned = copy.deepcopy(model)
-        for j in model.binary_indices():
-            if rng.randint(0, 1):
-                v = pinned.variables[j]
+        for v in pinned.variables:
+            if v.kind == "binary" and rng.randint(0, 1):
                 v.lb = v.ub = float(rng.randint(0, 1))
         for kind, ours, theirs in (
             ("lp", milp.solve_lp(pinned), _highs(pinned, True)),
@@ -549,3 +549,13 @@ def test_warm_started_nodes_match_cold_reference():
                                   np.array(res.assignment))
             warm += res.nodes > 1
     assert min(seen.values()) >= 30 and warm >= 100
+
+
+@pytest.mark.parametrize("check", [test_highs_agrees_on_random_mixed_models,
+                                   test_warm_started_nodes_match_cold_reference])
+def test_blands_rule_keeps_the_answers(monkeypatch, check):
+    # With BLAND_AFTER at 0 both simplex loops switch to Bland's rule at
+    # their first degenerate pivot; the default never reaches it on these
+    # models.
+    monkeypatch.setattr(milp, "BLAND_AFTER", 0)
+    check()

@@ -1,12 +1,16 @@
-"""Polynomial special cases: the zero-balancing solver, zero-value check,
-dominance reduction, and constant-vector instances."""
+"""Polynomial special cases: the zero-balancing solver (``polyalg``), the
+zero-value check and dominance order (``master``), and constant-vector
+instances."""
 
 import math
 
 import numpy as np
 import pytest
 
-from balregret.adversarial import adversarial_selection_dp
+from balregret.adversarial import (
+    adversarial_bruteforce,
+    adversarial_selection_dp,
+)
 from balregret.core import (
     Budgets,
     InputError,
@@ -61,15 +65,24 @@ class TestRegretBudgetedMrs:
 
 
 class TestZeroSolution:
-    def test_requires_positive_budgets(self, example_one):
-        inst = Instance(example_one.costs, Budgets(0, 1),
-                        example_one.feasible)
-        with pytest.raises(InputError):
-            polyalg.check_zero_solution(inst)
-        inst = Instance(example_one.costs, Budgets(1, 0),
-                        example_one.feasible)
-        with pytest.raises(InputError):
-            polyalg.check_zero_solution(inst)
+    def test_sound_below_budget_one(self):
+        # With gamma or gamma_prime at 0 a None proves nothing, but a
+        # returned candidate still has value 0, so it is optimal.
+        rng = SplitMix64(8109)
+        hits = 0
+        for trial in range(150):
+            inst = rand_mrs(rng, n_lo=3, n_hi=7, max_parts=2, cost_hi=4,
+                            dev_hi=3, name=f"b{trial}")
+            budgets = ((0, inst.budgets.gamma_prime), (inst.budgets.gamma, 0),
+                       (0, 0))[trial % 3]
+            inst = Instance(inst.costs, Budgets(*budgets), inst.feasible)
+            x = master.zero_solution(inst)
+            if x is not None:
+                hits += 1
+                assert inst.feasible.is_feasible(x)
+                assert adversarial_bruteforce(inst, x).value == 0
+                assert master.solve_bruteforce(inst).value == 0
+        assert hits > 10
 
     def test_sound_and_complete(self):
         rng = SplitMix64(8103)
@@ -81,7 +94,7 @@ class TestZeroSolution:
                 inst = Instance(inst.costs, Budgets(
                     max(1, inst.budgets.gamma),
                     max(1, inst.budgets.gamma_prime)), inst.feasible)
-            x = polyalg.check_zero_solution(inst)
+            x = master.zero_solution(inst)
             optimum = master.solve_bruteforce(inst).value
             if x is None:
                 assert optimum > 0
@@ -95,7 +108,7 @@ class TestZeroSolution:
 
 class TestDominance:
     def test_example_pair(self, example_two):
-        res = polyalg.dominance_reduce(example_two)
+        res = master.dominance_reduce(example_two)
         # item 2 costs no more nominally and no more under full deviation
         # than item 1, so some optimum prefers it
         assert (2, 1) in res.precedences
@@ -105,7 +118,7 @@ class TestDominance:
         for trial in range(40):
             inst = rand_mrs(rng, n_lo=4, n_hi=8, max_parts=2,
                             cost_hi=6, dev_hi=6, name=f"d{trial}")
-            res = polyalg.dominance_reduce(inst)
+            res = master.dominance_reduce(inst)
             c, d = inst.costs.c_hat, inst.costs.d
             part_of = {}
             for l, part in enumerate(inst.feasible.partitions):
@@ -120,11 +133,11 @@ class TestDominance:
         for trial in range(40):
             inst = rand_mrs(rng, n_lo=4, n_hi=7, max_parts=2,
                             cost_hi=5, dev_hi=5, name=f"f{trial}")
-            res = polyalg.dominance_reduce(inst)
+            res = master.dominance_reduce(inst)
             assert not (set(res.forced_in) & set(res.forced_out))
             optimum = master.solve_bruteforce(inst).value
             best = math.inf
-            for x in enumerate_solutions(inst.feasible, 10**6):
+            for x in enumerate_solutions(inst.feasible):
                 if any(x.x[i] == 0 for i in res.forced_in):
                     continue
                 if any(x.x[i] == 1 for i in res.forced_out):
@@ -167,11 +180,11 @@ class TestDominance:
                                 cost_hi=cost_hi, dev_hi=dev_hi,
                                 gamma_hi=gamma_hi, gp_hi=gp_hi,
                                 name=f"cover{cost_hi}-{trial}")
-                res = polyalg.dominance_reduce(inst)
+                res = master.dominance_reduce(inst)
                 assert self._closure(res.precedences) == \
                     self._full_relation(inst), inst
                 best = math.inf
-                for x in enumerate_solutions(inst.feasible, 10**6):
+                for x in enumerate_solutions(inst.feasible):
                     if (any(x.x[i] < x.x[j] for i, j in res.precedences)
                             or any(x.x[i] == 0 for i in res.forced_in)
                             or any(x.x[i] == 1 for i in res.forced_out)):
