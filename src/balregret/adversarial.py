@@ -160,7 +160,18 @@ def adversarial_selection_dp(
 
     Loops over the break points that can bind (``Instance.break_points``);
     for each, one dynamic program over the items chooses, per item, to skip
-    it, pick it for the adversary, or attack it.
+    it, pick it for the adversary, or attack it. The first point of best
+    value wins.
+
+    At ``gamma_prime >= 1`` only 0 and the deviations of items outside x
+    are tried. For a fixed (y, delta) the balancing term is
+    ``g_y(s) = gamma_prime * s + sum(max(d_i - s, 0) for i in y, x_i = 0)``,
+    whose kinks are deviations of items outside x. Let s0 be the first
+    maximizer over all of ``break_points()`` and y0 its pick. The discrete
+    maximum equals the continuous one, so s0 minimizes ``g_y0``. Were s0
+    neither 0 nor such a kink, ``g_y0`` would be flat around s0, and the
+    previous kink of ``g_y0``, or 0, would be an earlier point of the same
+    value, so s0 would not be first. Hence s0 and its y are kept.
     """
     f = inst.feasible
     if not isinstance(f, MultiRepSelection):
@@ -170,8 +181,12 @@ def adversarial_selection_dp(
     gamma, gamma_prime = inst.budgets.gamma, inst.budgets.gamma_prime
     base = sum(ci * xi for ci, xi in zip(c, x.x))
 
+    points = inst.break_points()
+    if gamma_prime:
+        kinks = {0, *(di for di, xi in zip(d, x.x) if not xi)}
+        points = [s for s in points if s in kinks]
     candidates = []
-    for s in inst.break_points():
+    for s in points:
         total, y_idx = _dp_for_s(inst, x, s)
         candidates.append((base + total - gamma_prime * s, y_idx))
     best_value, y_idx = max(candidates, key=lambda vy: vy[0])

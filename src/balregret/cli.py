@@ -9,6 +9,7 @@ crosscheck disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import logging
@@ -57,6 +58,7 @@ class _UsageError(InputError):
     pass
 
 
+@functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     p = _Parser(prog="balregret")
     sub = p.add_subparsers(dest="command", required=True)
@@ -185,21 +187,35 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _crosscheck_values(inst: Instance) -> dict[str, int]:
+    """Value by method.  The two enumerating reference methods are skipped
+    with one INFO line when the instance is too large to enumerate."""
+    methods = ["iterative", "enumeration", "bruteforce"]
+    if isinstance(inst.feasible, MultiRepSelection):
+        methods.append("compact")
+        if inst.budgets.gamma_prime == 0:
+            methods.append("regret-poly")
+    values = {}
+    for m in methods:
+        try:
+            if (m == "bruteforce"
+                    and inst.feasible.solution_count() > _BRUTEFORCE_CAP):
+                continue
+            values[m] = _solve(inst, m, None, master.DEFAULT_TIME_LIMIT).value
+        except ScaleError as exc:
+            if m not in ("enumeration", "bruteforce"):
+                raise
+            log.info("%s %s skipped: %s", inst.name, m, exc)
+    return values
+
+
 def _cmd_crosscheck(args) -> int:
     disagreements = 0
     for inst in _load_glob(args.instances):
         if inst.n > args.max_n:
             log.info("%s skipped (n=%d > %d)", inst.name, inst.n, args.max_n)
             continue
-        methods = ["iterative", "enumeration"]
-        if inst.feasible.solution_count() <= _BRUTEFORCE_CAP:
-            methods.append("bruteforce")
-        if isinstance(inst.feasible, MultiRepSelection):
-            methods.append("compact")
-            if inst.budgets.gamma_prime == 0:
-                methods.append("regret-poly")
-        values = {m: _solve(inst, m, None, master.DEFAULT_TIME_LIMIT).value
-                  for m in methods}
+        values = _crosscheck_values(inst)
         if len(set(values.values())) > 1:
             disagreements += 1
             log.error("%s disagreement: %s", inst.name, values)

@@ -147,22 +147,32 @@ def criteria_matrix(batch: list[Instance],
     per_instance: dict[str, list[list[int]]] = {}
 
     for inst in batch:
-        reports = [optimize_criterion(inst, c) for c in cols]
-        optima = [rep.value for rep in reports]
-        solutions = [rep.x for rep in reports]
+        reports: dict[str, SolveReport] = {}
+        for c in cols:
+            # At gamma_prime 0 the BR problem is R-G's: reuse its solve.
+            if c == "BR" and inst.budgets.gamma_prime == 0:
+                reports[c] = reports["R-G"]
+            else:
+                reports[c] = optimize_criterion(inst, c)
+        optima = [reports[c].value for c in cols]
+        solutions = [reports[c].x for c in cols]
         if gamma_prime_range is not None:
             # BR at gamma_prime 0 takes R-G's path, and BR at the
             # instance's own gamma_prime is the BR column: reuse both.
-            known = {0: reports[cols.index("R-G")].x,
-                     inst.budgets.gamma_prime: reports[cols.index("BR")].x}
+            known = {0: reports["R-G"].x,
+                     inst.budgets.gamma_prime: reports["BR"].x}
             for gp in gamma_prime_range:
                 if gp not in known:
                     sub = _with_budgets(inst, gamma_prime=gp)
                     known[gp] = optimize_criterion(sub, "BR").x
                 solutions.append(known[gp])
-        table = [
-            [eval_criterion(inst, x, c) for c in cols] for x in solutions
-        ]
+        # Criteria often share an optimizer: evaluate each distinct x once.
+        evaluated: dict[BinarySolution, list[int]] = {}
+        table = []
+        for x in solutions:
+            if x not in evaluated:
+                evaluated[x] = [eval_criterion(inst, x, c) for c in cols]
+            table.append(list(evaluated[x]))
         per_instance[inst.name or f"instance-{len(per_instance)}"] = table
         for i, vals in enumerate(table):
             for j, f_star in enumerate(optima):

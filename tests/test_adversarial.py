@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from balregret.adversarial import (
+    _dp_for_s,
     adversarial_bruteforce,
     adversarial_milp,
     adversarial_selection_dp,
@@ -78,6 +79,31 @@ def test_methods_agree_on_random_selection():
                     cert.y,
                 )
                 assert inner == cert.value
+
+
+def test_pruned_break_points_keep_first_maximizer():
+    # At gamma_prime >= 1 the DP tries only 0 and the deviations of items
+    # outside x; it must return the first maximizer over every break point,
+    # its value and its pick. Tiny costs make ties everywhere; on odd
+    # trials wider deviations make the items outside x own distinct points.
+    rng = SplitMix64(7005)
+    for trial in range(300):
+        inst = rand_mrs(rng, n_lo=3, n_hi=9, max_parts=3, cost_hi=3,
+                        dev_hi=(3, 30)[trial % 2], gamma_hi=9,
+                        name=f"prune{trial}")
+        gp = 1 + rng.randint(0, inst.n - 1)
+        inst = Instance(inst.costs, Budgets(inst.budgets.gamma, gp),
+                        inst.feasible)
+        xs = enumerate_solutions(inst.feasible)
+        x = xs[rng.randint(0, len(xs) - 1)]
+        base = sum(ci * xi for ci, xi in zip(inst.costs.c_hat, x.x))
+        best = None
+        for s in inst.break_points():
+            total, y_idx = _dp_for_s(inst, x, s)
+            if best is None or base + total - gp * s > best[0]:
+                best = (base + total - gp * s, y_idx)
+        cert = adversarial_selection_dp(inst, x)
+        assert (cert.value, list(cert.y.indices())) == best, inst
 
 
 def test_value_is_nonnegative_and_certificates_are_lower_bounds():

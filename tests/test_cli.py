@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temporary files."""
 
 import json
+import logging
 
 import pytest
 
@@ -171,6 +172,20 @@ class TestEvaluate:
                      "--out", str(tmp_path / "m.csv")]) == 1
 
 
+    def test_reused_parser_keeps_no_state(self, tmp_path, example_two_file):
+        # One parser serves every call in the process.
+        assert cli._build_parser() is cli._build_parser()
+        out = tmp_path / "matrix.csv"
+        assert main(["evaluate", "--instances", example_two_file,
+                     "--gamma-prime-range", "0..2", "--out", str(out)]) == 0
+        assert "BR(2)," in out.read_text()
+        assert main(["solve", "--method", "nope"]) == 1
+        assert main(["evaluate", "--instances", example_two_file,
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 37 and not any("BR(" in ln for ln in lines)
+
+
 class TestCrosscheck:
     def test_agreement_exit_zero(self, tmp_path):
         for s in range(3):
@@ -183,6 +198,27 @@ class TestCrosscheck:
         save_instance(gen_selection(16, 0), tmp_path / "big.json")
         assert main(["crosscheck", "--instances",
                      str(tmp_path / "big.json"), "--max-n", "12"]) == 0
+
+
+    def test_knapsack_too_large_to_enumerate(self, tmp_path, caplog):
+        # Knapsack enumeration stops at n = 21: the two enumerating methods
+        # are skipped, and the batch goes on to the next file.
+        for family, n in (("knapsack", "22"), ("selection", "6")):
+            assert main(["generate", "--family", family, "--n", n,
+                         "--seed", "1",
+                         "--out", str(tmp_path / f"{family}.json")]) == 0
+        caplog.clear()
+        caplog.set_level(logging.INFO)
+        assert main(["crosscheck", "--instances", str(tmp_path / "*.json"),
+                     "--max-n", "30"]) == 0
+        lines = [r.getMessage() for r in caplog.records]
+        too_large = "knapsack enumeration with n=22 too large"
+        assert (f"knapsack-n22-seed1 enumeration skipped: {too_large}"
+                in lines)
+        assert f"knapsack-n22-seed1 bruteforce skipped: {too_large}" in lines
+        assert "knapsack-n22-seed1 ok: value 0 across ['iterative']" in lines
+        assert any(ln.startswith("selection-n6-seed1 ok:") for ln in lines)
+        assert not _error_lines(caplog)
 
 
 class TestIngestGraph:

@@ -132,6 +132,53 @@ class TestCriteriaMatrix:
                 for c in evaluation.CRITERIA
             ]
 
+    @pytest.mark.parametrize("gamma_prime", [1, 0])
+    def test_each_distinct_solution_evaluated_once(self, example_two,
+                                                   gamma_prime, monkeypatch):
+        inst = evaluation._with_budgets(example_two, gamma_prime=gamma_prime)
+        cols = list(evaluation.CRITERIA)
+        optimize, direct = (evaluation.optimize_criterion,
+                            evaluation.eval_criterion)
+        solves, evals = [], []
+
+        def counting_optimize(sub, criterion):
+            solves.append((criterion, sub.budgets.gamma_prime))
+            return optimize(sub, criterion)
+
+        def counting_eval(inst, x, criterion):
+            evals.append(x)
+            return direct(inst, x, criterion)
+
+        monkeypatch.setattr(evaluation, "optimize_criterion",
+                            counting_optimize)
+        monkeypatch.setattr(evaluation, "eval_criterion", counting_eval)
+        csv = evaluation.criteria_matrix([inst], range(0, 3)).to_csv()
+
+        # At gamma_prime 0, BR shares R-G's solve.
+        own = [(c, gamma_prime) for c in cols
+               if not (c == "BR" and gamma_prime == 0)]
+        assert solves == own + [("BR", gp) for gp in range(3)
+                                if gp not in (0, gamma_prime)]
+        reports = {c: optimize(inst, c) for c in cols}
+        rows = [reports[c].x for c in cols] + [
+            optimize(evaluation._with_budgets(inst, gamma_prime=gp), "BR").x
+            for gp in range(3)]
+        assert len(evals) == len(cols) * len(set(rows))
+        assert set(evals) == set(rows)
+
+        # The same CSV from a 9 x 6 table of direct evaluations.
+        table = [[direct(inst, x, c) for c in cols] for x in rows]
+        optima = [reports[c].value for c in cols]
+        mean = [[(f - f_star) / f_star if f_star else
+                 (0.0 if f == 0 else math.nan)
+                 for f, f_star in zip(vals, optima)] for vals in table]
+        excluded = [[int(f_star == 0 and f != 0)
+                     for f, f_star in zip(vals, optima)] for vals in table]
+        expect = evaluation.CriteriaMatrix(
+            rows=cols + [f"BR({gp})" for gp in range(3)], cols=cols,
+            mean=mean, excluded=excluded)
+        assert csv == expect.to_csv()
+
     def test_csv_format(self):
         batch = [gen_selection(5, 1, gamma=1, gamma_prime=1)]
         text = evaluation.criteria_matrix(batch).to_csv()
