@@ -167,11 +167,15 @@ def criteria_matrix(batch: list[Instance],
                     known[gp] = optimize_criterion(sub, "BR").x
                 solutions.append(known[gp])
         # Criteria often share an optimizer: evaluate each distinct x once.
+        # At gamma_prime 0 the BR value of x is its R-G value.
+        same = {"BR": "R-G"} if inst.budgets.gamma_prime == 0 else {}
         evaluated: dict[BinarySolution, list[int]] = {}
         table = []
         for x in solutions:
             if x not in evaluated:
-                evaluated[x] = [eval_criterion(inst, x, c) for c in cols]
+                vals = {c: eval_criterion(inst, x, c)
+                        for c in cols if c not in same}
+                evaluated[x] = [vals[same.get(c, c)] for c in cols]
             table.append(list(evaluated[x]))
         per_instance[inst.name or f"instance-{len(per_instance)}"] = table
         for i, vals in enumerate(table):

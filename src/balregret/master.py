@@ -301,7 +301,12 @@ def solve_iterative(
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> SolveReport:
     """Scenario generation: alternate the pool master (lower bound) with the
-    adversarial evaluation of its solution (upper bound) until they meet."""
+    adversarial evaluation of its solution (upper bound) until they meet.
+
+    Each master is solved with the best adversary value so far as its
+    cutoff; a master that cannot beat it closes the gap without another
+    adversary call.
+    """
     name, adv = _pick_adversary(inst, adversary)
     start = time.monotonic()
     y0, delta0 = _initial_scenario(inst)
@@ -326,7 +331,14 @@ def solve_iterative(
     while True:
         iterations += 1
         model = build_master(inst, pool)
-        res = milp.solve_milp(model)
+        res = milp.solve_milp(model, cutoff=best_value)
+        if res.status == "cutoff":
+            # No x beats the incumbent on this pool: the master's bound
+            # has met it, and the adversary could only confirm it.
+            lower.append(float(best_value))
+            upper.append(float(best_value))
+            optimal = True
+            break
         if res.status != "optimal":
             raise ScaleError(f"master solve failed with status {res.status}")
         lb = res.value

@@ -8,8 +8,12 @@ artificials only for the other rows.  Every other node is warm-started: it
 adds its branching bound as one row to its parent's final tableau and
 restores feasibility with a dual simplex from the parent's basis.  An
 unbounded relaxation is settled by the same search with a zero objective,
-which looks for an integral point.  Models at desk scale only; simplicity
-and debuggability over sparsity.
+which looks for an integral point.  A caller that already holds an
+objective value may pass it as ``cutoff``: nodes that cannot beat it are
+pruned, and a search that finds nothing better ends with status
+"cutoff".  Models at desk scale only; simplicity and debuggability over
+sparsity: a pivot costs a fixed number of numpy calls on a dense
+tableau.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ INT_TOL = 1e-6
 BLAND_AFTER = 1000
 DEFAULT_NODE_LIMIT = 10**6
 _MAX_PIVOTS = 200_000
-_PIVOT_ROWS = 64  # rows per block of a pivot's rank-1 update
+# A pivot updates its tableau in blocks of whole rows of at most this many
+# entries (512 KB): one block for every tableau on the perfbench call lists.
+_PIVOT_ENTRIES = 2**16
 # Largest phase-1 tableau allocated, in float64 entries (400 MB); a larger
 # LP raises ScaleError instead.
 MAX_TABLEAU_ENTRIES = 5 * 10**7
@@ -89,7 +95,8 @@ class MilpModel:
 
 @dataclass
 class MilpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "node_limit"
+    # "optimal" | "infeasible" | "unbounded" | "node_limit" | "cutoff"
+    status: str
     value: float
     assignment: list[float]
     nodes: int = 0  # LP relaxations solved
@@ -126,8 +133,10 @@ def _form(model: MilpModel) -> _Form:
     larger still."""
     rows, variables = model.constraints, model.variables
     A = _zeros(len(rows), len(variables), "model")
-    for i, (coefs, _, _) in enumerate(rows):
-        A[i, list(coefs)] = list(coefs.values())
+    # Every row's coefficients in one scatter.
+    A[np.repeat(np.arange(len(rows)), [len(coefs) for coefs, _, _ in rows]),
+      [j for coefs, _, _ in rows for j in coefs]] = [
+        a for coefs, _, _ in rows for a in coefs.values()]
     sign = 1.0 if model.objective_sense == "min" else -1.0
     cost = np.zeros(len(variables))
     cost[list(model.objective)] = list(model.objective.values())
@@ -214,18 +223,16 @@ def _standardize(form: _Form):
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
-    piv = T[r, c]
-    T[r] /= piv
-    col = T[:, c].copy()
-    col[r] = 0.0
-    # Rank-1 update restricted to rows the entering column touches, in
-    # blocks of rows: each block's temporaries are two copies of its rows,
-    # so on a tall tableau they stay small next to the tableau itself.
-    nz = np.nonzero(col)[0]
-    for k in range(0, nz.size, _PIVOT_ROWS):
-        rows = nz[k:k + _PIVOT_ROWS]
-        T[rows] -= col[rows, None] * T[r]
-    z -= z[c] * T[r]
+    row = T[r] / T[r, c]
+    # A rank-1 update in place: at desk sizes a pivot's cost is its number
+    # of numpy calls, not the entries they touch.  Its one temporary, the
+    # size of a block, stays small next to a tall tableau.
+    step = max(1, _PIVOT_ENTRIES // T.shape[1])
+    for k in range(0, len(T), step):
+        block = T[k:k + step]
+        block -= block[:, c, None] * row
+    T[r] = row
+    z -= z[c] * row
     basis[r] = c
 
 
@@ -238,55 +245,73 @@ def _reduced_costs(T: np.ndarray, c: np.ndarray, basis: np.ndarray):
     return z
 
 
+def _entering(T: np.ndarray, red: np.ndarray, bland: bool) -> int:
+    """The first candidate column with an entry above MIN_PIVOT, or -1.
+
+    Candidates are the columns whose reduced cost is below -PIVOT_TOL in
+    index order (Bland's rule), or else below -FEAS_TOL from the most
+    negative reduced cost up, ties in index order.
+    """
+    if bland:
+        cand = np.flatnonzero(red < -PIVOT_TOL)
+    else:
+        cand = np.flatnonzero(red < -FEAS_TOL)
+        cand = cand[np.argsort(red[cand], kind="stable")]
+    for j in cand:
+        if (T[:, j] > MIN_PIVOT).any():
+            return int(j)
+    return -1
+
+
 def _run_simplex(T: np.ndarray, z: np.ndarray,
                  basis: np.ndarray) -> tuple[str, int]:
     """Iterate the tableau to optimality of the current objective row.
 
     ``z`` holds reduced costs (last entry: negated objective value).
     Returns "optimal", or "unbounded" when a negative reduced-cost column
-    has no pivot row, and the number of pivots made.
+    has no pivot row, and the number of pivots made.  Outside Bland's
+    rule the entering column is the most negative reduced cost (the
+    lowest index among ties); the ratio test takes the row with the
+    largest pivot among the ties for the smallest ratio.
     """
+    if z.size == 1:  # no columns
+        return "optimal", 0
     degenerate = 0
     bland = False
     for pivots in range(_MAX_PIVOTS):
         red = z[:-1]
-        if not bland:
-            cand = np.where(red < -FEAS_TOL)[0]
-            if cand.size == 0:
-                return "optimal", pivots
-            cand = cand[np.argsort(red[cand], kind="stable")]
-        else:
-            cand = np.where(red < -PIVOT_TOL)[0]
-            if cand.size == 0:
-                return "optimal", pivots
-        # A column with no positive entry certifies an unbounded ray, but
-        # roundoff can also produce a barely negative reduced cost on such
-        # a column; try the remaining candidates before giving up.
-        c = -1
-        for cj in cand:
-            if (T[:, cj] > MIN_PIVOT).any():
-                c = int(cj)
-                break
-        if c < 0:
-            return "unbounded", pivots
+        c = int(red.argmin())
+        if red[c] >= -(PIVOT_TOL if bland else FEAS_TOL):
+            return "optimal", pivots
         col = T[:, c]
         pos = col > MIN_PIVOT
-        rhs = np.maximum(T[:, -1], 0.0)  # ignore roundoff drift below zero
-        ratios = np.full(col.shape, np.inf)
-        ratios[pos] = rhs[pos] / col[pos]
+        if bland or not pos.any():
+            # A column with no positive entry certifies an unbounded ray,
+            # but roundoff can also produce a barely negative reduced cost
+            # on such a column; try the remaining candidates before
+            # giving up.
+            c = _entering(T, red, bland)
+            if c < 0:
+                return "unbounded", pivots
+            col = T[:, c]
+            pos = col > MIN_PIVOT
+        # Clipping the rhs at zero ignores roundoff drift below it.
+        ratios = np.divide(np.maximum(T[:, -1], 0.0), col,
+                           out=np.full(len(col), np.inf), where=pos)
         best = ratios.min()
-        ties = np.where(ratios <= best + 1e-9 * (1.0 + best))[0]
+        ties = ratios <= best + 1e-9 * (1.0 + best)
         if bland:
-            r = ties[np.argmin(basis[ties])]
-        else:
-            r = ties[np.argmax(col[ties])]  # largest pivot for stability
+            rows = np.flatnonzero(ties)
+            r = int(rows[np.argmin(basis[rows])])
+        else:  # the largest pivot for stability
+            r = int(np.where(ties, col, -np.inf).argmax())
         if best <= FEAS_TOL:
             degenerate += 1
             if degenerate >= BLAND_AFTER:
                 bland = True  # sticky: do not revert once stalling is seen
         else:
             degenerate = 0
-        _pivot(T, z, basis, int(r), int(c))
+        _pivot(T, z, basis, r, c)
     raise ScaleError("simplex pivot limit exceeded")
 
 
@@ -304,33 +329,33 @@ def _dual_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
     bland = False
     for pivots in range(_MAX_PIVOTS):
         rhs = T[:, -1]
-        rows = np.flatnonzero(rhs < -FEAS_TOL)
-        if rows.size == 0:
+        r = int(rhs.argmin())  # the most negative rhs
+        if rhs[r] >= -FEAS_TOL:
             return "optimal", pivots
         if -z[-1] >= limit - FEAS_TOL:
             return "cutoff", pivots
         if bland:
-            r = rows[np.argmin(basis[rows])]
-        else:
-            r = rows[np.argmin(rhs[rows])]  # the most negative rhs
+            rows = np.flatnonzero(rhs < -FEAS_TOL)
+            r = int(rows[np.argmin(basis[rows])])
         a = T[r, :-1]
-        cand = np.flatnonzero(a < -MIN_PIVOT)
-        if cand.size == 0:
+        neg = a < -MIN_PIVOT
+        if not neg.any():
             return "infeasible", pivots
-        ratios = np.maximum(z[cand], 0.0) / -a[cand]
+        ratios = np.divide(np.maximum(z[:-1], 0.0), -a,
+                           out=np.full(len(a), np.inf), where=neg)
         best = ratios.min()
-        ties = cand[ratios <= best + 1e-9 * (1.0 + best)]
+        ties = ratios <= best + 1e-9 * (1.0 + best)
         if bland:
-            c = ties[0]
-        else:
-            c = ties[np.argmin(a[ties])]  # largest |a_rk| for stability
+            c = int(ties.argmax())  # the lowest index
+        else:  # the largest |a_rk| for stability
+            c = int(np.where(ties, a, np.inf).argmin())
         if best <= FEAS_TOL:
             degenerate += 1
             if degenerate >= BLAND_AFTER:
                 bland = True
         else:
             degenerate = 0
-        _pivot(T, z, basis, int(r), int(c))
+        _pivot(T, z, basis, r, c)
     raise ScaleError("simplex pivot limit exceeded")
 
 
@@ -438,7 +463,7 @@ def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
     T[m, :w - 1] = sign * T[r[0], :w - 1]
     T[m, [col, w - 1]] = 0.0, 1.0
     T[m, -1] = sign * T[r[0], -1] - up
-    z = np.insert(tab.z, w - 1, 0.0)
+    z = np.concatenate((tab.z[:-1], [0.0], tab.z[-1:]))
     basis = np.append(tab.basis, w - 1)
     status, pivots = _dual_simplex(T, z, basis, cutoff - tab.const)
     if status == "optimal":
@@ -468,7 +493,8 @@ def _feasible(form: _Form, x: np.ndarray) -> bool:
 
 
 def solve_milp(
-    model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT
+    model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
+    cutoff: Optional[float] = None,
 ) -> MilpResult:
     """Exact optimum by depth-first branch-and-bound over the binaries.
 
@@ -478,13 +504,23 @@ def solve_milp(
     from its parent's final tableau (``_branch``); only the root is
     solved cold (``_relax``).  ``nodes`` counts every LP solved, those of
     the zero-objective search for an unbounded model included.
+
+    ``cutoff`` is an objective value the caller already holds, in the
+    model's sense: a node whose bound does not beat it (lie below it for
+    "min", above it for "max") by FEAS_TOL is pruned as if the value were
+    the incumbent's.  When the search then ends with no incumbent and
+    some node was pruned that way, the status is "cutoff", with no
+    assignment: no point beats the cutoff.  The cutoff takes no part in
+    the zero-objective search.
     """
     form = _form(model)
     bins = form.binaries
 
-    best_value = math.inf  # in minimization orientation
+    # In minimization orientation: the incumbent's value, and until there
+    # is one, the cutoff.
+    best_value = math.inf if cutoff is None else form.sign * cutoff
     best_x: Optional[np.ndarray] = None
-    limited = unbounded = False
+    limited = unbounded = pruned = False
 
     # Each entry: the node's branch record (the value each branched binary
     # is bound to), its parent's tableau (None at the root) and the binary
@@ -507,21 +543,27 @@ def solve_milp(
         else:
             lp = _branch(parent, j, fixed[j] == 1.0, best_value)
         pivots += lp.pivots
-        if lp.status in ("infeasible", "cutoff"):
+        if lp.status == "infeasible":
+            continue
+        if lp.status == "cutoff":
+            pruned = True
             continue
         if lp.status == "unbounded":
             # Every binary lies in [0, 1], so the improving ray moves only
             # continuous variables: the model is unbounded exactly when it
             # has an integral point.  Without an incumbent, search for one
-            # from the root with a zero objective.
+            # from the root with a zero objective, whose bound 0 says
+            # nothing about the cutoff.
             unbounded = True
             if best_x is not None:
                 break
             form = form._replace(cost=np.zeros_like(form.cost))
+            best_value, pruned = math.inf, False
             stack = [root]
             continue
         bound, x = lp.value, lp.x
         if bound >= best_value - FEAS_TOL:
+            pruned = True
             continue
         xb = x[bins]
         f = xb - np.floor(xb)
@@ -543,8 +585,9 @@ def solve_milp(
         stack.append(({**fixed, j: first}, lp.tableau, j))
 
     if best_x is None:
-        return MilpResult("node_limit" if limited else "infeasible",
-                          math.nan, [], nodes, pivots)
+        status = ("node_limit" if limited else "cutoff" if pruned
+                  else "infeasible")
+        return MilpResult(status, math.nan, [], nodes, pivots)
     if unbounded:
         return MilpResult("unbounded", -form.sign * math.inf, [], nodes,
                           pivots)

@@ -83,6 +83,43 @@ def test_iterative_bound_traces():
         assert rep.value == int(round(ubs[-1]))
 
 
+def test_iterative_master_cutoff_saves_the_last_adversary_call(monkeypatch):
+    # Each master's cutoff is the best adversary value so far.  A solve
+    # that ends on a master that cannot beat it calls the adversary once
+    # for the warm start and once per other master; one that ends on an
+    # optimal master calls it once more.
+    statuses, calls = [], []
+    solve_milp, dp = master.milp.solve_milp, master.ADVERSARY_METHODS["dp"]
+
+    def spy_solve(model, **kwargs):
+        res = solve_milp(model, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(master.milp, "solve_milp", spy_solve)
+    monkeypatch.setitem(master.ADVERSARY_METHODS, "dp",
+                        lambda inst, x: calls.append(x) or dp(inst, x))
+    rng = SplitMix64(31339)
+    ends = {"cutoff": 0, "optimal": 0}
+    for trial in range(40):
+        inst = rand_mrs(rng, n_lo=5, n_hi=8, max_parts=3, name=f"cut{trial}")
+        inst = Instance(inst.costs, Budgets(1 + trial % 3, trial % 2),
+                        inst.feasible, name=inst.name)
+        del statuses[:], calls[:]
+        rep = master.solve_iterative(inst)
+        assert rep.optimal and rep.value == master.solve_bruteforce(inst).value
+        if not statuses:  # the warm start is worth 0
+            continue
+        assert set(statuses[:-1]) <= {"optimal"}
+        end = statuses[-1]
+        ends[end] += 1
+        assert len(calls) == rep.iterations + (end == "optimal"), inst
+        if end == "cutoff":
+            assert (rep.lower_bounds[-1] == rep.upper_bounds[-1]
+                    == float(rep.value))
+    assert ends["cutoff"] >= 10 and ends["optimal"] >= 1
+
+
 def test_iterative_adversary_choices_agree(example_one):
     values = {
         master.solve_iterative(example_one, adversary=a).value

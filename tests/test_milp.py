@@ -119,6 +119,11 @@ def test_lp_without_rows():
     res = milp.solve_lp(m)
     assert res.status == "unbounded" and res.value == math.inf
     assert milp.solve_milp(m).status == "unbounded"
+    # No variables at all: the tableau is its rhs column alone.
+    empty = milp.MilpModel()
+    for solve in (milp.solve_lp, milp.solve_milp):
+        res = solve(empty)
+        assert (res.status, res.value, res.assignment) == ("optimal", 0.0, [])
 
 
 def test_tableau_guard_raises_before_allocating():
@@ -519,9 +524,11 @@ def _seeded_knapsack_model(rng: SplitMix64, n: int):
 def test_engine_counters_repeat_and_respect_node_limit():
     model = _seeded_knapsack_model(SplitMix64(8), 14)
     first, again = milp.solve_milp(model), milp.solve_milp(model)
-    assert first.status == "optimal"
+    # The pivot path is pinned: a kernel change that picks another
+    # entering column or leaving row moves these counts.
+    assert (first.status, first.value) == ("optimal", 185.0)
+    assert (first.nodes, first.pivots) == (17, 31)
     assert (first.nodes, first.pivots) == (again.nodes, again.pivots)
-    assert first.nodes > 5 and first.pivots > first.nodes
     limited = milp.solve_milp(model, node_limit=3)
     assert limited.status == "node_limit" and limited.nodes == 3
     assert 0 < limited.pivots < first.pivots
@@ -529,16 +536,20 @@ def test_engine_counters_repeat_and_respect_node_limit():
     assert lp.nodes == 1 and lp.pivots > 0
 
 
-def test_warm_started_nodes_match_cold_reference():
-    # The mixed stream covers free, shifted and bounded continuous
-    # variables and unbounded nodes but seldom branches; the pure-binary
-    # and knapsack streams branch several levels deep.
+def _seeded_models():
+    """The mixed stream covers free, shifted and bounded continuous
+    variables and unbounded nodes but seldom branches; the pure-binary
+    and knapsack streams branch several levels deep."""
     mixed, binary = SplitMix64(4711), SplitMix64(4712)
     models = [_random_mixed_model(mixed) for _ in range(400)]
     models += [_random_binary_model(binary)[0] for _ in range(300)]
     models += [_seeded_knapsack_model(binary, 6 + k % 7) for k in range(40)]
+    return models
+
+
+def test_warm_started_nodes_match_cold_reference():
     seen, warm = {}, 0
-    for model in models:
+    for model in _seeded_models():
         res = milp.solve_milp(model)
         status, value = _cold_branch_and_bound(model)
         assert res.status == status
@@ -549,6 +560,73 @@ def test_warm_started_nodes_match_cold_reference():
                                   np.array(res.assignment))
             warm += res.nodes > 1
     assert min(seen.values()) >= 30 and warm >= 100
+
+
+def test_cutoff_prunes_only_what_cannot_beat_it():
+    seen = {}
+    for model in _seeded_models():
+        res = milp.solve_milp(model)
+        seen[res.status] = seen.get(res.status, 0) + 1
+        worse = 1.0 if model.objective_sense == "min" else -1.0
+        if res.status == "optimal":
+            # A cutoff the optimum beats changes nothing.
+            for margin in (1e-3, 1.0):
+                loose = milp.solve_milp(model, cutoff=res.value + worse * margin)
+                assert (loose.status, loose.value, loose.assignment) == (
+                    res.status, res.value, res.assignment)
+            # One the optimum does not beat leaves no incumbent.
+            for margin in (0.0, 1.0):
+                cut = milp.solve_milp(model, cutoff=res.value - worse * margin)
+                assert cut.status == "cutoff" and cut.assignment == []
+                assert math.isnan(cut.value)
+            if res.nodes > 1:  # the root branches: no incumbent at node 1
+                limited = milp.solve_milp(model, node_limit=1,
+                                          cutoff=res.value + worse)
+                assert limited.status == "node_limit"
+                assert limited.assignment == []
+        elif res.status == "infeasible":
+            assert milp.solve_milp(model, cutoff=worse * 1e9).status == (
+                "infeasible")
+            # A cutoff no bound beats prunes the root unless its LP has no
+            # bounded optimum.
+            root = milp.solve_lp(model).status
+            assert milp.solve_milp(model, cutoff=-worse * 1e9).status == (
+                "cutoff" if root == "optimal" else "infeasible")
+        else:  # the zero-objective search ignores the cutoff
+            for cutoff in (-1e9, 0.0, 1e9):
+                assert milp.solve_milp(model, cutoff=cutoff).status == (
+                    "unbounded")
+    assert min(seen.values()) >= 30
+
+
+def test_entering_column_falls_back_past_a_column_without_pivot():
+    # Column 0 has the most negative reduced cost but no positive entry.
+    # The next candidate by reduced cost is column 2 (-2), not column 1
+    # (-1, the next by index).  Its pivot leaves column 0 with no positive
+    # entry and no other candidate: the ray is unbounded.
+    T = np.array([[-1.0, 1.0, 1.0, 1.0, 0.0, 4.0],
+                  [0.0, 1.0, 1.0, 0.0, 1.0, 2.0]])
+    z = np.array([-3.0, -1.0, -2.0, 0.0, 0.0, 0.0])
+    basis = np.array([3, 4])
+    assert milp._run_simplex(T, z, basis) == ("unbounded", 1)
+    assert basis.tolist() == [3, 2]
+    assert z.tolist() == [-3.0, 1.0, 0.0, 0.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("entries", [1, 24])
+def test_pivot_blocks_match_one_whole_update(monkeypatch, entries):
+    # Every model here fits one pivot block by default.  Blocks of one row
+    # (a row wider than the budget still makes a block), or of a few, give
+    # the same pivots and the same bits.
+    models = _seeded_models()[::7]
+    whole = [milp.solve_milp(m) for m in models]
+    monkeypatch.setattr(milp, "_PIVOT_ENTRIES", entries)
+    for model, res in zip(models, whole):
+        blocked = milp.solve_milp(model)
+        assert (blocked.status, blocked.assignment, blocked.nodes,
+                blocked.pivots) == (res.status, res.assignment, res.nodes,
+                                    res.pivots)
+        assert blocked.value == res.value or math.isnan(res.value)
 
 
 @pytest.mark.parametrize("check", [test_highs_agrees_on_random_mixed_models,
