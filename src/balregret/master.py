@@ -55,9 +55,9 @@ ADVERSARY_METHODS: dict[str, AdversaryFn] = {
 }
 
 
-# A growing subset of the adversary's (solution, attack) pairs, kept in
-# insertion order.
-ScenarioPool = dict[tuple[BinarySolution, Scenario], None]
+# A growing set of the adversary's (solution, attack, break point) triples,
+# kept in insertion order: one master row each (``build_master``).
+ScenarioPool = dict[tuple[BinarySolution, Scenario, int], None]
 
 
 @dataclass
@@ -150,40 +150,66 @@ def _first_stage_x(inst: Instance, res: milp.MilpResult) -> BinarySolution:
     return _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
 
 
+def _break_points(inst: Instance, y: BinarySolution) -> list[int]:
+    """The points s at which ``build_master`` cuts y's balancing dual:
+    {0} | {d_i : i in y} in increasing order, or only max {d_i : i in y}
+    at gamma_prime = 0, where that point's cut has no balancing term."""
+    d = inst.costs.d
+    points = {d[i] for i, yi in enumerate(y.x) if yi}
+    if not inst.budgets.gamma_prime:
+        return [max(points, default=0)]
+    return sorted(points | {0})
+
+
+def _best_point(inst: Instance, y: BinarySolution, x: BinarySolution) -> int:
+    """The break point of y's balancing dual at which its cut is tight at
+    x: the smallest minimizer of gamma_prime * s + sum_{i in y, x_i = 0}
+    (d_i - s)^+."""
+    d, gp = inst.costs.d, inst.budgets.gamma_prime
+    open_d = [d[i] for i in range(inst.n) if y.x[i] and not x.x[i]]
+    return min(_break_points(inst, y),
+               key=lambda s: gp * s + sum(max(di - s, 0) for di in open_d))
+
+
+def _cut(inst: Instance, y: BinarySolution, delta: Scenario,
+         s: int) -> tuple[list[int], int]:
+    """The cut of a pooled triple (y, delta, s) as integer coefficients a
+    and a constant: the master row is z >= sum_i a_i x_i + const."""
+    c, d = inst.costs.c_hat, inst.costs.d
+    a = [c[i] + d[i] * delta.delta[i] + (max(d[i] - s, 0) if y.x[i] else 0)
+         for i in range(inst.n)]
+    const = -sum(ai for ai, yi in zip(a, y.x) if yi)
+    return a, const - inst.budgets.gamma_prime * s
+
+
 def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
-    """Master model over the current pool: one value variable, n binaries
-    for x, and one balancing attack vector per scenario."""
+    """Master model over the current pool: one value variable z, n binaries
+    for x, and one cut per pooled triple (y, delta, s), linear in x.
+
+    Fix the adversary's pick y and attack delta.  The balancing stage
+    solves max {sum_{i in y} d_i eps_i : 0 <= eps_i <= 1 - x_i, sum eps <=
+    gamma_prime}, whose LP dual is min_{s >= 0} gamma_prime * s + sum_{i in
+    y} (d_i - s)^+ (1 - x_i) (Bertsimas & Sim 2004).  Each s therefore
+    gives a valid row
+        z >= sum_i (c_i + d_i delta_i) (x_i - y_i) - gamma_prime * s
+             - sum_{i in y} (d_i - s)^+ (1 - x_i),
+    and the maximum of these rows over s is the scenario's value at x.
+    For any x in [0, 1]^n the dual is convex and piecewise linear in s,
+    with kinks only at the d_i of y, and grows beyond the largest, so its
+    minimum lies in {0} | {d_i : i in y} (``_break_points``).  The rows at
+    those points thus give the same LP relaxation as a balancing vector
+    eps per scenario with its caps and budget row, and no extra column.
+    At gamma_prime = 0 the point max {d_i : i in y} alone suffices: its
+    row has no balancing term, and every other point's row is weaker.
+    """
     if not pool:
         raise InputError("scenario pool must be non-empty")
-    n = inst.n
-    c, d = inst.costs.c_hat, inst.costs.d
-    gp = inst.budgets.gamma_prime
     model, z, x_vars = _first_stage_model(inst)
-
-    for y, delta in pool:
-        # Balancing variables only pay off on the adversary's items. Once
-        # x is integral their relaxation is integral, so they stay
-        # continuous and branch and bound runs over x alone. Their rows
-        # eps_i + x_i <= 1 cap them at 1, so they carry no upper bound.
-        # At gamma_prime = 0 the budget row would pin them to 0, so the
-        # scenario keeps only its value row.
-        eps_vars = ({i: model.add_continuous(0.0) for i in range(n) if y.x[i]}
-                    if gp else {})
-        coefs: dict[int, float] = {z: 1.0}
-        rhs = 0.0
-        for i in range(n):
-            coefs[x_vars[i]] = -float(c[i] + d[i] * delta.delta[i])
-            if y.x[i]:
-                rhs -= c[i] + d[i] * delta.delta[i]
-        for i, v in eps_vars.items():
-            coefs[v] = float(d[i])
-        model.add_constraint(coefs, ">=", rhs)
-        for i, v in eps_vars.items():
-            model.add_constraint({v: 1.0, x_vars[i]: 1.0}, "<=", 1.0)
-        if gp:
-            model.add_constraint(
-                {v: 1.0 for v in eps_vars.values()}, "<=", float(gp)
-            )
+    for y, delta, s in pool:
+        a, const = _cut(inst, y, delta, s)
+        coefs = {z: 1.0}
+        coefs.update((v, -float(ai)) for v, ai in zip(x_vars, a))
+        model.add_constraint(coefs, ">=", float(const))
     return model
 
 
@@ -305,12 +331,16 @@ def solve_iterative(
 
     Each master is solved with the best adversary value so far as its
     cutoff; a master that cannot beat it closes the gap without another
-    adversary call.
+    adversary call.  The warm start pools its scenario at every break
+    point; each round pools the adversary's scenario at the one break
+    point whose cut is tight at the master's x, and warm-starts the next
+    master from this master's root LP plus that cut.
     """
     name, adv = _pick_adversary(inst, adversary)
     start = time.monotonic()
     y0, delta0 = _initial_scenario(inst)
-    pool: ScenarioPool = {(y0, delta0): None}
+    pool: ScenarioPool = {(y0, delta0, s): None
+                          for s in _break_points(inst, y0)}
 
     lower: list[float] = []
     upper: list[float] = []
@@ -324,14 +354,15 @@ def solve_iterative(
             y0, 0, f"iterative/{name}", time.monotonic() - start, iterations=0
         )
     best_x, best_value = y0, cert0.value
-    pool[(cert0.y, cert0.delta)] = None
+    pool[(cert0.y, cert0.delta, _best_point(inst, cert0.y, y0))] = None
 
     iterations = 0
     optimal = False
+    root = None
     while True:
         iterations += 1
         model = build_master(inst, pool)
-        res = milp.solve_milp(model, cutoff=best_value)
+        res = milp.solve_milp(model, cutoff=best_value, root=root)
         if res.status == "cutoff":
             # No x beats the incumbent on this pool: the master's bound
             # has met it, and the adversary could only confirm it.
@@ -354,10 +385,16 @@ def solve_iterative(
             break
         if time.monotonic() - start > time_limit:
             break
-        if (cert.y, cert.delta) in pool:
+        key = (cert.y, cert.delta, _best_point(inst, cert.y, x))
+        if key in pool:
             raise InternalError("regenerated a pooled scenario without "
                                 "convergence")
-        pool[(cert.y, cert.delta)] = None
+        a, const = _cut(inst, *key)
+        if sum(ai for ai, xi in zip(a, x.x) if xi) + const != cert.value:
+            raise InternalError(f"cut of the adversary's scenario misses "
+                                f"its value {cert.value} at the master's x")
+        pool[key] = None
+        root = res.root
     return SolveReport(
         x=best_x,
         value=int(round(best_value)),
@@ -371,7 +408,8 @@ def solve_iterative(
 
 
 def _full_pool(inst: Instance) -> ScenarioPool:
-    """Every adversary solution paired with its undominated attacks.
+    """Every adversary solution paired with its undominated attacks, each
+    pair at every break point of its balancing dual.
 
     Attacks on items the adversary packed are dropped (never helpful), as
     are attacks on zero-deviation items; among the rest only inclusion-
@@ -381,12 +419,16 @@ def _full_pool(inst: Instance) -> ScenarioPool:
     d = inst.costs.d
     gamma = inst.budgets.gamma
     pool: ScenarioPool = {}
+    pairs = 0
     for y in enumerate_solutions(inst.feasible):
         targets = [i for i in range(inst.n) if y.x[i] == 0 and d[i] > 0]
         k = min(gamma, len(targets))
+        points = _break_points(inst, y)
         for combo in itertools.combinations(targets, k):
-            pool[(y, Scenario.from_indices(combo, inst.n))] = None
-            if len(pool) > ENUMERATION_GUARD:
+            delta = Scenario.from_indices(combo, inst.n)
+            pool.update(((y, delta, s), None) for s in points)
+            pairs += 1
+            if pairs > ENUMERATION_GUARD:
                 raise ScaleError("scenario set too large to enumerate")
     return pool
 

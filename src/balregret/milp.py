@@ -1,12 +1,15 @@
 """Self-contained bounded-scale mixed-binary linear programming.
 
 A dense two-phase tableau simplex plus a depth-first branch-and-bound.
-Each solve reads the model into arrays once (``_form``).  Only the root is
-cold-started: its tableau is built from those arrays, and phase 1 starts
+Each solve reads the model into arrays once (``_form``).  At most the root
+is cold-started: its tableau is built from those arrays, and phase 1 starts
 from the slack basis wherever a row's slack can be basic and carries
-artificials only for the other rows.  Every other node is warm-started: it
-adds its branching bound as one row to its parent's final tableau and
-restores feasibility with a dual simplex from the parent's basis.  An
+artificials only for the other rows.  Every other node is warm-started by
+one kernel (``_append_rows``): it adds its branching bound as one row to
+its parent's final tableau and restores feasibility with a dual simplex
+from the parent's basis.  The same kernel warm-starts a root from the root
+of an earlier model whose rows are a prefix of this one's (``root``), as
+a cutting-plane loop that adds rows to its master produces.  An
 unbounded relaxation is settled by the same search with a zero objective,
 which looks for an integral point.  A caller that already holds an
 objective value may pass it as ``cutoff``: nodes that cannot beat it are
@@ -101,6 +104,9 @@ class MilpResult:
     assignment: list[float]
     nodes: int = 0  # LP relaxations solved
     pivots: int = 0  # simplex pivots over all of them, cold and warm
+    # The solved root LP, for ``solve_milp(root=...)`` on a model with more
+    # rows; None unless the root LP had an optimum.
+    root: Optional[_Root] = field(default=None, repr=False, compare=False)
 
 
 class _Form(NamedTuple):
@@ -435,36 +441,34 @@ def _relax(form: _Form) -> _LP:
     return _optimum(T, z2, basis, c, const, decode, pivots + more)
 
 
-def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
-    """The LP of a child of a solved node: the node's LP plus x_j >= 1
-    (``up``) or x_j <= 0, warm-started from the node's final tableau.
+def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
+                 cutoff: float) -> _LP:
+    """The LP of a solved tableau's LP plus the rows ``G x' + s = h`` over
+    its columns, each with a new slack s >= 0, warm-started from the
+    tableau.
 
-    The fractional x_j is basic in some row r, x_j + a x_N = beta.  The
-    bound becomes the row a x_N + s = beta - 1 (up) or -a x_N + s = -beta,
-    whose own slack s starts basic at a negative rhs.  The node's reduced
-    costs stay dual-feasible, so the dual simplex restores feasibility,
-    and one primal pass clears any dual infeasibility roundoff left.  A
-    child whose objective reaches ``cutoff - FEAS_TOL`` stops as "cutoff".
+    Each new row is reduced against the basis: subtracting its entry on
+    each basic column times that column's row leaves it in the non-basic
+    columns only, with its own slack basic, at a negative rhs where the
+    tableau's point violates it.  The slacks take the columns before the
+    rhs and the rows below the tableau's.  The tableau's reduced costs
+    stay dual-feasible, so the dual simplex restores feasibility, and one
+    primal pass clears any dual infeasibility roundoff left.  An LP whose
+    objective reaches ``cutoff - FEAS_TOL`` stops as "cutoff".
     """
-    m, w = len(tab.basis), len(tab.c) + 1  # w counts the rhs column
-    col = tab.decode.col[j]
-    r = np.flatnonzero(tab.basis == col)
-    if r.size != 1:
-        raise InternalError(f"branching variable {j} is not basic")
-    # The node's tableau with a zero column for the new slack (column
-    # w - 1) before the rhs, then the new row.
-    T = _zeros(m + 1, w + 1, "LP tableau")
-    other = np.ones(w + 1, dtype=bool)
+    m, w, k = len(tab.basis), len(tab.c), len(h)
+    T = _zeros(m + k, w + k + 1, "LP tableau")
+    other = np.ones(w + k + 1, dtype=bool)
     other[tab.basis] = False
-    other[w - 1] = False
+    other[w:w + k] = False
     T[:m, other] = tab.N
     T[np.arange(m), tab.basis] = 1.0
-    sign = 1.0 if up else -1.0
-    T[m, :w - 1] = sign * T[r[0], :w - 1]
-    T[m, [col, w - 1]] = 0.0, 1.0
-    T[m, -1] = sign * T[r[0], -1] - up
-    z = np.concatenate((tab.z[:-1], [0.0], tab.z[-1:]))
-    basis = np.append(tab.basis, w - 1)
+    T[m:, :w] = G
+    T[m:, -1] = h
+    T[m:] -= G[:, tab.basis] @ T[:m]
+    T[m + np.arange(k), w + np.arange(k)] = 1.0
+    z = np.concatenate((tab.z[:-1], np.zeros(k), tab.z[-1:]))
+    basis = np.concatenate((tab.basis, w + np.arange(k)))
     status, pivots = _dual_simplex(T, z, basis, cutoff - tab.const)
     if status == "optimal":
         status, more = _run_simplex(T, z, basis)
@@ -472,8 +476,62 @@ def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
     if status != "optimal":
         return _LP(status, -math.inf if status == "unbounded" else math.nan,
                    None, pivots)
-    return _optimum(T, z, basis, np.append(tab.c, 0.0), tab.const,
-                    tab.decode, pivots)
+    return _optimum(T, z, basis, np.concatenate((tab.c, np.zeros(k))),
+                    tab.const, tab.decode, pivots)
+
+
+def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
+    """The LP of a child of a solved node: the node's LP plus x_j >= 1
+    (``up``) or x_j <= 0, appended by ``_append_rows`` as -x_j + s = -1 or
+    x_j + s = 0.  The fractional x_j is basic, so the reduced row is its
+    basic row, negated for the down branch, less its x_j entry."""
+    col = tab.decode.col[j]
+    if np.count_nonzero(tab.basis == col) != 1:
+        raise InternalError(f"branching variable {j} is not basic")
+    G = np.zeros((1, len(tab.c)))
+    G[0, col] = -1.0 if up else 1.0
+    val = tab.decode.val[j]  # the lower-bound shift, 0 for a binary
+    return _append_rows(tab, G, np.array([val - 1.0 if up else -val]),
+                        cutoff)
+
+
+class _Root(NamedTuple):
+    """A solved root LP: its final tableau and the model's arrays."""
+
+    tableau: _Tableau
+    form: _Form
+
+
+def _new_rows(root: _Root,
+              form: _Form) -> tuple[_Tableau, np.ndarray, np.ndarray]:
+    """The root's tableau and the rows ``form`` adds to the model ``root``
+    was solved for, as ``_append_rows`` takes them; InputError unless
+    ``form`` has the same variables, bounds and objective, its first rows
+    are the root model's rows, and every added row has a slack."""
+    old, k = root.form, len(root.form.b)
+    if (form.A.shape[1] != old.A.shape[1]
+            or not np.array_equal(form.lb, old.lb)
+            or not np.array_equal(form.ub, old.ub)):
+        raise InputError("root tableau is of a model with other variables "
+                         "or bounds")
+    if (len(form.b) < k or form.sign != old.sign
+            or not np.array_equal(form.cost, old.cost)
+            or not np.array_equal(form.A[:k], old.A)
+            or not np.array_equal(form.b[:k], old.b)
+            or not np.array_equal(form.slack[:k], old.slack)):
+        raise InputError("root tableau is of a model that is not this "
+                         "model's objective and first rows")
+    if (form.slack[k:] == 0.0).any():
+        raise InputError("an \"=\" row cannot be appended to a root tableau")
+    # A "<=" row (slack +1) stands as it is, a ">=" row (slack -1) is
+    # negated; both over the root's columns, lower bounds shifted and free
+    # variables split.
+    A, slack, d = form.A[k:], form.slack[k:], root.tableau.decode
+    G = np.zeros((len(A), len(root.tableau.c)))
+    G[:, d.col] = A
+    G[:, d.col[d.split] + 1] -= A[:, d.split]
+    return (root.tableau, G * slack[:, None],
+            (form.b[k:] - A @ d.val) * slack)
 
 
 def solve_lp(model: MilpModel) -> MilpResult:
@@ -494,7 +552,7 @@ def _feasible(form: _Form, x: np.ndarray) -> bool:
 
 def solve_milp(
     model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
-    cutoff: Optional[float] = None,
+    cutoff: Optional[float] = None, root: Optional[_Root] = None,
 ) -> MilpResult:
     """Exact optimum by depth-first branch-and-bound over the binaries.
 
@@ -502,8 +560,9 @@ def solve_milp(
     within 1e-12 go to the lowest index), exploring the
     rounding-toward-incumbent child first.  Each child is warm-started
     from its parent's final tableau (``_branch``); only the root is
-    solved cold (``_relax``).  ``nodes`` counts every LP solved, those of
-    the zero-objective search for an unbounded model included.
+    solved cold (``_relax``), unless ``root`` is given.  ``nodes`` counts
+    every LP solved, those of the zero-objective search for an unbounded
+    model included.
 
     ``cutoff`` is an objective value the caller already holds, in the
     model's sense: a node whose bound does not beat it (lie below it for
@@ -512,9 +571,16 @@ def solve_milp(
     some node was pruned that way, the status is "cutoff", with no
     assignment: no point beats the cutoff.  The cutoff takes no part in
     the zero-objective search.
+
+    ``root`` is the ``root`` of an earlier result, for a model whose rows
+    are a prefix of this model's: the root LP then appends the other rows
+    to its tableau (``_append_rows``) instead of starting cold.  The
+    result carries its own root LP back as ``root``.
     """
     form = _form(model)
     bins = form.binaries
+    warm = None if root is None else _new_rows(root, form)
+    root_lp: Optional[_Root] = None
 
     # In minimization orientation: the incumbent's value, and until there
     # is one, the cutoff.
@@ -526,8 +592,8 @@ def solve_milp(
     # is bound to), its parent's tableau (None at the root) and the binary
     # branched last.  Both children of a node share its tableau, which is
     # freed once both are popped.
-    root: tuple[dict[int, float], Optional[_Tableau], int] = ({}, None, -1)
-    stack = [root]
+    top: tuple[dict[int, float], Optional[_Tableau], int] = ({}, None, -1)
+    stack = [top]
     nodes = pivots = 0
     while stack:
         if nodes == node_limit:
@@ -538,10 +604,17 @@ def solve_milp(
         lp = None
         fixed, parent, j = stack.pop()
         nodes += 1
-        if parent is None:
-            lp = _relax(form)
-        else:
+        if parent is not None:
             lp = _branch(parent, j, fixed[j] == 1.0, best_value)
+        elif warm is not None:
+            # Solved in full, as a cold root is: one stopped at the cutoff
+            # would not tell an infeasible model from one that cannot beat
+            # the cutoff.
+            lp = _append_rows(*warm, math.inf)
+        else:
+            lp = _relax(form)
+        if nodes == 1 and lp.tableau is not None:
+            root_lp = _Root(lp.tableau, form)
         pivots += lp.pivots
         if lp.status == "infeasible":
             continue
@@ -558,8 +631,8 @@ def solve_milp(
             if best_x is not None:
                 break
             form = form._replace(cost=np.zeros_like(form.cost))
-            best_value, pruned = math.inf, False
-            stack = [root]
+            best_value, pruned, warm = math.inf, False, None
+            stack = [top]
             continue
         bound, x = lp.value, lp.x
         if bound >= best_value - FEAS_TOL:
@@ -587,9 +660,10 @@ def solve_milp(
     if best_x is None:
         status = ("node_limit" if limited else "cutoff" if pruned
                   else "infeasible")
-        return MilpResult(status, math.nan, [], nodes, pivots)
+        return MilpResult(status, math.nan, [], nodes, pivots, root_lp)
     if unbounded:
         return MilpResult("unbounded", -form.sign * math.inf, [], nodes,
-                          pivots)
+                          pivots, root_lp)
     return MilpResult("node_limit" if limited else "optimal",
-                      form.sign * best_value, best_x.tolist(), nodes, pivots)
+                      form.sign * best_value, best_x.tolist(), nodes, pivots,
+                      root_lp)

@@ -4,7 +4,13 @@ import importlib.resources
 
 import pytest
 
-from balregret.core import Budgets, Instance, ItemCosts, MultiRepSelection
+from balregret.core import (
+    Budgets,
+    Instance,
+    ItemCosts,
+    MultiRepSelection,
+    ShortestPath,
+)
 from balregret.instances import SplitMix64, load_instance
 
 
@@ -49,3 +55,21 @@ def rand_mrs(rng: SplitMix64, n_lo: int = 3, n_hi: int = 6,
     gp = rng.randint(0, min(gp_hi, n))
     return Instance(ItemCosts(c, d), Budgets(gamma, gp),
                     MultiRepSelection(parts, quotas), name=name)
+
+
+def layered_graph(rng: SplitMix64) -> ShortestPath:
+    """An s-t graph of 3-4 layers of width 3: every arc from s and into t,
+    and each arc between adjacent layers with probability 2/3, the first
+    30 arcs kept.  The constructor rejects some draws."""
+    layers, width = 3 + rng.randint(0, 1), 3
+    nodes = 2 + layers * width
+    edges = [(0, 1 + w) for w in range(width)]
+    for layer in range(layers - 1):
+        for w1 in range(width):
+            for w2 in range(width):
+                if rng.randint(0, 2):
+                    edges.append((1 + layer * width + w1,
+                                  1 + (layer + 1) * width + w2))
+    edges.extend((1 + (layers - 1) * width + w, nodes - 1)
+                 for w in range(width))
+    return ShortestPath(nodes, edges[:30], 0, nodes - 1)

@@ -19,7 +19,6 @@ from balregret.core import (
     Instance,
     ItemCosts,
     MultiRepSelection,
-    ShortestPath,
     enumerate_solutions,
     nominal_solve,
 )
@@ -31,6 +30,7 @@ from balregret.instances import (
     gen_selection,
 )
 from balregret import evaluation, master, polyalg
+from conftest import layered_graph
 
 
 def _passed(tag: str, detail: str) -> None:
@@ -381,21 +381,6 @@ def test_c09_structural_properties():
             "and bound traces close")
 
 
-def _layered_graph(rng: SplitMix64) -> ShortestPath:
-    layers, width = 3 + rng.randint(0, 1), 3
-    nodes = 2 + layers * width
-    edges = [(0, 1 + w) for w in range(width)]
-    for layer in range(layers - 1):
-        for w1 in range(width):
-            for w2 in range(width):
-                if rng.randint(0, 2):
-                    edges.append((1 + layer * width + w1,
-                                  1 + (layer + 1) * width + w2))
-    edges.extend((1 + (layers - 1) * width + w, nodes - 1)
-                 for w in range(width))
-    return ShortestPath(nodes, edges[:30], 0, nodes - 1)
-
-
 def test_c10_knapsack_and_shortest_path():
     rng = SplitMix64(30007)
     solved = 0
@@ -413,7 +398,7 @@ def test_c10_knapsack_and_shortest_path():
     graphs = 0
     while graphs < 8:
         try:
-            f = _layered_graph(rng)
+            f = layered_graph(rng)
         except Exception:
             continue
         m = f.n

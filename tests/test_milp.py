@@ -562,6 +562,64 @@ def test_warm_started_nodes_match_cold_reference():
     assert min(seen.values()) >= 30 and warm >= 100
 
 
+def _with_row(model, rng: SplitMix64, sense: str = ">="):
+    """A copy of the model with one more random row."""
+    more = copy.deepcopy(model)
+    more.add_constraint(
+        {j: rng.randint(-3, 3) for j in range(len(more.variables))
+         if rng.randint(0, 1)}, sense, rng.randint(-6, 4))
+    return more
+
+
+def test_warm_root_matches_cold_solve_along_row_chains():
+    # Each model of a chain adds one random ">=" row to the last; its warm
+    # solve starts from the last model's root LP.  Every other step passes
+    # the last optimum, or a value near it, as a cutoff.
+    rng = SplitMix64(4714)
+    seen, warm = {}, 0
+    for model in _seeded_models()[::4]:
+        res = milp.solve_milp(model)
+        last = res.value if res.status == "optimal" else None
+        for step in range(6):
+            if res.root is None:
+                break
+            model = _with_row(model, rng)
+            worse = 1.0 if model.objective_sense == "min" else -1.0
+            cutoff = (last + worse * rng.randint(-1, 2)
+                      if step % 2 and last is not None else None)
+            cold = milp.solve_milp(model, cutoff=cutoff)
+            res = milp.solve_milp(model, cutoff=cutoff, root=res.root)
+            warm += 1
+            assert res.status == cold.status, model
+            seen[res.status] = seen.get(res.status, 0) + 1
+            if res.status == "optimal":
+                assert res.value == pytest.approx(cold.value, abs=1e-6)
+                assert milp._feasible(milp._form(model),
+                                      np.array(res.assignment))
+                last = res.value
+    assert warm >= 300
+    assert min(seen.get(s, 0) for s in ("optimal", "infeasible", "cutoff")) >= 20
+
+
+def test_warm_root_rejects_another_model():
+    model = _seeded_knapsack_model(SplitMix64(9), 8)
+    root = milp.solve_milp(model).root
+    rng = SplitMix64(10)
+    assert milp.solve_milp(_with_row(model, rng), root=root).status == (
+        "optimal")
+    with pytest.raises(InputError, match="="):
+        milp.solve_milp(_with_row(model, rng, "="), root=root)
+    wider = copy.deepcopy(model)
+    wider.add_binary()
+    bounded = copy.deepcopy(model)
+    bounded.variables[0].ub = 0.0
+    reordered = copy.deepcopy(model)
+    reordered.constraints.reverse()
+    for other in (wider, bounded, reordered):
+        with pytest.raises(InputError):
+            milp.solve_milp(other, root=root)
+
+
 def test_cutoff_prunes_only_what_cannot_beat_it():
     seen = {}
     for model in _seeded_models():
