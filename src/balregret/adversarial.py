@@ -7,6 +7,7 @@ multi-representative selection.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,12 +18,11 @@ from .core import (
     AdversaryCertificate,
     BinarySolution,
     Instance,
-    InputError,
     InternalError,
-    MultiRepSelection,
     Scenario,
     ScaleError,
     _read_solution,
+    _require_selection,
     enumerate_solutions,
 )
 
@@ -63,13 +63,22 @@ def _topk_masked(d_sorted: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
     return ((ranks <= k) & masks) @ d_sorted
 
 
+def pick_matrix(n: int, picks: Sequence[Sequence[int]]) -> np.ndarray:
+    """The 0/1 rows of the n-item solutions whose items ``picks`` lists,
+    one int8 row per pick, set by one scatter."""
+    rows = np.repeat(np.arange(len(picks)), [len(p) for p in picks])
+    ys = np.zeros((len(picks), n), dtype=np.int8)
+    ys[rows, np.fromiter(itertools.chain.from_iterable(picks), np.intp)] = 1
+    return ys
+
+
 def evaluate_against(
-    inst: Instance, x: BinarySolution, ys: np.ndarray
+    inst: Instance, x: Sequence[int], ys: np.ndarray
 ) -> np.ndarray:
-    """Adversarial value of x against each candidate row of ``ys``."""
+    """Adversarial value of the 0/1 row x against each row of ``ys``."""
     c = np.asarray(inst.costs.c_hat, dtype=np.int64)
     d = np.asarray(inst.costs.d, dtype=np.int64)
-    xv = np.asarray(x.x, dtype=np.int64)
+    xv = np.asarray(x, dtype=np.int64)
     order = np.lexsort((np.arange(inst.n), -d))
     d_sorted = d[order]
     ys_o = ys[:, order].astype(bool)
@@ -83,7 +92,7 @@ def evaluate_against(
 def adversarial_bruteforce(
     inst: Instance,
     x: BinarySolution,
-    candidates: Optional[Sequence[BinarySolution]] = None,
+    candidates: Optional[Sequence[Sequence[int]]] = None,
 ) -> AdversaryCertificate:
     """Exact adversarial value by enumerating every adversary solution.
 
@@ -95,10 +104,10 @@ def adversarial_bruteforce(
     _check_scale(inst)
     if candidates is None:
         candidates = enumerate_solutions(inst.feasible)
-    ys = np.array([y.x for y in candidates], dtype=np.int64)
-    values = evaluate_against(inst, x, ys)
+    values = evaluate_against(inst, x.x, pick_matrix(inst.n, candidates))
     best = int(np.argmax(values))
-    cert = _certificate_for(inst, x, candidates[best])
+    y = BinarySolution.from_indices(candidates[best], inst.n)
+    cert = _certificate_for(inst, x, y)
     if cert.value != int(values[best]):
         raise InternalError(f"bruteforce certificate {cert.value} != "
                             f"evaluation {int(values[best])}")
@@ -173,9 +182,7 @@ def adversarial_selection_dp(
     previous kink of ``g_y0``, or 0, would be an earlier point of the same
     value, so s0 would not be first. Hence s0 and its y are kept.
     """
-    f = inst.feasible
-    if not isinstance(f, MultiRepSelection):
-        raise InputError("selection DP requires a multi-representative set")
+    _require_selection(inst, "selection DP")
     _check_scale(inst)
     c, d = inst.costs.c_hat, inst.costs.d
     gamma, gamma_prime = inst.budgets.gamma, inst.budgets.gamma_prime

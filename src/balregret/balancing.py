@@ -33,8 +33,8 @@ def solve_balancing(
     eps = Scenario.from_indices(costs.top_deviations(mask, gamma_prime), n)
 
     value = sum(
-        (costs.c_hat[i] + costs.d[i] * delta.delta[i] + costs.d[i] * eps.delta[i])
-        * (x.x[i] - y.x[i])
-        for i in range(n)
+        (ci + di * a + di * e) * (xi - yi)
+        for ci, di, a, e, xi, yi in zip(costs.c_hat, costs.d, delta.delta,
+                                        eps.delta, x.x, y.x)
     )
     return eps, value

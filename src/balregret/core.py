@@ -55,15 +55,6 @@ def _as_int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _as_bit_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """``values`` read by ``_as_int_tuple``; InputError unless each is 0
-    or 1."""
-    vals = _as_int_tuple(values, what)
-    if any(v not in (0, 1) for v in vals):
-        raise InputError(f"{what} entries must be 0 or 1")
-    return vals
-
-
 def _as_int(value: int, what: str) -> int:
     return _as_int_tuple((value,), what)[0]
 
@@ -145,7 +136,10 @@ class BinarySolution:
     x: tuple[int, ...]
 
     def __init__(self, x: Sequence[int]):
-        object.__setattr__(self, "x", _as_bit_tuple(x, "solution"))
+        bits = _as_int_tuple(x, "solution")
+        if any(v not in (0, 1) for v in bits):
+            raise InputError("solution entries must be 0 or 1")
+        object.__setattr__(self, "x", bits)
 
     @classmethod
     def from_indices(cls, indices: Sequence[int], n: int) -> "BinarySolution":
@@ -165,28 +159,12 @@ class BinarySolution:
         return len(self.x)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(BinarySolution):
     """A 0/1 attack-indicator vector."""
 
-    delta: tuple[int, ...]
-
-    def __init__(self, delta: Sequence[int]):
-        object.__setattr__(self, "delta", _as_bit_tuple(delta, "scenario"))
-
-    @classmethod
-    def from_indices(cls, indices: Sequence[int], n: int) -> "Scenario":
-        d = [0] * n
-        for i in indices:
-            d[i] = 1
-        return cls(d)
-
     @property
-    def n(self) -> int:
-        return len(self.delta)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.delta) if v)
+    def delta(self) -> tuple[int, ...]:
+        return self.x
 
 
 @dataclass(frozen=True)
@@ -250,14 +228,15 @@ class MultiRepSelection:
             count *= math.comb(len(part), q)
         return count
 
-    def enumerate_solutions(self) -> Iterator[BinarySolution]:
+    def enumerate_solutions(self) -> Iterator[tuple[int, ...]]:
+        """The items of every selection, in increasing order, over the
+        product of each partition's quota-combinations."""
         pools = [
             itertools.combinations(part, q)
             for part, q in zip(self.partitions, self.quotas)
         ]
         for combo in itertools.product(*pools):
-            idx = [i for group in combo for i in group]
-            yield BinarySolution.from_indices(idx, self.n)
+            yield tuple(sorted(itertools.chain.from_iterable(combo)))
 
     def linear_rows(self) -> list[tuple[dict[int, float], str, float]]:
         """Linear encoding of the feasible set over the n item variables."""
@@ -331,13 +310,22 @@ class Knapsack:
     def solution_count(self) -> int:
         return sum(1 for _ in self.enumerate_solutions())
 
-    def enumerate_solutions(self) -> Iterator[BinarySolution]:
+    def enumerate_solutions(self) -> Iterator[tuple[int, ...]]:
+        """The items of every packing, by increasing bit value sum 2^i:
+        item i extends, in order, each packing of items 0..i-1 that it
+        still fits; weights are positive, so no packing is missed."""
         if self.n > 21:
             raise ScaleError(f"knapsack enumeration with n={self.n} too large")
-        for bits in range(1 << self.n):
-            x = [(bits >> i) & 1 for i in range(self.n)]
-            if sum(w * v for w, v in zip(self.weights, x)) <= self.capacity:
-                yield BinarySolution(x)
+        packs: list[tuple[int, ...]] = [()]
+        loads = [0]
+        for i, w in enumerate(self.weights):
+            room = self.capacity - w
+            fits = [k for k, load in enumerate(loads) if load <= room]
+            if len(packs) + len(fits) > ENUMERATION_GUARD:
+                raise ScaleError("feasible set too large to enumerate")
+            packs += [packs[k] + (i,) for k in fits]
+            loads += [loads[k] + w for k in fits]
+        yield from packs
 
     def linear_rows(self) -> list[tuple[dict[int, float], str, float]]:
         return [
@@ -488,7 +476,9 @@ class ShortestPath:
     def solution_count(self) -> int:
         return sum(1 for _ in self.enumerate_solutions())
 
-    def enumerate_solutions(self) -> Iterator[BinarySolution]:
+    def enumerate_solutions(self) -> Iterator[tuple[int, ...]]:
+        """The edges of every simple source-target path, in increasing
+        order, the paths in depth-first order, lowest out-edge first."""
         out = self._out_edges()
         stack: list[tuple[int, list[int], set[int]]] = [
             (self.source, [], {self.source})
@@ -496,7 +486,7 @@ class ShortestPath:
         while stack:
             node, path, visited = stack.pop()
             if node == self.target:
-                yield BinarySolution.from_indices(path, self.n)
+                yield tuple(sorted(path))
                 continue
             for e in reversed(out[node]):
                 head = self.edges[e][1]
@@ -656,8 +646,17 @@ def nominal_solve(f: FeasibleSet, costs: Sequence[int]) -> BinarySolution:
     return f.nominal_solve(costs)
 
 
-def enumerate_solutions(f: FeasibleSet) -> list[BinarySolution]:
-    """All feasible solutions, guarded against combinatorial blowup."""
+def _require_selection(inst: Instance, what: str) -> MultiRepSelection:
+    """inst's feasible set; InputError unless it is a multi-representative
+    selection, the only family ``what`` accepts."""
+    if not isinstance(inst.feasible, MultiRepSelection):
+        raise InputError(f"{what} requires multi-representative selection")
+    return inst.feasible
+
+
+def enumerate_solutions(f: FeasibleSet) -> list[tuple[int, ...]]:
+    """Every feasible solution's ``BinarySolution.indices()``, in the
+    set's order, guarded against combinatorial blowup."""
     if (isinstance(f, MultiRepSelection)
             and f.solution_count() > ENUMERATION_GUARD):
         raise ScaleError("feasible set too large to enumerate")

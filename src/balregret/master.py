@@ -21,14 +21,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import milp
 from .adversarial import (
     adversarial_bruteforce,
     adversarial_milp,
     adversarial_selection_dp,
     evaluate_against,
+    pick_matrix,
 )
 from .core import (
     ENUMERATION_GUARD,
@@ -40,6 +39,7 @@ from .core import (
     Scenario,
     ScaleError,
     _read_solution,
+    _require_selection,
     enumerate_solutions,
     nominal_solve,
 )
@@ -175,8 +175,8 @@ def _cut(inst: Instance, y: BinarySolution, delta: Scenario,
          s: int) -> tuple[list[int], int]:
     """The cut of a pooled triple (y, delta, s) as integer coefficients a
     and a constant: the master row is z >= sum_i a_i x_i + const."""
-    c, d = inst.costs.c_hat, inst.costs.d
-    a = [c[i] + d[i] * delta.delta[i] + (max(d[i] - s, 0) if y.x[i] else 0)
+    c, d, attacked = inst.costs.c_hat, inst.costs.d, delta.delta
+    a = [c[i] + d[i] * attacked[i] + (max(d[i] - s, 0) if y.x[i] else 0)
          for i in range(inst.n)]
     const = -sum(ai for ai, yi in zip(a, y.x) if yi)
     return a, const - inst.budgets.gamma_prime * s
@@ -224,9 +224,7 @@ def zero_solution(inst: Instance) -> Optional[BinarySolution]:
     no other solution can reach 0; ``_zero_report`` applies that
     condition.
     """
-    f = inst.feasible
-    if not isinstance(f, MultiRepSelection):
-        raise InputError("zero check requires multi-representative selection")
+    f = _require_selection(inst, "zero check")
     c, d = inst.costs.c_hat, inst.costs.d
     picked: list[int] = []
     for part, quota in zip(f.partitions, f.quotas):
@@ -260,10 +258,7 @@ def dominance_reduce(inst: Instance) -> DominanceResult:
     dominated items go, and forced out when i and its dominators exceed
     the quota.
     """
-    f = inst.feasible
-    if not isinstance(f, MultiRepSelection):
-        raise InputError("dominance order requires multi-representative "
-                         "selection")
+    f = _require_selection(inst, "dominance order")
     c, d = inst.costs.c_hat, inst.costs.d
     out = DominanceResult()
 
@@ -420,7 +415,8 @@ def _full_pool(inst: Instance) -> ScenarioPool:
     gamma = inst.budgets.gamma
     pool: ScenarioPool = {}
     pairs = 0
-    for y in enumerate_solutions(inst.feasible):
+    for pick in enumerate_solutions(inst.feasible):
+        y = BinarySolution.from_indices(pick, inst.n)
         targets = [i for i in range(inst.n) if y.x[i] == 0 and d[i] > 0]
         k = min(gamma, len(targets))
         points = _break_points(inst, y)
@@ -451,9 +447,7 @@ def solve_enumeration(inst: Instance) -> SolveReport:
 def build_compact(inst: Instance) -> milp.MilpModel:
     """Compact MILP for multi-representative selection: one dualized
     adversary block per break point that can bind."""
-    f = inst.feasible
-    if not isinstance(f, MultiRepSelection):
-        raise InputError("compact formulation requires multi-representative selection")
+    f = _require_selection(inst, "compact formulation")
     n, L = inst.n, f.num_partitions
     c, d = inst.costs.c_hat, inst.costs.d
     gamma, gp = inst.budgets.gamma, inst.budgets.gamma_prime
@@ -517,11 +511,11 @@ def solve_bruteforce(inst: Instance) -> SolveReport:
     """Double loop: evaluate every feasible first-stage solution exactly."""
     start = time.monotonic()
     candidates = enumerate_solutions(inst.feasible)
-    ys = np.array([y.x for y in candidates], dtype=np.int64)
-    worst = [int(evaluate_against(inst, x, ys).max()) for x in candidates]
+    ys = pick_matrix(inst.n, candidates)
+    worst = [int(evaluate_against(inst, x, ys).max()) for x in ys]
     best = min(range(len(candidates)), key=worst.__getitem__)
     return SolveReport.exact(
-        candidates[best],
+        BinarySolution.from_indices(candidates[best], inst.n),
         worst[best],
         "bruteforce",
         time.monotonic() - start,

@@ -9,19 +9,8 @@ import time
 
 import numpy as np
 
-from .core import (
-    BinarySolution,
-    Instance,
-    InputError,
-    MultiRepSelection,
-)
+from .core import BinarySolution, Instance, InputError, _require_selection
 from .master import SolveReport
-
-
-def _require_mrs(inst: Instance) -> MultiRepSelection:
-    if not isinstance(inst.feasible, MultiRepSelection):
-        raise InputError("multi-representative selection required")
-    return inst.feasible
 
 
 def _partition_values(c: np.ndarray, d: np.ndarray, quota: int,
@@ -71,7 +60,7 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
     ``kappa``.  Every candidate pair is feasible for the dual, so each
     evaluation is an upper bound and the true optimum is in the grid.
     """
-    f = _require_mrs(inst)
+    f = _require_selection(inst, "regret algorithm")
     if inst.budgets.gamma_prime != 0:
         raise InputError("regret algorithm requires gamma_prime = 0")
     start = time.monotonic()

@@ -5,11 +5,14 @@ import importlib.resources
 import pytest
 
 from balregret.core import (
+    BinarySolution,
     Budgets,
+    FeasibleSet,
     Instance,
     ItemCosts,
     MultiRepSelection,
     ShortestPath,
+    enumerate_solutions,
 )
 from balregret.instances import SplitMix64, load_instance
 
@@ -29,6 +32,12 @@ def example_one() -> Instance:
 def example_two() -> Instance:
     """Six items, pick three, two attacks and one balancing raise."""
     return _bundled("example_two.json")
+
+
+def solutions(f: FeasibleSet) -> list[BinarySolution]:
+    """Every feasible solution of f, in ``enumerate_solutions`` order."""
+    return [BinarySolution.from_indices(p, f.n)
+            for p in enumerate_solutions(f)]
 
 
 def rand_mrs(rng: SplitMix64, n_lo: int = 3, n_hi: int = 6,

@@ -30,7 +30,7 @@ from balregret.instances import (
     gen_selection,
 )
 from balregret import evaluation, master, polyalg
-from conftest import layered_graph
+from conftest import layered_graph, solutions
 
 
 def _passed(tag: str, detail: str) -> None:
@@ -107,7 +107,7 @@ def test_c01_worked_example_one_exact(example_one):
     splits = set()
     for delta in itertools.chain.from_iterable(
             itertools.combinations(range(n), k) for k in range(gamma + 1)):
-        for y in example_one.feasible.enumerate_solutions():
+        for y in solutions(example_one.feasible):
             best = None
             free = [i for i in range(n) if not x.x[i]]
             for eps in itertools.chain.from_iterable(
@@ -178,7 +178,7 @@ def test_c04_adversarial_solver_agreement():
                           min(rng.randint(0, 5), n))
         xs = [nominal_solve(inst.feasible, inst.costs.c_hat)]
         if n <= 12:
-            pool = enumerate_solutions(inst.feasible)
+            pool = solutions(inst.feasible)
             xs.append(pool[rng.randint(0, len(pool) - 1)])
         for x in xs:
             dp = adversarial_selection_dp(inst, x).value
@@ -351,7 +351,7 @@ def test_c09_structural_properties():
     for k in range(30):
         n = 4 + k % 7
         inst = _selection(n, 32600 + k, rng.randint(0, 4), rng.randint(0, 4))
-        pool = enumerate_solutions(inst.feasible)
+        pool = solutions(inst.feasible)
         for x in (nominal_solve(inst.feasible, inst.costs.c_hat),
                   pool[rng.randint(0, len(pool) - 1)]):
             base = adversarial_selection_dp(inst, x).value
@@ -391,7 +391,8 @@ def test_c10_knapsack_and_shortest_path():
             assert rep.value == master.solve_bruteforce(inst).value
         pool = enumerate_solutions(inst.feasible)
         for _ in range(4):
-            x = pool[rng.randint(0, len(pool) - 1)]
+            x = BinarySolution.from_indices(
+                pool[rng.randint(0, len(pool) - 1)], inst.n)
             assert (adversarial_milp(inst, x).value
                     == adversarial_bruteforce(inst, x, pool).value)
         solved += 1

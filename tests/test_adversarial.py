@@ -21,7 +21,7 @@ from balregret.core import (
     enumerate_solutions,
 )
 from balregret.instances import SplitMix64
-from conftest import rand_mrs
+from conftest import rand_mrs, solutions
 
 
 def _certificate_value(inst, x, cert):
@@ -63,7 +63,7 @@ def _agreement_instances():
 def test_methods_agree_on_random_selection():
     for inst in _agreement_instances():
         candidates = enumerate_solutions(inst.feasible)
-        for x in candidates[:: max(1, len(candidates) // 4)]:
+        for x in solutions(inst.feasible)[:: max(1, len(candidates) // 4)]:
             a = adversarial_bruteforce(inst, x, candidates)
             b = adversarial_milp(inst, x)
             c = adversarial_selection_dp(inst, x)
@@ -94,7 +94,7 @@ def test_pruned_break_points_keep_first_maximizer():
         gp = 1 + rng.randint(0, inst.n - 1)
         inst = Instance(inst.costs, Budgets(inst.budgets.gamma, gp),
                         inst.feasible)
-        xs = enumerate_solutions(inst.feasible)
+        xs = solutions(inst.feasible)
         x = xs[rng.randint(0, len(xs) - 1)]
         base = sum(ci * xi for ci, xi in zip(inst.costs.c_hat, x.x))
         best = None
@@ -110,12 +110,12 @@ def test_value_is_nonnegative_and_certificates_are_lower_bounds():
     rng = SplitMix64(7002)
     for trial in range(40):
         inst = rand_mrs(rng, n_lo=3, n_hi=7, name=f"lb{trial}")
-        candidates = enumerate_solutions(inst.feasible)
+        candidates = solutions(inst.feasible)
         x = candidates[rng.randint(0, len(candidates) - 1)]
         cert = adversarial_selection_dp(inst, x)
         assert cert.value >= 0
         values = evaluate_against(
-            inst, x, np.array([y.x for y in candidates], dtype=np.int64)
+            inst, x.x, np.array([y.x for y in candidates], dtype=np.int64)
         )
         assert cert.value == int(values.max())
 
@@ -141,7 +141,7 @@ def test_budget_monotonicity():
     for trial in range(25):
         inst = rand_mrs(rng, n_lo=3, n_hi=6, gamma_hi=0, gp_hi=0,
                         name=f"mono{trial}")
-        x = enumerate_solutions(inst.feasible)[0]
+        x = solutions(inst.feasible)[0]
         prev = None
         for g in range(inst.n + 1):
             v = adversarial_selection_dp(

@@ -21,7 +21,9 @@ from balregret.core import (
     nominal_solve,
     _read_solution,
 )
-from balregret.instances import gen_selection
+from balregret import core
+from balregret.instances import SplitMix64, gen_selection
+from conftest import rand_mrs, solutions
 
 
 class TestItemCosts:
@@ -101,7 +103,7 @@ class TestMultiRepSelection:
     def test_feasibility_and_count(self):
         f = MultiRepSelection([(0, 1, 2), (3, 4)], (2, 1))
         assert f.solution_count() == 6
-        sols = list(f.enumerate_solutions())
+        sols = solutions(f)
         assert len(sols) == 6
         assert len(set(sols)) == 6
         assert all(f.is_feasible(x) for x in sols)
@@ -112,7 +114,7 @@ class TestMultiRepSelection:
         costs = [7, 3, 9, 3, 5, 5]
         x = f.nominal_solve(costs)
         best = min(sum(costs[i] for i in y.indices())
-                   for y in f.enumerate_solutions())
+                   for y in solutions(f))
         assert sum(costs[i] for i in x.indices()) == best
         # ties break toward the lower index
         assert x.indices() == (1, 3, 4)
@@ -125,7 +127,7 @@ class TestKnapsack:
 
     def test_enumeration_respects_capacity(self):
         f = Knapsack((3, 4, 5), 7)
-        sols = list(f.enumerate_solutions())
+        sols = solutions(f)
         assert all(f.is_feasible(x) for x in sols)
         assert len(sols) == f.solution_count()
         weights = {x.indices() for x in sols}
@@ -137,7 +139,7 @@ class TestKnapsack:
             x = f.nominal_solve(list(costs))
             assert f.is_feasible(x)
             best = min(sum(c * v for c, v in zip(costs, y.x))
-                       for y in f.enumerate_solutions())
+                       for y in solutions(f))
             assert sum(c * v for c, v in zip(costs, x.x)) == best
 
 
@@ -166,12 +168,12 @@ class TestShortestPath:
         # list per declared node would need tens of GB here.
         f = ShortestPath(10**9, [(0, 5), (5, 999_999_999)], 0, 999_999_999)
         assert [rhs for _, _, rhs in f.linear_rows()] == [1.0, 0.0, -1.0]
-        assert [x.indices() for x in f.enumerate_solutions()] == [(0, 1)]
+        assert list(f.enumerate_solutions()) == [(0, 1)]
         assert f.nominal_solve((1, 1)).indices() == (0, 1)
 
     def test_enumeration(self):
         f = diamond_graph()
-        sols = {x.indices() for x in f.enumerate_solutions()}
+        sols = set(f.enumerate_solutions())
         assert sols == {(0, 2), (1, 3), (0, 3, 4)}
 
     def test_is_feasible_rejects_cycles_and_fragments(self):
@@ -201,7 +203,7 @@ class TestShortestPath:
     ])
     def test_feasibility_and_repair_on_every_edge_subset(self, edges):
         f = ShortestPath(4, edges, 0, 3)
-        paths = {x.x for x in f.enumerate_solutions()}
+        paths = {x.x for x in solutions(f)}
 
         def order(bits):  # a simple path's edges from the source on
             succ = {edges[e][0]: e for e in BinarySolution(bits).indices()}
@@ -241,6 +243,55 @@ class TestShortestPath:
         assert f.nominal_solve([9, 1, 9, 1, 9]).indices() == (1, 3)
 
 
+class TestEnumerationOrder:
+    """Each feasible set yields every solution's items in increasing order,
+    the solutions in a fixed order that brute-force tie-breaking reads."""
+
+    def test_selection_is_the_product_of_combinations(self):
+        rng = SplitMix64(4101)
+        sets = [rand_mrs(rng, n_lo=2, n_hi=9, max_parts=3).feasible
+                for _ in range(40)]
+        sets.append(MultiRepSelection([(3, 0, 4), (1, 2)], (2, 1)))
+        for f in sets:
+            want = [tuple(sorted(itertools.chain.from_iterable(combo)))
+                    for combo in itertools.product(*(
+                        itertools.combinations(p, q)
+                        for p, q in zip(f.partitions, f.quotas)))]
+            assert list(f.enumerate_solutions()) == want, f
+            assert enumerate_solutions(f) == want
+
+    def test_knapsack_is_increasing_bit_value(self):
+        rng = SplitMix64(4102)
+        for _ in range(40):
+            n = 1 + rng.randint(0, 11)
+            w = [1 + rng.randint(0, 9) for _ in range(n)]
+            f = Knapsack(w, 1 + rng.randint(0, 5 * n))
+            want = [tuple(i for i in range(n) if bits >> i & 1)
+                    for bits in range(2**n)
+                    if sum(w[i] for i in range(n) if bits >> i & 1)
+                    <= f.capacity]
+            assert list(f.enumerate_solutions()) == want, f
+            assert f.solution_count() == len(want)
+
+    def test_path_is_depth_first_lowest_edge_first(self):
+        f = diamond_graph()
+        assert enumerate_solutions(f) == [(0, 2), (0, 3, 4), (1, 3)]
+        assert f.solution_count() == 3
+
+    def test_row_guard(self, monkeypatch):
+        monkeypatch.setattr(core, "ENUMERATION_GUARD", 4)
+        # Five packings: (), (0,), (1,), (2,), (0, 1).
+        knapsack = Knapsack((3, 4, 5), 7)
+        with pytest.raises(ScaleError):
+            list(knapsack.enumerate_solutions())
+        with pytest.raises(ScaleError):
+            enumerate_solutions(knapsack)
+        assert len(enumerate_solutions(Knapsack((3, 4, 5), 4))) == 3
+        monkeypatch.setattr(core, "ENUMERATION_GUARD", 2)
+        with pytest.raises(ScaleError):
+            enumerate_solutions(diamond_graph())
+
+
 class TestInstance:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -254,7 +305,7 @@ class TestInstance:
 
     def test_dispatch_helpers(self, example_one):
         f = example_one.feasible
-        xs = enumerate_solutions(f)
+        xs = solutions(f)
         assert len(xs) == f.solution_count() == 10
         assert all(f.is_feasible(x) for x in xs)
         x = nominal_solve(f, example_one.costs.c_hat)
@@ -282,3 +333,4 @@ class TestScenario:
     def test_indices_roundtrip(self):
         s = Scenario.from_indices([1, 3], 4)
         assert s.indices() == (1, 3)
+        assert isinstance(s, Scenario) and s.delta == s.x == (0, 1, 0, 1)

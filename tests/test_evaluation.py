@@ -9,11 +9,10 @@ from balregret.core import (
     Budgets,
     InputError,
     Instance,
-    enumerate_solutions,
 )
 from balregret.instances import SplitMix64, gen_selection
 from balregret import evaluation
-from conftest import rand_mrs
+from conftest import rand_mrs, solutions
 
 
 def _pick(indices, n=6):
@@ -49,7 +48,7 @@ class TestEvalCriterion:
         rng = SplitMix64(9201)
         for trial in range(40):
             inst = rand_mrs(rng, n_lo=3, n_hi=7, name=f"ord{trial}")
-            xs = enumerate_solutions(inst.feasible)
+            xs = solutions(inst.feasible)
             x = xs[rng.randint(0, len(xs) - 1)]
             vals = {c: evaluation.eval_criterion(inst, x, c)
                     for c in evaluation.CRITERIA}
@@ -74,7 +73,7 @@ class TestOptimizeCriterion:
         rng = SplitMix64(9202)
         for trial in range(15):
             inst = rand_mrs(rng, n_lo=3, n_hi=6, name=f"opt{trial}")
-            xs = enumerate_solutions(inst.feasible)
+            xs = solutions(inst.feasible)
             for crit in evaluation.CRITERIA:
                 rep = evaluation.optimize_criterion(inst, crit)
                 assert inst.feasible.is_feasible(rep.x)

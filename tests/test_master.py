@@ -4,9 +4,13 @@ import dataclasses
 
 import pytest
 
-from balregret.adversarial import adversarial_bruteforce
+from balregret.adversarial import (
+    adversarial_bruteforce,
+    adversarial_selection_dp,
+)
 from balregret.core import (
     AdversaryCertificate,
+    BinarySolution,
     Budgets,
     InputError,
     Instance,
@@ -148,6 +152,22 @@ def test_compact_requires_multirep():
                     Knapsack((1, 1), 1))
     with pytest.raises(InputError):
         master.solve_compact_mrs(inst)
+
+
+@pytest.mark.parametrize("entry", [
+    polyalg.solve_regret_budgeted_mrs,
+    lambda inst: adversarial_selection_dp(inst, BinarySolution((1, 0))),
+    master.zero_solution,
+    master.dominance_reduce,
+    master.build_compact,
+], ids=["regret_poly", "selection_dp", "zero_solution", "dominance_reduce",
+        "build_compact"])
+def test_selection_entry_points_reject_knapsack(entry):
+    inst = Instance(ItemCosts((1, 2), (1, 1)), Budgets(1, 0),
+                    Knapsack((1, 1), 1))
+    with pytest.raises(InputError,
+                       match="requires multi-representative selection"):
+        entry(inst)
 
 
 def test_report_to_dict(example_one):

@@ -18,11 +18,10 @@ from balregret.core import (
     ItemCosts,
     Knapsack,
     MultiRepSelection,
-    enumerate_solutions,
 )
 from balregret.instances import SplitMix64
 from balregret import master, polyalg
-from conftest import rand_mrs
+from conftest import rand_mrs, solutions
 
 
 def _zero_balancing(inst: Instance) -> Instance:
@@ -137,7 +136,7 @@ class TestDominance:
             assert not (set(res.forced_in) & set(res.forced_out))
             optimum = master.solve_bruteforce(inst).value
             best = math.inf
-            for x in enumerate_solutions(inst.feasible):
+            for x in solutions(inst.feasible):
                 if any(x.x[i] == 0 for i in res.forced_in):
                     continue
                 if any(x.x[i] == 1 for i in res.forced_out):
@@ -184,7 +183,7 @@ class TestDominance:
                 assert self._closure(res.precedences) == \
                     self._full_relation(inst), inst
                 best = math.inf
-                for x in enumerate_solutions(inst.feasible):
+                for x in solutions(inst.feasible):
                     if (any(x.x[i] < x.x[j] for i, j in res.precedences)
                             or any(x.x[i] == 0 for i in res.forced_in)
                             or any(x.x[i] == 1 for i in res.forced_out)):
