@@ -51,16 +51,19 @@ def _certificate_for(
     )
 
 
-def _topk_masked(d_sorted: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise sum of the k largest d-values selected by each mask.
-
-    ``d_sorted`` must be non-increasing and ``masks`` already permuted into
-    the same order.
-    """
-    if k <= 0:
-        return np.zeros(masks.shape[0], dtype=np.int64)
-    ranks = np.cumsum(masks, axis=1)
-    return ((ranks <= k) & masks) @ d_sorted
+def _topk_shared(d_sorted: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 k: int) -> np.ndarray:
+    """For each column r of ``rows`` and c of ``cols``, the sum of the k
+    largest d-values over the items both set; one 0/1 row per item, in the
+    order of the non-increasing ``d_sorted``."""
+    total = np.zeros((rows.shape[1], cols.shape[1]), dtype=np.int64)
+    taken = np.zeros(total.shape, dtype=np.int32)
+    for dj, r, c in zip(d_sorted.tolist(), rows, cols):
+        if k > 0 and r.any():
+            take = r[:, None] & c & (taken < k)
+            total += take * dj
+            taken += take
+    return total
 
 
 def pick_matrix(n: int, picks: Sequence[Sequence[int]]) -> np.ndarray:
@@ -73,19 +76,20 @@ def pick_matrix(n: int, picks: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def evaluate_against(
-    inst: Instance, x: Sequence[int], ys: np.ndarray
+    inst: Instance, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
-    """Adversarial value of the 0/1 row x against each row of ``ys``."""
+    """Adversarial value of each 0/1 row of ``xs`` against each row of
+    ``ys``: one row of values per x."""
     c = np.asarray(inst.costs.c_hat, dtype=np.int64)
     d = np.asarray(inst.costs.d, dtype=np.int64)
-    xv = np.asarray(x, dtype=np.int64)
+    xs = np.asarray(xs)
     order = np.lexsort((np.arange(inst.n), -d))
     d_sorted = d[order]
-    ys_o = ys[:, order].astype(bool)
-    x_o = xv[order].astype(bool)
-    base = (xv - ys) @ c
-    attack = _topk_masked(d_sorted, x_o & ~ys_o, inst.budgets.gamma)
-    balance = _topk_masked(d_sorted, ~x_o & ys_o, inst.budgets.gamma_prime)
+    xs_o = xs[:, order].T.astype(bool)
+    ys_o = ys[:, order].T.astype(bool)
+    base = (xs @ c)[:, None] - ys @ c
+    attack = _topk_shared(d_sorted, xs_o, ~ys_o, inst.budgets.gamma)
+    balance = _topk_shared(d_sorted, ~xs_o, ys_o, inst.budgets.gamma_prime)
     return base + attack - balance
 
 
@@ -104,7 +108,7 @@ def adversarial_bruteforce(
     _check_scale(inst)
     if candidates is None:
         candidates = enumerate_solutions(inst.feasible)
-    values = evaluate_against(inst, x.x, pick_matrix(inst.n, candidates))
+    values = evaluate_against(inst, [x.x], pick_matrix(inst.n, candidates))[0]
     best = int(np.argmax(values))
     y = BinarySolution.from_indices(candidates[best], inst.n)
     cert = _certificate_for(inst, x, y)
@@ -167,31 +171,23 @@ def adversarial_selection_dp(
 ) -> AdversaryCertificate:
     """Exact adversarial value for multi-representative selection.
 
-    Loops over the break points that can bind (``Instance.break_points``);
-    for each, one dynamic program over the items chooses, per item, to skip
-    it, pick it for the adversary, or attack it. The first point of best
-    value wins.
-
-    At ``gamma_prime >= 1`` only 0 and the deviations of items outside x
-    are tried. For a fixed (y, delta) the balancing term is
-    ``g_y(s) = gamma_prime * s + sum(max(d_i - s, 0) for i in y, x_i = 0)``,
-    whose kinks are deviations of items outside x. Let s0 be the first
-    maximizer over all of ``break_points()`` and y0 its pick. The discrete
-    maximum equals the continuous one, so s0 minimizes ``g_y0``. Were s0
-    neither 0 nor such a kink, ``g_y0`` would be flat around s0, and the
-    previous kink of ``g_y0``, or 0, would be an earlier point of the same
-    value, so s0 would not be first. Hence s0 and its y are kept.
+    Loops over the break points of the balancing dual over the items
+    outside x (``Instance.break_points``); for each, one dynamic program
+    over the items chooses, per item, to skip it, pick it for the
+    adversary, or attack it. The first point of best value wins, and it
+    is the first over every item's break points too: for a fixed (y,
+    delta) the balancing term ``gamma_prime * s + sum(max(d_i - s, 0)
+    for i in y, x_i = 0)`` is convex in s with kinks only at deviations
+    of items outside x, so at ``gamma_prime >= 1`` its first minimizer
+    is 0 or such a kink; at ``gamma_prime = 0`` every ``max(d_i (1 - x_i)
+    - s, 0)`` is 0 at the one point, as it is at max d.
     """
     _require_selection(inst, "selection DP")
     _check_scale(inst)
-    c, d = inst.costs.c_hat, inst.costs.d
-    gamma, gamma_prime = inst.budgets.gamma, inst.budgets.gamma_prime
-    base = sum(ci * xi for ci, xi in zip(c, x.x))
+    gamma_prime = inst.budgets.gamma_prime
+    base = sum(ci * xi for ci, xi in zip(inst.costs.c_hat, x.x))
 
-    points = inst.break_points()
-    if gamma_prime:
-        kinks = {0, *(di for di, xi in zip(d, x.x) if not xi)}
-        points = [s for s in points if s in kinks]
+    points = inst.break_points(i for i, xi in enumerate(x.x) if not xi)
     candidates = []
     for s in points:
         total, y_idx = _dp_for_s(inst, x, s)

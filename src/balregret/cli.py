@@ -200,7 +200,7 @@ def _crosscheck_values(inst: Instance) -> dict[str, int]:
         try:
             if (m == "bruteforce"
                     and inst.feasible.solution_count() > _BRUTEFORCE_CAP):
-                continue
+                raise ScaleError(f"more than {_BRUTEFORCE_CAP} solutions")
             values[m] = _solve(inst, m, None, master.DEFAULT_TIME_LIMIT).value
         except ScaleError as exc:
             if m not in ("enumeration", "bruteforce"):

@@ -10,7 +10,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 class InputError(ValueError):
@@ -533,13 +533,17 @@ class Instance:
     def n(self) -> int:
         return self.costs.n
 
-    def break_points(self) -> tuple[int, ...]:
-        """The break points of the balancing dual that can bind: all of
-        ``costs.break_points()``, or only the largest, max d, when
-        gamma_prime = 0.  There every ``max(d_i - s, 0)`` is 0, and with no
-        ``-gamma_prime * s`` term each point's value is non-decreasing in
-        s."""
-        points = self.costs.break_points()
+    def break_points(
+        self, items: Optional[Iterable[int]] = None
+    ) -> tuple[int, ...]:
+        """The break points of the balancing dual over ``items`` (default
+        every item) that can bind: {0} | {d_i : i in items} in increasing
+        order, or only the largest at gamma_prime = 0, where it makes every
+        ``max(d_i - s, 0)`` over the items 0 and, with no ``-gamma_prime *
+        s`` term, each point's value is non-decreasing in s."""
+        if items is None:
+            items = range(self.n)
+        points = tuple(sorted({0, *(self.costs.d[i] for i in items)}))
         return points if self.budgets.gamma_prime else points[-1:]
 
     def to_dict(self) -> dict:
@@ -660,9 +664,8 @@ def enumerate_solutions(f: FeasibleSet) -> list[tuple[int, ...]]:
     if (isinstance(f, MultiRepSelection)
             and f.solution_count() > ENUMERATION_GUARD):
         raise ScaleError("feasible set too large to enumerate")
-    out = []
-    for x in f.enumerate_solutions():
-        out.append(x)
-        if len(out) > ENUMERATION_GUARD:
-            raise ScaleError("feasible set too large to enumerate")
+    out = list(itertools.islice(f.enumerate_solutions(),
+                                ENUMERATION_GUARD + 1))
+    if len(out) > ENUMERATION_GUARD:
+        raise ScaleError("feasible set too large to enumerate")
     return out

@@ -56,8 +56,12 @@ ADVERSARY_METHODS: dict[str, AdversaryFn] = {
 
 
 # A growing set of the adversary's (solution, attack, break point) triples,
-# kept in insertion order: one master row each (``build_master``).
+# kept in insertion order: one master row each (``_add_cut``).
 ScenarioPool = dict[tuple[BinarySolution, Scenario, int], None]
+
+# Largest block of first-stage rows ``solve_bruteforce`` scores at once,
+# counted in (row, adversary solution, item) entries.
+_BRUTEFORCE_BLOCK = 2**22
 
 
 @dataclass
@@ -150,24 +154,13 @@ def _first_stage_x(inst: Instance, res: milp.MilpResult) -> BinarySolution:
     return _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
 
 
-def _break_points(inst: Instance, y: BinarySolution) -> list[int]:
-    """The points s at which ``build_master`` cuts y's balancing dual:
-    {0} | {d_i : i in y} in increasing order, or only max {d_i : i in y}
-    at gamma_prime = 0, where that point's cut has no balancing term."""
-    d = inst.costs.d
-    points = {d[i] for i, yi in enumerate(y.x) if yi}
-    if not inst.budgets.gamma_prime:
-        return [max(points, default=0)]
-    return sorted(points | {0})
-
-
 def _best_point(inst: Instance, y: BinarySolution, x: BinarySolution) -> int:
     """The break point of y's balancing dual at which its cut is tight at
     x: the smallest minimizer of gamma_prime * s + sum_{i in y, x_i = 0}
     (d_i - s)^+."""
     d, gp = inst.costs.d, inst.budgets.gamma_prime
     open_d = [d[i] for i in range(inst.n) if y.x[i] and not x.x[i]]
-    return min(_break_points(inst, y),
+    return min(inst.break_points(y.indices()),
                key=lambda s: gp * s + sum(max(di - s, 0) for di in open_d))
 
 
@@ -180,6 +173,14 @@ def _cut(inst: Instance, y: BinarySolution, delta: Scenario,
          for i in range(inst.n)]
     const = -sum(ai for ai, yi in zip(a, y.x) if yi)
     return a, const - inst.budgets.gamma_prime * s
+
+
+def _add_cut(model: milp.MilpModel, a: list[int], const: int) -> None:
+    """Append the master row z - a·x >= const of a ``_cut``, with z and x
+    at the indices ``_first_stage_model`` gives them."""
+    coefs = {0: 1.0}
+    coefs.update((1 + i, -float(ai)) for i, ai in enumerate(a))
+    model.add_constraint(coefs, ">=", float(const))
 
 
 def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
@@ -196,20 +197,18 @@ def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
     and the maximum of these rows over s is the scenario's value at x.
     For any x in [0, 1]^n the dual is convex and piecewise linear in s,
     with kinks only at the d_i of y, and grows beyond the largest, so its
-    minimum lies in {0} | {d_i : i in y} (``_break_points``).  The rows at
-    those points thus give the same LP relaxation as a balancing vector
-    eps per scenario with its caps and budget row, and no extra column.
-    At gamma_prime = 0 the point max {d_i : i in y} alone suffices: its
-    row has no balancing term, and every other point's row is weaker.
+    minimum lies in {0} | {d_i : i in y} (``Instance.break_points`` over
+    y's items).  The rows at those points thus give the same LP
+    relaxation as a balancing vector eps per scenario with its caps and
+    budget row, and no extra column.  At gamma_prime = 0 the point max
+    {d_i : i in y} alone suffices: its row has no balancing term, and
+    every other point's row is weaker.
     """
     if not pool:
         raise InputError("scenario pool must be non-empty")
-    model, z, x_vars = _first_stage_model(inst)
-    for y, delta, s in pool:
-        a, const = _cut(inst, y, delta, s)
-        coefs = {z: 1.0}
-        coefs.update((v, -float(ai)) for v, ai in zip(x_vars, a))
-        model.add_constraint(coefs, ">=", float(const))
+    model = _first_stage_model(inst)[0]
+    for key in pool:
+        _add_cut(model, *_cut(inst, *key))
     return model
 
 
@@ -324,19 +323,17 @@ def solve_iterative(
     """Scenario generation: alternate the pool master (lower bound) with the
     adversarial evaluation of its solution (upper bound) until they meet.
 
-    Each master is solved with the best adversary value so far as its
-    cutoff; a master that cannot beat it closes the gap without another
-    adversary call.  The warm start pools its scenario at every break
-    point; each round pools the adversary's scenario at the one break
-    point whose cut is tight at the master's x, and warm-starts the next
-    master from this master's root LP plus that cut.
+    The master is built once, on the warm start's scenario at every break
+    point and the adversary's scenario against it, and solved each round
+    with the best adversary value so far as its cutoff; a master that
+    cannot beat it closes the gap without another adversary call.  Each
+    round appends to it one cut: the adversary's scenario at the break
+    point whose cut is tight at the master's x.  The next solve is
+    warm-started from this solve's root LP plus that cut.
     """
     name, adv = _pick_adversary(inst, adversary)
     start = time.monotonic()
     y0, delta0 = _initial_scenario(inst)
-    pool: ScenarioPool = {(y0, delta0, s): None
-                          for s in _break_points(inst, y0)}
-
     lower: list[float] = []
     upper: list[float] = []
 
@@ -349,14 +346,13 @@ def solve_iterative(
             y0, 0, f"iterative/{name}", time.monotonic() - start, iterations=0
         )
     best_x, best_value = y0, cert0.value
+    pool: ScenarioPool = {(y0, delta0, s): None
+                          for s in inst.break_points(y0.indices())}
     pool[(cert0.y, cert0.delta, _best_point(inst, cert0.y, y0))] = None
+    model = build_master(inst, pool)
 
-    iterations = 0
-    optimal = False
     root = None
     while True:
-        iterations += 1
-        model = build_master(inst, pool)
         res = milp.solve_milp(model, cutoff=best_value, root=root)
         if res.status == "cutoff":
             # No x beats the incumbent on this pool: the master's bound
@@ -375,10 +371,8 @@ def solve_iterative(
             best_x = x
         lower.append(lb)
         upper.append(float(best_value))
-        if best_value - lb <= 1e-6:
-            optimal = True
-            break
-        if time.monotonic() - start > time_limit:
+        optimal = best_value - lb <= 1e-6
+        if optimal or time.monotonic() - start > time_limit:
             break
         key = (cert.y, cert.delta, _best_point(inst, cert.y, x))
         if key in pool:
@@ -389,11 +383,12 @@ def solve_iterative(
             raise InternalError(f"cut of the adversary's scenario misses "
                                 f"its value {cert.value} at the master's x")
         pool[key] = None
+        _add_cut(model, a, const)
         root = res.root
     return SolveReport(
         x=best_x,
         value=int(round(best_value)),
-        iterations=iterations,
+        iterations=len(lower),
         lower_bounds=lower,
         upper_bounds=upper,
         wall_time=time.monotonic() - start,
@@ -419,7 +414,7 @@ def _full_pool(inst: Instance) -> ScenarioPool:
         y = BinarySolution.from_indices(pick, inst.n)
         targets = [i for i in range(inst.n) if y.x[i] == 0 and d[i] > 0]
         k = min(gamma, len(targets))
-        points = _break_points(inst, y)
+        points = inst.break_points(pick)
         for combo in itertools.combinations(targets, k):
             delta = Scenario.from_indices(combo, inst.n)
             pool.update(((y, delta, s), None) for s in points)
@@ -512,7 +507,10 @@ def solve_bruteforce(inst: Instance) -> SolveReport:
     start = time.monotonic()
     candidates = enumerate_solutions(inst.feasible)
     ys = pick_matrix(inst.n, candidates)
-    worst = [int(evaluate_against(inst, x, ys).max()) for x in ys]
+    step = max(1, _BRUTEFORCE_BLOCK // ys.size)
+    worst: list[int] = []
+    for k in range(0, len(ys), step):
+        worst += evaluate_against(inst, ys[k:k + step], ys).max(1).tolist()
     best = min(range(len(candidates)), key=worst.__getitem__)
     return SolveReport.exact(
         BinarySolution.from_indices(candidates[best], inst.n),

@@ -115,7 +115,7 @@ def test_value_is_nonnegative_and_certificates_are_lower_bounds():
         cert = adversarial_selection_dp(inst, x)
         assert cert.value >= 0
         values = evaluate_against(
-            inst, x.x, np.array([y.x for y in candidates], dtype=np.int64)
+            inst, [x.x], np.array([y.x for y in candidates], dtype=np.int64)
         )
         assert cert.value == int(values.max())
 

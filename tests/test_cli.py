@@ -200,6 +200,23 @@ class TestCrosscheck:
                      str(tmp_path / "big.json"), "--max-n", "12"]) == 0
 
 
+    def test_bruteforce_cap_skip_is_logged(self, tmp_path, caplog,
+                                           monkeypatch):
+        # Above the cap, brute force is skipped with one INFO line, as an
+        # instance too large to enumerate is, and the others still agree.
+        inst = gen_selection(6, 1, gamma=2, gamma_prime=1)
+        save_instance(inst, tmp_path / "sel.json")
+        cap = inst.feasible.solution_count() - 1
+        monkeypatch.setattr(cli, "_BRUTEFORCE_CAP", cap)
+        caplog.set_level(logging.INFO)
+        assert main(["crosscheck", "--instances",
+                     str(tmp_path / "sel.json")]) == 0
+        lines = [r.getMessage() for r in caplog.records]
+        assert (f"{inst.name} bruteforce skipped: more than {cap} solutions"
+                in lines)
+        ok = [ln for ln in lines if ln.startswith(f"{inst.name} ok:")]
+        assert len(ok) == 1 and "bruteforce" not in ok[0]
+
     def test_knapsack_too_large_to_enumerate(self, tmp_path, caplog):
         # Knapsack enumeration stops at n = 21: the two enumerating methods
         # are skipped, and the batch goes on to the next file.

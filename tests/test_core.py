@@ -311,6 +311,22 @@ class TestInstance:
         x = nominal_solve(f, example_one.costs.c_hat)
         assert x.indices() == (1, 2)
 
+    def test_break_points_over_items(self):
+        costs = ItemCosts((1,) * 5, (12, 0, 9, 12, 4))
+        f = MultiRepSelection([(0, 1, 2, 3, 4)], (2,))
+        for gp in (0, 1, 3):
+            inst = Instance(costs, Budgets(1, gp), f)
+            # No items, or only zero deviations: the point 0 alone.
+            assert inst.break_points(()) == (0,)
+            assert inst.break_points([1]) == (0,)
+            if gp:
+                assert inst.break_points([4, 2, 3, 0]) == (0, 4, 9, 12)
+                assert inst.break_points(iter([2, 1])) == (0, 9)
+                assert inst.break_points() == (0, 4, 9, 12)
+            else:  # the largest deviation among the items
+                assert inst.break_points([2, 4, 1]) == (9,)
+                assert inst.break_points() == (12,)
+
     def test_enumeration_guards(self, monkeypatch):
         # C(24, 12) = 2.7e6 selections exceed the guard of 10^6: the count
         # alone refuses them, before any solution is built.

@@ -447,6 +447,31 @@ def test_paper_scale_selection_converges_in_few_rounds():
     assert rep.iterations <= 30
 
 
+def test_iterative_builds_one_master_and_grows_it(monkeypatch):
+    # One build per solve; every round solves that same model, one cut
+    # longer than the round before.
+    builds, solves = [], []
+    build, solve = master.build_master, milp.solve_milp
+
+    def spy_build(inst, pool):
+        builds.append(build(inst, pool))
+        return builds[-1]
+
+    def spy_solve(model, *args, **kwargs):
+        solves.append((model, len(model.constraints)))
+        return solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(master, "build_master", spy_build)
+    monkeypatch.setattr(milp, "solve_milp", spy_solve)
+    rep = master.solve_iterative(gen_selection(30, 7, gamma=3, gamma_prime=1))
+    assert rep.optimal and rep.value == 81 and rep.iterations > 2
+    assert len(builds) == 1
+    assert [model for model, _ in solves] == builds * rep.iterations
+    first = solves[0][1]
+    assert ([rows for _, rows in solves]
+            == list(range(first, first + rep.iterations)))
+
+
 def test_cut_that_misses_the_adversary_value_raises(monkeypatch):
     # Each pooled cut, evaluated at the master's x, must equal the value
     # the adversary reported there.
