@@ -118,8 +118,19 @@ def adversarial_bruteforce(
     return cert
 
 
-def adversarial_milp(inst: Instance, x: BinarySolution) -> AdversaryCertificate:
-    """Exact adversarial value via the dualized mixed-integer program."""
+def adversarial_milp(
+    inst: Instance,
+    x: BinarySolution,
+    warm: Optional[list[Optional[milp._Root]]] = None,
+) -> AdversaryCertificate:
+    """Exact adversarial value via the dualized mixed-integer program.
+
+    Its rows do not depend on x, only its objective does, so a caller
+    that evaluates several x on one instance may pass ``warm``: a list
+    that is empty or holds the root LP of the last call on the instance.
+    The root LP then starts from that one's final tableau
+    (``milp.solve_milp``'s ``root``), and the call leaves its own there.
+    """
     _check_scale(inst)
     n = inst.n
     c, d = inst.costs.c_hat, inst.costs.d
@@ -134,26 +145,28 @@ def adversarial_milp(inst: Instance, x: BinarySolution) -> AdversaryCertificate:
     s_var = model.add_continuous(0.0)
     t_vars = [model.add_continuous(0.0) for _ in range(n)]
 
+    # t_i, the dual of the balancing cap eps_i <= 1 - x_i, costs 1 - x_i:
+    # where x_i = 1 it is free, and its row never binds.
     obj: dict[int, float] = {s_var: -float(gamma_prime)}
     for i in range(n):
         obj[y_vars[i]] = -float(c[i])
         obj[delta_vars[i]] = float(d[i] * x.x[i])
-        obj[t_vars[i]] = -1.0
+        obj[t_vars[i]] = -float(1 - x.x[i])
     model.set_objective("max", obj)
 
     for i in range(n):
-        # s + t_i >= d_i (y_i - x_i)
+        # s + t_i >= d_i y_i
         model.add_constraint(
-            {s_var: 1.0, t_vars[i]: 1.0, y_vars[i]: -float(d[i])},
-            ">=",
-            -float(d[i] * x.x[i]),
+            {s_var: 1.0, t_vars[i]: 1.0, y_vars[i]: -float(d[i])}, ">=", 0.0
         )
         model.add_constraint({y_vars[i]: 1.0, delta_vars[i]: 1.0}, "<=", 1.0)
     model.add_constraint({delta_vars[i]: 1.0 for i in range(n)}, "<=", float(gamma))
     for coefs, sense, rhs in inst.feasible.linear_rows():
         model.add_constraint({y_vars[j]: a for j, a in coefs.items()}, sense, rhs)
 
-    res = milp.solve_milp(model)
+    res = milp.solve_milp(model, root=warm[0] if warm else None)
+    if warm is not None:
+        warm[:] = [res.root]
     if res.status == "node_limit" and not res.assignment:
         raise ScaleError("adversarial MILP hit the node limit with no incumbent")
     optimal = res.status == "optimal"

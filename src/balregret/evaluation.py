@@ -35,7 +35,7 @@ def _with_budgets(inst: Instance, gamma: int | None = None,
 
 def _adversarial_value(inst: Instance, x: BinarySolution) -> int:
     """Value of x under the solvers' default adversary for the instance."""
-    return master._pick_adversary(inst, None)[1](inst, x).value
+    return master._pick_adversary(inst, None)[1](x).value
 
 
 def eval_criterion(inst: Instance, x: BinarySolution, criterion: str) -> int:

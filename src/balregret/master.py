@@ -31,6 +31,7 @@ from .adversarial import (
 )
 from .core import (
     ENUMERATION_GUARD,
+    AdversaryCertificate,
     BinarySolution,
     Instance,
     InputError,
@@ -46,7 +47,9 @@ from .core import (
 
 DEFAULT_TIME_LIMIT = 1800.0
 
-AdversaryFn = Callable[[Instance, BinarySolution], "object"]
+AdversaryFn = Callable[..., AdversaryCertificate]
+# A per-solve adversary: x -> the certificate of its worst case.
+Evaluator = Callable[[BinarySolution], AdversaryCertificate]
 
 ADVERSARY_METHODS: dict[str, AdversaryFn] = {
     "bruteforce": adversarial_bruteforce,
@@ -307,12 +310,23 @@ def _initial_scenario(inst: Instance) -> tuple[BinarySolution, Scenario]:
     return y0, Scenario.from_indices(picked, inst.n)
 
 
-def _pick_adversary(inst: Instance, adversary: Optional[str]) -> tuple[str, AdversaryFn]:
+def _pick_adversary(inst: Instance,
+                    adversary: Optional[str]) -> tuple[str, Evaluator]:
+    """The adversary method's name, the instance's default for None, and
+    an evaluator for the calls of one solve.  It looks the method up in
+    ``ADVERSARY_METHODS`` at each call and passes what those calls share:
+    the brute force one enumeration of the feasible set, and the MILP
+    the root LP of its last call, whose rows are the same for every x."""
     if adversary is None:
         adversary = "dp" if isinstance(inst.feasible, MultiRepSelection) else "milp"
     if adversary not in ADVERSARY_METHODS:
         raise InputError(f"unknown adversary method {adversary!r}")
-    return adversary, ADVERSARY_METHODS[adversary]
+    shared: tuple = ()
+    if adversary == "bruteforce":
+        shared = (enumerate_solutions(inst.feasible),)
+    elif adversary == "milp":
+        shared = ([],)
+    return adversary, lambda x: ADVERSARY_METHODS[adversary](inst, x, *shared)
 
 
 def solve_iterative(
@@ -329,10 +343,11 @@ def solve_iterative(
     cannot beat it closes the gap without another adversary call.  Each
     round appends to it one cut: the adversary's scenario at the break
     point whose cut is tight at the master's x.  The next solve is
-    warm-started from this solve's root LP plus that cut.
+    warm-started from this solve's root LP plus that cut, and so is each
+    MILP adversary call from the last one's root LP.
     """
-    name, adv = _pick_adversary(inst, adversary)
     start = time.monotonic()
+    name, adv = _pick_adversary(inst, adversary)
     y0, delta0 = _initial_scenario(inst)
     lower: list[float] = []
     upper: list[float] = []
@@ -340,7 +355,7 @@ def solve_iterative(
     # The adversary may copy the first stage, so zero bounds every value
     # from below; when the robust nominal solution already attains it the
     # loop is unnecessary.
-    cert0 = adv(inst, y0)
+    cert0 = adv(y0)
     if cert0.value <= 0:
         return SolveReport.exact(
             y0, 0, f"iterative/{name}", time.monotonic() - start, iterations=0
@@ -365,7 +380,7 @@ def solve_iterative(
             raise ScaleError(f"master solve failed with status {res.status}")
         lb = res.value
         x = _first_stage_x(inst, res)
-        cert = adv(inst, x)
+        cert = adv(x)
         if cert.value < best_value:
             best_value = cert.value
             best_x = x

@@ -9,14 +9,16 @@ one kernel (``_append_rows``): it adds its branching bound as one row to
 its parent's final tableau and restores feasibility with a dual simplex
 from the parent's basis.  The same kernel warm-starts a root from the root
 of an earlier model whose rows are a prefix of this one's (``root``), as
-a cutting-plane loop that adds rows to its master produces.  An
-unbounded relaxation is settled by the same search with a zero objective,
-which looks for an integral point.  A caller that already holds an
-objective value may pass it as ``cutoff``: nodes that cannot beat it are
-pruned, and a search that finds nothing better ends with status
-"cutoff".  Models at desk scale only; simplicity and debuggability over
-sparsity: a pivot costs a fixed number of numpy calls on a dense
-tableau.
+a cutting-plane loop that adds rows to its master produces.  The
+objective may differ too, as it does between the calls of an evaluator
+whose rows do not depend on its input; the new one is priced before the
+primal pass.  An unbounded relaxation is settled by the same search with
+a zero objective, which looks for an integral point.  A caller that
+already holds an objective value may pass it as ``cutoff``: nodes that
+cannot beat it are pruned, and a search that finds nothing better ends
+with status "cutoff".  Models at desk scale only; simplicity and
+debuggability over sparsity: a pivot costs a fixed number of numpy calls
+on a dense tableau.
 """
 
 from __future__ import annotations
@@ -442,7 +444,8 @@ def _relax(form: _Form) -> _LP:
 
 
 def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
-                 cutoff: float) -> _LP:
+                 cutoff: float,
+                 cost: Optional[tuple[np.ndarray, float]] = None) -> _LP:
     """The LP of a solved tableau's LP plus the rows ``G x' + s = h`` over
     its columns, each with a new slack s >= 0, warm-started from the
     tableau.
@@ -455,6 +458,11 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     stay dual-feasible, so the dual simplex restores feasibility, and one
     primal pass clears any dual infeasibility roundoff left.  An LP whose
     objective reaches ``cutoff - FEAS_TOL`` stops as "cutoff".
+
+    ``cost``, when given, is a new objective over the tableau's columns
+    and its constant: the dual simplex still runs on the tableau's own
+    reduced costs, and ``cutoff`` bounds that objective, but the reduced
+    costs of the new one replace them before the primal pass.
     """
     m, w, k = len(tab.basis), len(tab.c), len(h)
     T = _zeros(m + k, w + k + 1, "LP tableau")
@@ -470,14 +478,17 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     z = np.concatenate((tab.z[:-1], np.zeros(k), tab.z[-1:]))
     basis = np.concatenate((tab.basis, w + np.arange(k)))
     status, pivots = _dual_simplex(T, z, basis, cutoff - tab.const)
+    c, const = (tab.c, tab.const) if cost is None else cost
+    c = np.concatenate((c, np.zeros(k)))
     if status == "optimal":
+        if cost is not None:
+            z = _reduced_costs(T, c, basis)
         status, more = _run_simplex(T, z, basis)
         pivots += more
     if status != "optimal":
         return _LP(status, -math.inf if status == "unbounded" else math.nan,
                    None, pivots)
-    return _optimum(T, z, basis, np.concatenate((tab.c, np.zeros(k))),
-                    tab.const, tab.decode, pivots)
+    return _optimum(T, z, basis, c, const, tab.decode, pivots)
 
 
 def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
@@ -502,11 +513,12 @@ class _Root(NamedTuple):
     form: _Form
 
 
-def _new_rows(root: _Root,
-              form: _Form) -> tuple[_Tableau, np.ndarray, np.ndarray]:
-    """The root's tableau and the rows ``form`` adds to the model ``root``
-    was solved for, as ``_append_rows`` takes them; InputError unless
-    ``form`` has the same variables, bounds and objective, its first rows
+def _new_rows(root: _Root, form: _Form) -> tuple[
+        _Tableau, np.ndarray, np.ndarray, Optional[tuple[np.ndarray, float]]]:
+    """The root's tableau, the rows ``form`` adds to the model ``root``
+    was solved for, and ``form``'s objective unless it is the root
+    model's, as ``_append_rows`` takes them; InputError unless ``form``
+    has the same variables, bounds and objective sense, its first rows
     are the root model's rows, and every added row has a slack."""
     old, k = root.form, len(root.form.b)
     if (form.A.shape[1] != old.A.shape[1]
@@ -515,12 +527,11 @@ def _new_rows(root: _Root,
         raise InputError("root tableau is of a model with other variables "
                          "or bounds")
     if (len(form.b) < k or form.sign != old.sign
-            or not np.array_equal(form.cost, old.cost)
             or not np.array_equal(form.A[:k], old.A)
             or not np.array_equal(form.b[:k], old.b)
             or not np.array_equal(form.slack[:k], old.slack)):
         raise InputError("root tableau is of a model that is not this "
-                         "model's objective and first rows")
+                         "model's objective sense and first rows")
     if (form.slack[k:] == 0.0).any():
         raise InputError("an \"=\" row cannot be appended to a root tableau")
     # A "<=" row (slack +1) stands as it is, a ">=" row (slack -1) is
@@ -530,8 +541,15 @@ def _new_rows(root: _Root,
     G = np.zeros((len(A), len(root.tableau.c)))
     G[:, d.col] = A
     G[:, d.col[d.split] + 1] -= A[:, d.split]
+    cost = None
+    if not np.array_equal(form.cost, old.cost):
+        # As ``_standardize`` prices the columns: the slacks cost nothing.
+        c = np.zeros(len(root.tableau.c))
+        c[d.col] = form.cost
+        c[d.col[d.split] + 1] -= form.cost[d.split]
+        cost = c, float(form.cost @ d.val)
     return (root.tableau, G * slack[:, None],
-            (form.b[k:] - A @ d.val) * slack)
+            (form.b[k:] - A @ d.val) * slack, cost)
 
 
 def solve_lp(model: MilpModel) -> MilpResult:
@@ -572,10 +590,12 @@ def solve_milp(
     assignment: no point beats the cutoff.  The cutoff takes no part in
     the zero-objective search.
 
-    ``root`` is the ``root`` of an earlier result, for a model whose rows
-    are a prefix of this model's: the root LP then appends the other rows
-    to its tableau (``_append_rows``) instead of starting cold.  The
-    result carries its own root LP back as ``root``.
+    ``root`` is the ``root`` of an earlier result, for a model with the
+    same variables, bounds and objective sense whose rows are a prefix of
+    this model's; the objective may differ.  The root LP then appends
+    the other rows to its tableau (``_append_rows``), and prices the new
+    objective if there is one, instead of starting cold.  The result
+    carries its own root LP back as ``root``.
     """
     form = _form(model)
     bins = form.binaries
@@ -610,7 +630,8 @@ def solve_milp(
             # Solved in full, as a cold root is: one stopped at the cutoff
             # would not tell an infeasible model from one that cannot beat
             # the cutoff.
-            lp = _append_rows(*warm, math.inf)
+            tab, G, h, cost = warm
+            lp = _append_rows(tab, G, h, math.inf, cost)
         else:
             lp = _relax(form)
         if nodes == 1 and lp.tableau is not None:

@@ -8,6 +8,7 @@ from balregret.core import (
     BinarySolution,
     Budgets,
     FeasibleSet,
+    InputError,
     Instance,
     ItemCosts,
     MultiRepSelection,
@@ -82,3 +83,22 @@ def layered_graph(rng: SplitMix64) -> ShortestPath:
     edges.extend((1 + (layers - 1) * width + w, nodes - 1)
                  for w in range(width))
     return ShortestPath(nodes, edges[:30], 0, nodes - 1)
+
+
+def layered_instances(rng: SplitMix64, count: int,
+                      first: int = 0) -> list[Instance]:
+    """``count`` instances on ``layered_graph`` draws, rejected draws
+    skipped: costs in 1..50, deviations in 0..40, and the k-th instance,
+    counted from ``first``, at budgets (1 + k % 3, k % 4)."""
+    instances: list[Instance] = []
+    while len(instances) < count:
+        try:
+            f = layered_graph(rng)
+        except InputError:
+            continue
+        k = first + len(instances)
+        instances.append(Instance(
+            ItemCosts(tuple(rng.randint(1, 50) for _ in range(f.n)),
+                      tuple(rng.randint(0, 40) for _ in range(f.n))),
+            Budgets(1 + k % 3, k % 4), f, name=f"layered{k}"))
+    return instances

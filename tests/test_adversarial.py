@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from balregret import master
 from balregret.adversarial import (
+    _certificate_for,
     _dp_for_s,
     adversarial_bruteforce,
     adversarial_milp,
@@ -18,10 +20,11 @@ from balregret.core import (
     Instance,
     ItemCosts,
     Knapsack,
+    MultiRepSelection,
     enumerate_solutions,
 )
-from balregret.instances import SplitMix64
-from conftest import rand_mrs, solutions
+from balregret.instances import SplitMix64, gen_knapsack
+from conftest import layered_instances, rand_mrs, solutions
 
 
 def _certificate_value(inst, x, cert):
@@ -79,6 +82,31 @@ def test_methods_agree_on_random_selection():
                     cert.y,
                 )
                 assert inner == cert.value
+
+
+def test_milp_evaluator_matches_cold_solves_along_a_sequence_of_x():
+    # A solve's MILP evaluator starts each root LP from the last call's;
+    # along any sequence of x its values must be the cold solves'.
+    rng = SplitMix64(7006)
+    instances = layered_instances(rng, 30)
+    instances += [gen_knapsack(6 + k % 5, 7006 + k, gamma=1 + k % 3,
+                               gamma_prime=k % 4) for k in range(30)]
+    instances += [rand_mrs(rng, n_lo=4, n_hi=8, max_parts=3, name=f"seq{k}")
+                  for k in range(30)]
+    for inst in instances:
+        adversary = master._pick_adversary(inst, "milp")[1]
+        candidates = enumerate_solutions(inst.feasible)
+        xs = solutions(inst.feasible)
+        for _ in range(5):
+            x = xs[rng.randint(0, len(xs) - 1)]
+            cert = adversary(x)
+            want = adversarial_bruteforce(inst, x, candidates).value
+            assert cert.value == adversarial_milp(inst, x).value == want
+            if isinstance(inst.feasible, MultiRepSelection):
+                assert want == adversarial_selection_dp(inst, x).value
+            assert inst.feasible.is_feasible(cert.y)
+            assert cert == _certificate_for(inst, x, cert.y)
+            assert _certificate_value(inst, x, cert) == cert.value
 
 
 def test_pruned_break_points_keep_first_maximizer():

@@ -22,7 +22,7 @@ from balregret.core import (
 )
 from balregret.instances import SplitMix64, gen_knapsack, gen_selection
 from balregret import master, milp, polyalg
-from conftest import layered_graph, rand_mrs
+from conftest import layered_instances, rand_mrs
 
 
 def _with_gamma_prime(inst: Instance, gamma_prime: int) -> Instance:
@@ -134,6 +134,24 @@ def test_iterative_adversary_choices_agree(example_one):
     assert values == {1}
     with pytest.raises(InputError):
         master.solve_iterative(example_one, adversary="oracle")
+
+
+def test_iterative_bruteforce_adversary_enumerates_once(monkeypatch):
+    # The brute-force adversary's calls in one solve share one enumeration
+    # of the feasible set, and each call is the table's entry.
+    enumerations, calls = [], []
+    enumerate_solutions = master.enumerate_solutions
+    bruteforce = master.ADVERSARY_METHODS["bruteforce"]
+    monkeypatch.setattr(master, "enumerate_solutions",
+                        lambda f: enumerations.append(f)
+                        or enumerate_solutions(f))
+    monkeypatch.setitem(master.ADVERSARY_METHODS, "bruteforce",
+                        lambda inst, x, candidates: calls.append(x)
+                        or bruteforce(inst, x, candidates))
+    inst = gen_selection(12, 2, gamma=3, gamma_prime=1)
+    rep = master.solve_iterative(inst, adversary="bruteforce")
+    assert rep.value == master.solve_iterative(inst, adversary="dp").value
+    assert len(enumerations) == 1 and len(calls) >= 3
 
 
 def test_zero_shortcut_short_report():
@@ -371,16 +389,7 @@ def test_iterative_matches_bruteforce_on_paths_and_knapsacks():
     rng = SplitMix64(41020)
     instances = [gen_knapsack(6 + k % 5, 41020 + k, gamma=1 + k % 3,
                               gamma_prime=k % 4) for k in range(40)]
-    while len(instances) < 80:
-        try:
-            f = layered_graph(rng)
-        except InputError:
-            continue
-        k = len(instances)
-        instances.append(Instance(
-            ItemCosts(tuple(rng.randint(1, 50) for _ in range(f.n)),
-                      tuple(rng.randint(0, 40) for _ in range(f.n))),
-            Budgets(1 + k % 3, k % 4), f, name=f"layered{k}"))
+    instances += layered_instances(rng, 40, first=40)
     rounds = 0
     for inst in instances:
         rep = master.solve_iterative(inst, adversary="milp")
@@ -388,6 +397,27 @@ def test_iterative_matches_bruteforce_on_paths_and_knapsacks():
         assert rep.value == master.solve_bruteforce(inst).value, inst
         rounds += rep.iterations > 1
     assert rounds >= 10
+
+
+def test_iterative_milp_adversary_solves_one_root_cold(monkeypatch):
+    # Every adversary model of a solve has the same rows, so only its
+    # first root LP is solved cold; the others start from the last one's.
+    # The adversary's models have 3n + 1 columns, the master's n + 1.
+    cold_columns = []
+    relax = milp._relax
+
+    def spy(form):
+        cold_columns.append(form.A.shape[1])
+        return relax(form)
+
+    monkeypatch.setattr(milp, "_relax", spy)
+    rounds = 0
+    for inst in layered_instances(SplitMix64(41021), 20):
+        del cold_columns[:]
+        rep = master.solve_iterative(inst, adversary="milp")
+        assert cold_columns.count(3 * inst.n + 1) == 1, inst
+        rounds += rep.iterations > 1
+    assert rounds >= 3
 
 
 def _eps_block_master(inst: Instance, pairs) -> milp.MilpModel:

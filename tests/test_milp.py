@@ -601,6 +601,34 @@ def test_warm_root_matches_cold_solve_along_row_chains():
     assert min(seen.get(s, 0) for s in ("optimal", "infeasible", "cutoff")) >= 20
 
 
+def test_warm_root_with_new_objective_matches_cold_solve():
+    # Each model of a chain has new random costs in the same sense, and
+    # every other one also adds a random ">=" row; its warm solve starts
+    # from the last model's root LP, which prices the new objective.
+    rng = SplitMix64(4715)
+    seen, warm = {}, 0
+    for model in _seeded_models()[::4]:
+        res = milp.solve_milp(model)
+        for step in range(6):
+            if res.root is None:
+                break
+            model = _with_row(model, rng) if step % 2 else copy.deepcopy(model)
+            model.set_objective(model.objective_sense, {
+                j: rng.randint(-5, 5) for j in range(len(model.variables))})
+            cold = milp.solve_milp(model)
+            res = milp.solve_milp(model, root=res.root)
+            warm += 1
+            assert res.status == cold.status, model
+            seen[res.status] = seen.get(res.status, 0) + 1
+            if res.status == "optimal":
+                assert res.value == pytest.approx(cold.value, abs=1e-6)
+                assert milp._feasible(milp._form(model),
+                                      np.array(res.assignment))
+    assert warm >= 300
+    assert min(seen.get(s, 0) for s in ("optimal", "infeasible")) >= 20
+    assert seen.get("unbounded", 0) >= 5
+
+
 def test_warm_root_rejects_another_model():
     model = _seeded_knapsack_model(SplitMix64(9), 8)
     root = milp.solve_milp(model).root
@@ -615,7 +643,9 @@ def test_warm_root_rejects_another_model():
     bounded.variables[0].ub = 0.0
     reordered = copy.deepcopy(model)
     reordered.constraints.reverse()
-    for other in (wider, bounded, reordered):
+    flipped = copy.deepcopy(model)
+    flipped.set_objective("min", model.objective)
+    for other in (wider, bounded, reordered, flipped):
         with pytest.raises(InputError):
             milp.solve_milp(other, root=root)
 
