@@ -19,6 +19,7 @@ from .core import (
     BinarySolution,
     Instance,
     InternalError,
+    MultiRepSelection,
     Scenario,
     ScaleError,
     _read_solution,
@@ -27,6 +28,10 @@ from .core import (
 )
 
 _OVERFLOW_LIMIT = 2**60
+# The selection DP's start value of a state no move reaches, and the most
+# int64 states one of its passes holds (32 MB).
+_UNREACHED = -(2**62)
+_DP_STATES = 2**22
 
 
 def _check_scale(inst: Instance) -> None:
@@ -184,28 +189,86 @@ def adversarial_selection_dp(
 ) -> AdversaryCertificate:
     """Exact adversarial value for multi-representative selection.
 
-    Loops over the break points of the balancing dual over the items
-    outside x (``Instance.break_points``); for each, one dynamic program
-    over the items chooses, per item, to skip it, pick it for the
-    adversary, or attack it. The first point of best value wins, and it
-    is the first over every item's break points too: for a fixed (y,
+    Runs the balancing dual at every break point over the items outside
+    x (``Instance.break_points``) in one dynamic program over the items
+    in partition order, which chooses, per item, to skip it, pick it for
+    the adversary, or attack it. Its state is (picks in the current
+    partition, attacks so far, break point); each partition's states
+    with the quota met seed the next partition, so the attack budget is
+    shared. The points share every skip and attack move and differ only
+    in the pick cost ``c_i + max(d_i (1 - x_i) - s, 0)``. They run in
+    passes of at most ``_DP_STATES`` states, in order, so at most two
+    passes' states are held at once.
+
+    The first point of best value wins, across passes as within one, and
+    it is the first over every item's break points too: for a fixed (y,
     delta) the balancing term ``gamma_prime * s + sum(max(d_i - s, 0)
     for i in y, x_i = 0)`` is convex in s with kinks only at deviations
     of items outside x, so at ``gamma_prime >= 1`` its first minimizer
-    is 0 or such a kink; at ``gamma_prime = 0`` every ``max(d_i (1 - x_i)
-    - s, 0)`` is 0 at the one point, as it is at max d.
+    is 0 or such a kink; at ``gamma_prime = 0`` every ``max(d_i (1 -
+    x_i) - s, 0)`` is 0 at the one point, as it is at max d.
+
+    The states are int64, and a state no move reaches holds
+    ``_UNREACHED`` plus the moves applied to it since. That is exact:
+    ``_check_scale`` bounds the sum of every cost and deviation by 2^60,
+    so every reachable value lies in [-2^60, 2^60], and every other one
+    below -2^61 and above -2^63.
     """
     _require_selection(inst, "selection DP")
     _check_scale(inst)
-    gamma_prime = inst.budgets.gamma_prime
-    base = sum(ci * xi for ci, xi in zip(inst.costs.c_hat, x.x))
-
+    f = inst.feasible
+    c, d = inst.costs.c_hat, inst.costs.d
     points = inst.break_points(i for i, xi in enumerate(x.x) if not xi)
-    candidates = []
-    for s in points:
-        total, y_idx = _dp_for_s(inst, x, s)
-        candidates.append((base + total - gamma_prime * s, y_idx))
-    best_value, y_idx = max(candidates, key=lambda vy: vy[0])
+    attackable = [xi == 1 and di > 0 for xi, di in zip(x.x, d)]
+    width = min(inst.budgets.gamma, sum(attackable))
+
+    # cost[i, k]: item i's pick cost at the k-th point,
+    # max(c_i + d_i (1 - x_i) - s, c_i); gain[i]: its attack's.
+    columns = np.array(
+        [*c, *(ci + di * (1 - xi) for ci, di, xi in zip(c, d, x.x)), *d],
+        dtype=np.int64).reshape(3, inst.n, 1)
+    cost = np.maximum(columns[1] - np.array(points, dtype=np.int64),
+                      columns[0])
+    gain = columns[2]
+
+    # done[k][ac]: the best value with every quota met, ac attacks, at the
+    # k-th point of a pass. gamma_prime * s stays a Python int: it can
+    # pass int64 from n = 8.
+    base = sum(ci * xi for ci, xi in zip(c, x.x))
+    gamma_prime = inst.budgets.gamma_prime
+    row = width + 2
+    span = max(1, _DP_STATES // ((inst.n + 1) * (max(f.quotas) + 2) * row))
+    end = (1 + f.quotas[-1]) * row + 1
+    best = None
+    for lo in range(0, len(points), span):
+        states = _dp_states(f, cost[:, lo:lo + span], gain, attackable, row)
+        done = states[-1, end:end + row - 1].T.tolist()
+        values = [base + max(by_ac) - gamma_prime * s
+                  for by_ac, s in zip(done, points[lo:lo + span])]
+        k = max(range(len(values)), key=values.__getitem__)  # first on ties
+        if best is None or values[k] > best[0]:
+            best = values[k], lo + k, states[:, :, k], done[k]
+    best_value, k, trail, by_ac = best
+    value = max(by_ac)
+    ac = by_ac.index(value)  # smallest on ties
+
+    # Backtrack the k-th point from the end, starting each partition at
+    # its quota. Each state replays the tie rule of a forward pass that
+    # offers it pick, then attack, then skip, and keeps the first best
+    # offer; a border cell never matches a reachable value.
+    j = inst.n
+    cell = row + 1 + ac
+    y_idx: list[int] = []
+    for part, quota in zip(reversed(f.partitions), reversed(f.quotas)):
+        cell += quota * row
+        for i in reversed(part):
+            j -= 1
+            if trail.item(j, cell - row) - cost.item(i, k) == value:
+                y_idx.append(i)
+                cell -= row
+            elif attackable[i] and trail.item(j, cell - 1) + d[i] == value:
+                cell -= 1
+            value = trail.item(j, cell)
     y = BinarySolution.from_indices(y_idx, inst.n)
     cert = _certificate_for(inst, x, y)
     if cert.value != best_value:
@@ -213,64 +276,36 @@ def adversarial_selection_dp(
     return cert
 
 
-def _dp_for_s(
-    inst: Instance, x: BinarySolution, s: int
-) -> tuple[int, list[int]]:
-    """Best adversary gain for a fixed break point.
+def _dp_states(f: MultiRepSelection, cost: np.ndarray, gain: np.ndarray,
+               attackable: list[bool], row: int) -> np.ndarray:
+    """The selection DP's pass over the points of ``cost``'s columns.
 
-    Returns ``max over (y, delta)`` of attack gains minus discounted
-    adversary costs, plus the maximizing pick ``y``'s items. One DP runs
-    over the items in partition order; its state is (picks in the current
-    partition, attacks so far), and each partition's row with the quota
-    met seeds the next partition, so the attack budget is shared.
+    Returns ``states[j, (1 + yc) * row + 1 + ac, k]``: the best value at
+    the k-th point after the first j items in partition order, with yc
+    picks in the current partition and ac attacks so far. After a
+    partition's last item its states with the quota met move to yc = 0,
+    where the next partition starts. A pick moves one row and an attack
+    one cell, so every move reads one contiguous slice. Row 0 and the
+    first cell of each row are a border that holds no reachable value; an
+    attack wraps into the first cell from the row before, so each attack
+    step resets it.
     """
-    f = inst.feasible
-    c, d = inst.costs.c_hat, inst.costs.d
-    attackable = [x.x[i] == 1 and d[i] > 0 for i in range(inst.n)]
-    width = min(inst.budgets.gamma, sum(attackable))
-
-    NEG = float("-inf")
-    done = [0] + [NEG] * width  # done[ac]: best value with every quota met
-    # moves[j][yc][ac] records the choice at the j-th item in order.
-    moves: list[list[list[int]]] = []
-    for part, quota in zip(f.partitions, f.quotas):
-        dp = [done] + [[NEG] * (width + 1) for _ in range(quota)]
-        for i in part:
-            cost = c[i] + max(d[i] * (1 - x.x[i]) - s, 0)
-            hit = attackable[i]
-            nxt = [[NEG] * (width + 1) for _ in range(quota + 1)]
-            mv = [[-1] * (width + 1) for _ in range(quota + 1)]
-            for yc in range(quota + 1):
-                for ac in range(width + 1):
-                    cur = dp[yc][ac]
-                    if cur == NEG:
-                        continue
-                    if cur > nxt[yc][ac]:  # skip
-                        nxt[yc][ac] = cur
-                        mv[yc][ac] = 0
-                    if yc < quota and cur - cost > nxt[yc + 1][ac]:
-                        nxt[yc + 1][ac] = cur - cost
-                        mv[yc + 1][ac] = 1
-                    if hit and ac < width and cur + d[i] > nxt[yc][ac + 1]:
-                        nxt[yc][ac + 1] = cur + d[i]
-                        mv[yc][ac + 1] = 2
-            dp = nxt
-            moves.append(mv)
-        done = dp[quota]
-
-    best_a = max(range(width + 1), key=done.__getitem__)  # smallest on ties
-
-    # Backtrack over the items in reverse, the pick count starting at the
-    # quota at each partition's end.
-    y_idx: list[int] = []
-    ac = best_a
-    for part, quota in zip(reversed(f.partitions), reversed(f.quotas)):
-        yc = quota
-        for i in reversed(part):
-            choice = moves.pop()[yc][ac]
-            if choice == 1:
-                y_idx.append(i)
-                yc -= 1
-            elif choice == 2:
-                ac -= 1
-    return int(done[best_a]), sorted(y_idx)
+    states = np.empty((len(cost) + 1, (max(f.quotas) + 2) * row,
+                       cost.shape[1]), dtype=np.int64)
+    states[:, :row] = _UNREACHED
+    states[0] = _UNREACHED
+    states[0, row + 1] = 0
+    j = 0
+    for l, part in enumerate(f.partitions):
+        if l:
+            met = (1 + f.quotas[l - 1]) * row
+            states[j, row:2 * row] = states[j, met:met + row]
+            states[j, 2 * row:] = _UNREACHED
+        for i, cur, nxt in zip(part, states[j:], states[j + 1:]):
+            np.subtract(cur[:-row], cost[i], out=nxt[row:])  # pick
+            if attackable[i]:
+                np.maximum(nxt[1:], cur[:-1] + gain[i], out=nxt[1:])
+                nxt[::row].fill(_UNREACHED)
+            np.maximum(nxt, cur, out=nxt)  # skip
+        j += len(part)
+    return states

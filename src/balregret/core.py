@@ -146,7 +146,10 @@ class BinarySolution:
         x = [0] * n
         for i in indices:
             x[i] = 1
-        return cls(x)
+        # Entries that are 0 or 1 by construction need no check.
+        sol = object.__new__(cls)
+        object.__setattr__(sol, "x", tuple(x))
+        return sol
 
     @property
     def n(self) -> int:

@@ -1,6 +1,11 @@
 """The polynomial min-max regret algorithm for multi-representative
 selection without a balancing stage (gamma_prime = 0), which the CLI's
 ``regret-poly`` method, ``crosscheck`` and the criteria matrix call.
+
+It computes in int64, exactly: with ``M = max(c_i + d_i)`` every ``pi``,
+``kappa`` and slack lies in [0, M], every packing delta in [0, 2 M], and
+every dual total in [-n M, (gamma + 3 n) M], inside int64 while
+``n * M < 2**61`` (``_POLY_LIMIT``); larger data raises ``ScaleError``.
 """
 
 from __future__ import annotations
@@ -9,8 +14,17 @@ import time
 
 import numpy as np
 
-from .core import BinarySolution, Instance, InputError, _require_selection
+from .adversarial import _check_scale
+from .core import (
+    BinarySolution,
+    Instance,
+    InputError,
+    ScaleError,
+    _require_selection,
+)
 from .master import SolveReport
+
+_POLY_LIMIT = 2**61
 
 
 def _partition_values(c: np.ndarray, d: np.ndarray, quota: int,
@@ -26,13 +40,13 @@ def _partition_values(c: np.ndarray, d: np.ndarray, quota: int,
     and the kappas attaining them.
     """
     P, T = len(pis), len(c)
-    kap = np.empty((P, 3 * T + 1))
-    kap[:, 0] = 0.0
+    kap = np.empty((P, 3 * T + 1), dtype=np.int64)
+    kap[:, 0] = 0
     kap[:, 1:T + 1] = c[None, :]
     kap[:, T + 1:2 * T + 1] = c[None, :] - pis[:, None]
     kap[:, 2 * T + 1:] = c[None, :] + d[None, :] - pis[:, None]
-    np.maximum(kap, 0.0, out=kap)
-    slack = np.maximum(kap[:, :, None] - c[None, None, :], 0.0)
+    np.maximum(kap, 0, out=kap)
+    slack = np.maximum(kap[:, :, None] - c[None, None, :], 0)
     delta = c[None, None, :] + np.maximum(d[None, None, :] - pis[:, None, None],
                                           slack) - slack
     take = np.partition(delta, quota - 1, axis=2)[:, :, :quota].sum(axis=2)
@@ -42,12 +56,12 @@ def _partition_values(c: np.ndarray, d: np.ndarray, quota: int,
     return totals[rows, best], kap[rows, best]
 
 
-def _partition_pick(c: np.ndarray, d: np.ndarray, quota: int, pi: float,
-                    kappa: float) -> list[int]:
+def _partition_pick(c: np.ndarray, d: np.ndarray, quota: int, pi: int,
+                    kappa: int) -> list[int]:
     """Quota-many item indices minimizing the packing delta, lowest index
     winning ties."""
-    slack = np.maximum(kappa - c, 0.0)
-    packed = c + np.maximum(np.maximum(d - pi, kappa - c), 0.0)
+    slack = np.maximum(kappa - c, 0)
+    packed = c + np.maximum(np.maximum(d - pi, kappa - c), 0)
     order = np.argsort(packed - slack, kind="stable")
     return sorted(int(j) for j in order[:quota])
 
@@ -63,11 +77,15 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
     f = _require_selection(inst, "regret algorithm")
     if inst.budgets.gamma_prime != 0:
         raise InputError("regret algorithm requires gamma_prime = 0")
+    _check_scale(inst)
+    if inst.n * max(inst.costs.worst()) >= _POLY_LIMIT:
+        raise ScaleError("instance data too large for the regret algorithm's "
+                         "int64 arithmetic")
     start = time.monotonic()
     n = inst.n
     gamma = inst.budgets.gamma
-    c_all = np.asarray(inst.costs.c_hat, dtype=float)
-    d_all = np.asarray(inst.costs.d, dtype=float)
+    c_all = np.asarray(inst.costs.c_hat, dtype=np.int64)
+    d_all = np.asarray(inst.costs.d, dtype=np.int64)
     parts = [np.array(p, dtype=int) for p in f.partitions]
     cs = [c_all[p] for p in parts]
     ds = [d_all[p] for p in parts]
@@ -78,13 +96,13 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
     # pi = c_k + d_k - kappa.  Only kappa's pi-free candidates, 0 and the
     # c_j, give points; in a pi-dependent one, c_j - pi or c_j + d_j - pi,
     # pi cancels from the tie.  kappa = c_k gives the plain kink d_k.
-    kinks = np.concatenate(([0.0], c_all))
+    kinks = np.concatenate(([0], c_all))
     grid = np.concatenate(
-        ([0.0], (c_all + d_all)[:, None] - kinks[None, :]), axis=None)
-    grid = np.unique(grid[grid >= 0.0])
+        ([0], (c_all + d_all)[:, None] - kinks[None, :]), axis=None)
+    grid = np.unique(grid[grid >= 0])
 
-    totals = np.full(len(grid), gamma, dtype=float) * grid
-    kappas = np.empty((f.num_partitions, len(grid)))
+    totals = gamma * grid
+    kappas = np.empty((f.num_partitions, len(grid)), dtype=np.int64)
     chunk = 256
     for lo in range(0, len(grid), chunk):
         pis = grid[lo:lo + chunk]
@@ -94,9 +112,9 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
             kappas[l, lo:lo + len(pis)] = kaps
 
     at = int(np.argmin(totals))
-    best_val = float(totals[at])
-    best_pi = float(grid[at])
-    best_kappa = [float(kappas[l, at]) for l in range(f.num_partitions)]
+    best_val = int(totals[at])
+    best_pi = int(grid[at])
+    best_kappa = [int(kappas[l, at]) for l in range(f.num_partitions)]
 
     picked: list[int] = []
     for l, quota in enumerate(f.quotas):
@@ -104,5 +122,5 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
         picked.extend(int(parts[l][j]) for j in local)
     x = BinarySolution.from_indices(picked, n)
     return SolveReport.exact(
-        x, int(round(best_val)), "regret-poly", time.monotonic() - start
+        x, best_val, "regret-poly", time.monotonic() - start
     )

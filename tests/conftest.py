@@ -67,6 +67,88 @@ def rand_mrs(rng: SplitMix64, n_lo: int = 3, n_hi: int = 6,
                     MultiRepSelection(parts, quotas), name=name)
 
 
+def dp_for_s(inst: Instance, x: BinarySolution,
+             s: int) -> tuple[int, list[int]]:
+    """The selection DP at one break point s, in pure Python: the test
+    oracle for ``adversarial_selection_dp``, which runs every point at once.
+
+    Returns ``max over (y, delta)`` of attack gains minus discounted
+    adversary costs, plus the maximizing pick ``y``'s items. One DP runs
+    over the items in partition order; its state is (picks in the current
+    partition, attacks so far), and each partition's row with the quota
+    met seeds the next partition, so the attack budget is shared. Each
+    state keeps the first best of the offers pick, attack, skip.
+    """
+    f = inst.feasible
+    c, d = inst.costs.c_hat, inst.costs.d
+    attackable = [x.x[i] == 1 and d[i] > 0 for i in range(inst.n)]
+    width = min(inst.budgets.gamma, sum(attackable))
+
+    NEG = float("-inf")
+    done = [0] + [NEG] * width  # done[ac]: best value with every quota met
+    # moves[j][yc][ac] records the choice at the j-th item in order.
+    moves: list[list[list[int]]] = []
+    for part, quota in zip(f.partitions, f.quotas):
+        dp = [done] + [[NEG] * (width + 1) for _ in range(quota)]
+        for i in part:
+            cost = c[i] + max(d[i] * (1 - x.x[i]) - s, 0)
+            hit = attackable[i]
+            nxt = [[NEG] * (width + 1) for _ in range(quota + 1)]
+            mv = [[-1] * (width + 1) for _ in range(quota + 1)]
+            for yc in range(quota + 1):
+                for ac in range(width + 1):
+                    cur = dp[yc][ac]
+                    if cur == NEG:
+                        continue
+                    if cur > nxt[yc][ac]:  # skip
+                        nxt[yc][ac] = cur
+                        mv[yc][ac] = 0
+                    if yc < quota and cur - cost > nxt[yc + 1][ac]:
+                        nxt[yc + 1][ac] = cur - cost
+                        mv[yc + 1][ac] = 1
+                    if hit and ac < width and cur + d[i] > nxt[yc][ac + 1]:
+                        nxt[yc][ac + 1] = cur + d[i]
+                        mv[yc][ac + 1] = 2
+            dp = nxt
+            moves.append(mv)
+        done = dp[quota]
+
+    best_a = max(range(width + 1), key=done.__getitem__)  # smallest on ties
+
+    # Backtrack over the items in reverse, the pick count starting at the
+    # quota at each partition's end.
+    y_idx: list[int] = []
+    ac = best_a
+    for part, quota in zip(reversed(f.partitions), reversed(f.quotas)):
+        yc = quota
+        for i in reversed(part):
+            choice = moves.pop()[yc][ac]
+            if choice == 1:
+                y_idx.append(i)
+                yc -= 1
+            elif choice == 2:
+                ac -= 1
+    return int(done[best_a]), sorted(y_idx)
+
+
+def selection_dp_oracle(inst: Instance, x: BinarySolution,
+                        points=None) -> tuple[int, list[int]]:
+    """The adversarial value of x and the adversary's pick, from one
+    ``dp_for_s`` per break point: the first point of best value wins.
+    ``points`` defaults to ``Instance.break_points`` over the items
+    outside x, the points ``adversarial_selection_dp`` runs."""
+    if points is None:
+        points = inst.break_points(i for i, xi in enumerate(x.x) if not xi)
+    base = sum(ci * xi for ci, xi in zip(inst.costs.c_hat, x.x))
+    gp = inst.budgets.gamma_prime
+    best = None
+    for s in points:
+        total, y_idx = dp_for_s(inst, x, s)
+        if best is None or base + total - gp * s > best[0]:
+            best = (base + total - gp * s, y_idx)
+    return best
+
+
 def layered_graph(rng: SplitMix64) -> ShortestPath:
     """An s-t graph of 3-4 layers of width 3: every arc from s and into t,
     and each arc between adjacent layers with probability 2/3, the first

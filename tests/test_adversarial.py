@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from balregret import master
+from balregret import adversarial, master
 from balregret.adversarial import (
+    _OVERFLOW_LIMIT,
     _certificate_for,
-    _dp_for_s,
     adversarial_bruteforce,
     adversarial_milp,
     adversarial_selection_dp,
@@ -21,10 +21,16 @@ from balregret.core import (
     ItemCosts,
     Knapsack,
     MultiRepSelection,
+    ScaleError,
     enumerate_solutions,
 )
 from balregret.instances import SplitMix64, gen_knapsack
-from conftest import layered_instances, rand_mrs, solutions
+from conftest import (
+    layered_instances,
+    rand_mrs,
+    selection_dp_oracle,
+    solutions,
+)
 
 
 def _certificate_value(inst, x, cert):
@@ -124,14 +130,77 @@ def test_pruned_break_points_keep_first_maximizer():
                         inst.feasible)
         xs = solutions(inst.feasible)
         x = xs[rng.randint(0, len(xs) - 1)]
-        base = sum(ci * xi for ci, xi in zip(inst.costs.c_hat, x.x))
-        best = None
-        for s in inst.break_points():
-            total, y_idx = _dp_for_s(inst, x, s)
-            if best is None or base + total - gp * s > best[0]:
-                best = (base + total - gp * s, y_idx)
+        best = selection_dp_oracle(inst, x, inst.break_points())
         cert = adversarial_selection_dp(inst, x)
         assert (cert.value, list(cert.y.indices())) == best, inst
+
+
+@pytest.mark.parametrize("states", [adversarial._DP_STATES, 1],
+                         ids=["one-pass", "one-point-per-pass"])
+def test_dp_matches_the_per_point_oracle(monkeypatch, states):
+    # All break points in one DP must give the value and the pick of one
+    # DP per point, the first point of best value winning, also when the
+    # points run in several passes. Tiny costs make ties everywhere;
+    # gamma runs over 0..n.
+    monkeypatch.setattr(adversarial, "_DP_STATES", states)
+    rng = SplitMix64(7007)
+    for trial in range(1200):
+        inst = rand_mrs(rng, n_lo=2, n_hi=9, max_parts=3, cost_hi=3,
+                        dev_hi=(3, 12)[trial % 2], gamma_hi=9,
+                        name=f"oracle{trial}")
+        xs = solutions(inst.feasible)
+        x = xs[rng.randint(0, len(xs) - 1)]
+        cert = adversarial_selection_dp(inst, x)
+        want = selection_dp_oracle(inst, x)
+        assert (cert.value, list(cert.y.indices())) == want, inst
+
+
+def _near_limit(rng: SplitMix64, inst: Instance, skew: bool) -> Instance:
+    """``inst`` with costs scaled, plus a little noise, so that the sum of
+    every cost and deviation lies in (2^59, 2^60]; with ``skew``, item 0's
+    deviation then takes what the others leave below 2^60."""
+    c, d = inst.costs.c_hat, inst.costs.d
+    k = (_OVERFLOW_LIMIT - 8 * inst.n) // (sum(c) + sum(d) + 1)
+    c = [k * v + rng.randint(0, 3) for v in c]
+    d = [k * v + rng.randint(0, 3) for v in d]
+    if skew:
+        c = [v // inst.n for v in c]
+        d = [v // inst.n for v in d]
+        d[0] = _OVERFLOW_LIMIT - sum(c) - sum(d[1:])
+    return Instance(ItemCosts(c, d), inst.budgets, inst.feasible,
+                    name=inst.name)
+
+
+def test_dp_exact_near_the_scale_limit():
+    # On odd trials one deviation is nearly 2^60 and gamma_prime is 8 or
+    # more, so gamma_prime * s at that break point passes int64.
+    rng = SplitMix64(7008)
+    for trial in range(120):
+        skew = trial % 2 == 1
+        inst = rand_mrs(rng, n_lo=(3, 8)[skew], n_hi=9, max_parts=3,
+                        gamma_hi=9, gp_hi=9, name=f"limit{trial}")
+        if skew:
+            inst = Instance(inst.costs, Budgets(
+                inst.budgets.gamma, rng.randint(8, inst.n)), inst.feasible)
+        inst = _near_limit(rng, inst, skew)
+        total = sum(inst.costs.c_hat) + sum(inst.costs.d)
+        assert _OVERFLOW_LIMIT // 2 < total <= _OVERFLOW_LIMIT
+        xs = solutions(inst.feasible)
+        ys = np.array([y.x for y in xs], dtype=np.int64)
+        for x in (xs[rng.randint(0, len(xs) - 1)],
+                  xs[rng.randint(0, len(xs) - 1)]):
+            cert = adversarial_selection_dp(inst, x)
+            assert (cert.value, list(cert.y.indices())) \
+                == selection_dp_oracle(inst, x), inst
+            assert cert.value == int(evaluate_against(inst, [x.x], ys).max())
+
+
+def test_dp_rejects_data_over_the_scale_limit():
+    inst = Instance(ItemCosts((_OVERFLOW_LIMIT // 2, 0, 0),
+                              (0, 0, _OVERFLOW_LIMIT // 2 + 1)),
+                    Budgets(1, 3), MultiRepSelection([(0, 1, 2)], [1]))
+    with pytest.raises(ScaleError):
+        adversarial_selection_dp(inst, BinarySolution((1, 0, 0)))
 
 
 def test_value_is_nonnegative_and_certificates_are_lower_bounds():

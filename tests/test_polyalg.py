@@ -10,6 +10,8 @@ import pytest
 from balregret.adversarial import (
     adversarial_bruteforce,
     adversarial_selection_dp,
+    evaluate_against,
+    pick_matrix,
 )
 from balregret.core import (
     Budgets,
@@ -18,8 +20,10 @@ from balregret.core import (
     ItemCosts,
     Knapsack,
     MultiRepSelection,
+    ScaleError,
+    enumerate_solutions,
 )
-from balregret.instances import SplitMix64
+from balregret.instances import SplitMix64, gen_selection
 from balregret import master, polyalg
 from conftest import rand_mrs, solutions
 
@@ -52,6 +56,35 @@ class TestRegretBudgetedMrs:
             assert inst.feasible.is_feasible(rep.x)
             # the returned solution really attains the claimed value
             assert adversarial_selection_dp(inst, rep.x).value == rep.value
+
+    def test_exact_at_costs_past_float64(self):
+        # Past 2^53 float64 drops the low digits of these values; the
+        # algorithm must match the minimax over every pair of selections.
+        for k in (10**14 + 7, 10**15 + 3):
+            for seed in range(1, 41):
+                base = gen_selection(6, seed, gamma=2, gamma_prime=0)
+                inst = Instance(
+                    ItemCosts([k * v for v in base.costs.c_hat],
+                              [k * v for v in base.costs.d]),
+                    base.budgets, base.feasible)
+                ys = pick_matrix(inst.n, enumerate_solutions(inst.feasible))
+                want = int(evaluate_against(inst, ys, ys).max(axis=1).min())
+                rep = polyalg.solve_regret_budgeted_mrs(inst)
+                assert rep.value == want, (k, seed)
+                assert adversarial_selection_dp(inst, rep.x).value == want
+                if (k, seed) == (10**15 + 3, 32):
+                    assert want == 12000000000000036
+
+    def test_rejects_data_past_its_int64_bound(self):
+        # The scale guard admits these sums, but n * max(c_i + d_i)
+        # passes 2^61.
+        big = 2**58
+        inst = Instance(ItemCosts((big, 1, 1, 1, 1, 1, 1, 1),
+                                  (big, 1, 1, 1, 1, 1, 1, 1)),
+                        Budgets(2, 0),
+                        MultiRepSelection([tuple(range(8))], [3]))
+        with pytest.raises(ScaleError):
+            polyalg.solve_regret_budgeted_mrs(inst)
 
     def test_scales_well(self):
         rng = SplitMix64(8102)
