@@ -8,6 +8,7 @@ multi-representative selection.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,55 +124,75 @@ def adversarial_bruteforce(
     return cert
 
 
+@dataclass
+class MilpAdversary:
+    """The dualized adversary MILP of one instance and the root LP of its
+    last solve.  Its rows do not depend on x, only its objective does
+    (``adversarial_milp``), so the calls of one solve share one model.
+
+    Variables: the adversary's packing y (binary), the attack delta, the
+    balancing dual s and the caps' duals t, n each but s.  For fixed
+    integral y the attack relaxation has an integral optimum, so only y is
+    binary; the rows y_i + delta_i <= 1 cap the attack at 1, so it carries
+    no upper bound.
+    """
+
+    model: milp.MilpModel
+    root: Optional[milp._Root] = None
+
+    @classmethod
+    def of(cls, inst: Instance) -> "MilpAdversary":
+        n, d = inst.n, inst.costs.d
+        model = milp.MilpModel()
+        y_vars = [model.add_binary() for _ in range(n)]
+        delta_vars = [model.add_continuous(0.0) for _ in range(n)]
+        s_var = model.add_continuous(0.0)
+        t_vars = [model.add_continuous(0.0) for _ in range(n)]
+        for i in range(n):
+            # s + t_i >= d_i y_i
+            model.add_constraint(
+                {s_var: 1.0, t_vars[i]: 1.0, y_vars[i]: -float(d[i])}, ">=",
+                0.0)
+            model.add_constraint({y_vars[i]: 1.0, delta_vars[i]: 1.0}, "<=",
+                                 1.0)
+        model.add_constraint({v: 1.0 for v in delta_vars}, "<=",
+                             float(inst.budgets.gamma))
+        for coefs, sense, rhs in inst.feasible.linear_rows():
+            model.add_constraint({y_vars[j]: a for j, a in coefs.items()},
+                                 sense, rhs)
+        return cls(model)
+
+
 def adversarial_milp(
     inst: Instance,
     x: BinarySolution,
-    warm: Optional[list[Optional[milp._Root]]] = None,
+    held: Optional[MilpAdversary] = None,
 ) -> AdversaryCertificate:
     """Exact adversarial value via the dualized mixed-integer program.
 
-    Its rows do not depend on x, only its objective does, so a caller
-    that evaluates several x on one instance may pass ``warm``: a list
-    that is empty or holds the root LP of the last call on the instance.
-    The root LP then starts from that one's final tableau
-    (``milp.solve_milp``'s ``root``), and the call leaves its own there.
+    A caller that evaluates several x on one instance may pass ``held``,
+    the instance's ``MilpAdversary``: the call then sets only its
+    objective, and its root LP starts from the last call's final tableau
+    (``milp.solve_milp``'s ``root``); the call leaves its own there.
     """
     _check_scale(inst)
     n = inst.n
     c, d = inst.costs.c_hat, inst.costs.d
-    gamma, gamma_prime = inst.budgets.gamma, inst.budgets.gamma_prime
+    if held is None:
+        held = MilpAdversary.of(inst)
 
-    model = milp.MilpModel()
-    y_vars = [model.add_binary() for _ in range(n)]
-    # For fixed integral y the attack relaxation has an integral optimum,
-    # so only the adversary's packing variables are binary. The rows
-    # y_i + delta_i <= 1 cap the attack at 1, so it carries no upper bound.
-    delta_vars = [model.add_continuous(0.0) for _ in range(n)]
-    s_var = model.add_continuous(0.0)
-    t_vars = [model.add_continuous(0.0) for _ in range(n)]
-
-    # t_i, the dual of the balancing cap eps_i <= 1 - x_i, costs 1 - x_i:
-    # where x_i = 1 it is free, and its row never binds.
-    obj: dict[int, float] = {s_var: -float(gamma_prime)}
+    # The variables in ``MilpAdversary`` order: y, delta, s, t.  t_i, the
+    # dual of the balancing cap eps_i <= 1 - x_i, costs 1 - x_i: where
+    # x_i = 1 it is free, and its row never binds.
+    obj: dict[int, float] = {2 * n: -float(inst.budgets.gamma_prime)}
     for i in range(n):
-        obj[y_vars[i]] = -float(c[i])
-        obj[delta_vars[i]] = float(d[i] * x.x[i])
-        obj[t_vars[i]] = -float(1 - x.x[i])
-    model.set_objective("max", obj)
+        obj[i] = -float(c[i])
+        obj[n + i] = float(d[i] * x.x[i])
+        obj[2 * n + 1 + i] = -float(1 - x.x[i])
+    held.model.set_objective("max", obj)
 
-    for i in range(n):
-        # s + t_i >= d_i y_i
-        model.add_constraint(
-            {s_var: 1.0, t_vars[i]: 1.0, y_vars[i]: -float(d[i])}, ">=", 0.0
-        )
-        model.add_constraint({y_vars[i]: 1.0, delta_vars[i]: 1.0}, "<=", 1.0)
-    model.add_constraint({delta_vars[i]: 1.0 for i in range(n)}, "<=", float(gamma))
-    for coefs, sense, rhs in inst.feasible.linear_rows():
-        model.add_constraint({y_vars[j]: a for j, a in coefs.items()}, sense, rhs)
-
-    res = milp.solve_milp(model, root=warm[0] if warm else None)
-    if warm is not None:
-        warm[:] = [res.root]
+    res = milp.solve_milp(held.model, root=held.root)
+    held.root = res.root
     if res.status == "node_limit" and not res.assignment:
         raise ScaleError("adversarial MILP hit the node limit with no incumbent")
     optimal = res.status == "optimal"

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from . import milp
 from .adversarial import (
+    MilpAdversary,
     adversarial_bruteforce,
     adversarial_milp,
     adversarial_selection_dp,
@@ -59,7 +60,7 @@ ADVERSARY_METHODS: dict[str, AdversaryFn] = {
 
 
 # A growing set of the adversary's (solution, attack, break point) triples,
-# kept in insertion order: one master row each (``_add_cut``).
+# kept in insertion order: one master row each (``_cut_row``).
 ScenarioPool = dict[tuple[BinarySolution, Scenario, int], None]
 
 # Largest block of first-stage rows ``solve_bruteforce`` scores at once,
@@ -178,12 +179,12 @@ def _cut(inst: Instance, y: BinarySolution, delta: Scenario,
     return a, const - inst.budgets.gamma_prime * s
 
 
-def _add_cut(model: milp.MilpModel, a: list[int], const: int) -> None:
-    """Append the master row z - a·x >= const of a ``_cut``, with z and x
-    at the indices ``_first_stage_model`` gives them."""
+def _cut_row(a: list[int], const: int) -> milp.Row:
+    """The master row z - a·x >= const of a ``_cut``, with z and x at the
+    indices ``_first_stage_model`` gives them."""
     coefs = {0: 1.0}
     coefs.update((1 + i, -float(ai)) for i, ai in enumerate(a))
-    model.add_constraint(coefs, ">=", float(const))
+    return coefs, ">=", float(const)
 
 
 def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
@@ -211,7 +212,7 @@ def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
         raise InputError("scenario pool must be non-empty")
     model = _first_stage_model(inst)[0]
     for key in pool:
-        _add_cut(model, *_cut(inst, *key))
+        model.add_constraint(*_cut_row(*_cut(inst, *key)))
     return model
 
 
@@ -316,7 +317,8 @@ def _pick_adversary(inst: Instance,
     an evaluator for the calls of one solve.  It looks the method up in
     ``ADVERSARY_METHODS`` at each call and passes what those calls share:
     the brute force one enumeration of the feasible set, and the MILP
-    the root LP of its last call, whose rows are the same for every x."""
+    one model, whose rows are the same for every x, with the root LP of
+    its last call."""
     if adversary is None:
         adversary = "dp" if isinstance(inst.feasible, MultiRepSelection) else "milp"
     if adversary not in ADVERSARY_METHODS:
@@ -325,7 +327,7 @@ def _pick_adversary(inst: Instance,
     if adversary == "bruteforce":
         shared = (enumerate_solutions(inst.feasible),)
     elif adversary == "milp":
-        shared = ([],)
+        shared = (MilpAdversary.of(inst),)
     return adversary, lambda x: ADVERSARY_METHODS[adversary](inst, x, *shared)
 
 
@@ -334,17 +336,25 @@ def solve_iterative(
     adversary: Optional[str] = None,
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> SolveReport:
-    """Scenario generation: alternate the pool master (lower bound) with the
-    adversarial evaluation of its solution (upper bound) until they meet.
+    """Scenario generation in one branch-and-cut tree: the master's bound
+    is the lower bound, the adversary's value of each integral point the
+    upper bound.
 
     The master is built once, on the warm start's scenario at every break
-    point and the adversary's scenario against it, and solved each round
-    with the best adversary value so far as its cutoff; a master that
-    cannot beat it closes the gap without another adversary call.  Each
-    round appends to it one cut: the adversary's scenario at the break
-    point whose cut is tight at the master's x.  The next solve is
-    warm-started from this solve's root LP plus that cut, and so is each
-    MILP adversary call from the last one's root LP.
+    point and the adversary's scenario against it, and solved once, with
+    the adversary as its lazy-row callback (``milp.solve_milp``'s
+    ``lazy``).  At each integral point x the search reaches, the
+    adversary values x; unless the master's value variable already meets
+    that value, the callback returns one cut, the adversary's scenario at
+    the break point whose cut is tight at x, and the tree goes on with it.
+    Each MILP adversary call starts from the last one's root LP.
+
+    ``iterations`` counts the adversary calls the tree makes, and the
+    bounds get one entry per call: the tree's bound and the best value so
+    far.  A last entry has both at the optimum when the tree closes; when
+    the tree pops a node after ``time_limit`` seconds, the report keeps
+    the best x, is not optimal, and its last lower bound is the tree's
+    (or 0, which bounds every value, if that is higher).
     """
     start = time.monotonic()
     name, adv = _pick_adversary(inst, adversary)
@@ -354,7 +364,7 @@ def solve_iterative(
 
     # The adversary may copy the first stage, so zero bounds every value
     # from below; when the robust nominal solution already attains it the
-    # loop is unnecessary.
+    # tree is unnecessary.
     cert0 = adv(y0)
     if cert0.value <= 0:
         return SolveReport.exact(
@@ -364,31 +374,17 @@ def solve_iterative(
     pool: ScenarioPool = {(y0, delta0, s): None
                           for s in inst.break_points(y0.indices())}
     pool[(cert0.y, cert0.delta, _best_point(inst, cert0.y, y0))] = None
-    model = build_master(inst, pool)
 
-    root = None
-    while True:
-        res = milp.solve_milp(model, cutoff=best_value, root=root)
-        if res.status == "cutoff":
-            # No x beats the incumbent on this pool: the master's bound
-            # has met it, and the adversary could only confirm it.
-            lower.append(float(best_value))
-            upper.append(float(best_value))
-            optimal = True
-            break
-        if res.status != "optimal":
-            raise ScaleError(f"master solve failed with status {res.status}")
-        lb = res.value
-        x = _first_stage_x(inst, res)
+    def separate(point, bound: float) -> tuple[int, list[milp.Row]]:
+        nonlocal best_x, best_value
+        x = _read_solution(inst.feasible, point[1:1 + inst.n])
         cert = adv(x)
         if cert.value < best_value:
-            best_value = cert.value
-            best_x = x
-        lower.append(lb)
+            best_x, best_value = x, cert.value
+        lower.append(bound)
         upper.append(float(best_value))
-        optimal = best_value - lb <= 1e-6
-        if optimal or time.monotonic() - start > time_limit:
-            break
+        if cert.value <= point[0] + 1e-6:  # the master's value is exact
+            return cert.value, []
         key = (cert.y, cert.delta, _best_point(inst, cert.y, x))
         if key in pool:
             raise InternalError("regenerated a pooled scenario without "
@@ -398,17 +394,31 @@ def solve_iterative(
             raise InternalError(f"cut of the adversary's scenario misses "
                                 f"its value {cert.value} at the master's x")
         pool[key] = None
-        _add_cut(model, a, const)
-        root = res.root
+        return cert.value, [_cut_row(a, const)]
+
+    # Values are integers, so an x that beats the warm start is worth at
+    # most one less: the tree looks only for those, and a tree with no
+    # such point proves the warm start optimal.
+    model = build_master(inst, pool)
+    model.variables[0].ub = best_value - 1.0
+    res = milp.solve_milp(model, lazy=separate, deadline=start + time_limit)
+    calls = len(lower)
+    if res.status in ("optimal", "infeasible"):
+        lower.append(float(best_value))
+    elif res.status == "time_limit":
+        lower.append(max(min(res.bound, best_value), 0.0))
+    else:
+        raise ScaleError(f"master solve failed with status {res.status}")
+    upper.append(float(best_value))
     return SolveReport(
         x=best_x,
-        value=int(round(best_value)),
-        iterations=len(lower),
+        value=best_value,
+        iterations=calls,
         lower_bounds=lower,
         upper_bounds=upper,
         wall_time=time.monotonic() - start,
         method=f"iterative/{name}",
-        optimal=optimal,
+        optimal=res.status != "time_limit",
     )
 
 

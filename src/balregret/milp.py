@@ -5,27 +5,27 @@ Each solve reads the model into arrays once (``_form``).  At most the root
 is cold-started: its tableau is built from those arrays, and phase 1 starts
 from the slack basis wherever a row's slack can be basic and carries
 artificials only for the other rows.  Every other node is warm-started by
-one kernel (``_append_rows``): it adds its branching bound as one row to
-its parent's final tableau and restores feasibility with a dual simplex
-from the parent's basis.  The same kernel warm-starts a root from the root
-of an earlier model whose rows are a prefix of this one's (``root``), as
-a cutting-plane loop that adds rows to its master produces.  The
-objective may differ too, as it does between the calls of an evaluator
-whose rows do not depend on its input; the new one is priced before the
-primal pass.  An unbounded relaxation is settled by the same search with
-a zero objective, which looks for an integral point.  A caller that
-already holds an objective value may pass it as ``cutoff``: nodes that
-cannot beat it are pruned, and a search that finds nothing better ends
-with status "cutoff".  Models at desk scale only; simplicity and
-debuggability over sparsity: a pivot costs a fixed number of numpy calls
-on a dense tableau.
+one kernel (``_append_rows``): it adds rows to its parent's final tableau
+and restores feasibility with a dual simplex from the parent's basis.  The
+rows are the node's branching bound and the lazy rows its parent lacks: a
+caller may pass a callback that values each integral point the search
+reaches and returns model rows that the point violates, which every node
+solved from then on carries (a branch-and-cut tree, as a cutting-plane
+loop needs it).  A root may also start from the root of an earlier solve
+of a model with the same rows (``root``), as the calls of an evaluator
+whose rows do not depend on its input do; the new objective is priced
+before the primal pass.  An unbounded relaxation is settled by the same
+search with a zero objective, which looks for an integral point.  Models
+at desk scale only; simplicity and debuggability over sparsity: a pivot
+costs a fixed number of numpy calls on a dense tableau.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -100,15 +100,25 @@ class MilpModel:
 
 @dataclass
 class MilpResult:
-    # "optimal" | "infeasible" | "unbounded" | "node_limit" | "cutoff"
+    # "optimal" | "infeasible" | "unbounded" | "node_limit" | "time_limit"
     status: str
     value: float
     assignment: list[float]
     nodes: int = 0  # LP relaxations solved
     pivots: int = 0  # simplex pivots over all of them, cold and warm
-    # The solved root LP, for ``solve_milp(root=...)`` on a model with more
-    # rows; None unless the root LP had an optimum.
+    # The solved root LP, for ``solve_milp(root=...)`` on a model with the
+    # same rows; None unless the root LP had an optimum.
     root: Optional[_Root] = field(default=None, repr=False, compare=False)
+    # The best bound on the optimum the search proved, in the model's
+    # sense: the value when optimal, else the better of the incumbent's
+    # value and the weakest bound of a node left open.
+    bound: float = math.nan
+
+
+# A lazy-row callback: (integral point, the tree's bound) -> (the value of
+# the point's binaries, model rows the point violates); see ``solve_milp``.
+Row = tuple[dict[int, float], str, float]
+Lazy = Callable[[np.ndarray, float], tuple[float, list[Row]]]
 
 
 class _Form(NamedTuple):
@@ -135,23 +145,29 @@ def _zeros(rows: int, cols: int, what: str) -> np.ndarray:
     return np.zeros((rows, cols))
 
 
-def _form(model: MilpModel) -> _Form:
-    """Read the model into arrays.  A dense ``A`` above MAX_TABLEAU_ENTRIES
-    raises ScaleError before it is allocated: every tableau of the model is
-    larger still."""
-    rows, variables = model.constraints, model.variables
-    A = _zeros(len(rows), len(variables), "model")
+def _rows(rows: list[Row], width: int) -> tuple[np.ndarray, ...]:
+    """Sparse rows over ``width`` variables as arrays: the dense ``A``, the
+    rhs ``b`` and each row's slack coefficient."""
+    A = _zeros(len(rows), width, "model")
     # Every row's coefficients in one scatter.
     A[np.repeat(np.arange(len(rows)), [len(coefs) for coefs, _, _ in rows]),
       [j for coefs, _, _ in rows for j in coefs]] = [
         a for coefs, _, _ in rows for a in coefs.values()]
+    return (A, np.array([b for _, _, b in rows], dtype=float),
+            np.array([_SLACK_COEF[sense] for _, sense, _ in rows],
+                     dtype=float))
+
+
+def _form(model: MilpModel) -> _Form:
+    """Read the model into arrays.  A dense ``A`` above MAX_TABLEAU_ENTRIES
+    raises ScaleError before it is allocated: every tableau of the model is
+    larger still."""
+    variables = model.variables
     sign = 1.0 if model.objective_sense == "min" else -1.0
     cost = np.zeros(len(variables))
     cost[list(model.objective)] = list(model.objective.values())
     return _Form(
-        A,
-        np.array([b for _, _, b in rows], dtype=float),
-        np.array([_SLACK_COEF[sense] for _, sense, _ in rows], dtype=float),
+        *_rows(model.constraints, len(variables)),
         np.array([v.lb for v in variables], dtype=float),
         np.array([v.ub for v in variables], dtype=float),
         sign * cost,
@@ -173,6 +189,16 @@ class _Decode(NamedTuple):
         x = self.val + xstd[self.col]
         x[self.split] -= xstd[self.col[self.split] + 1]
         return x
+
+    def columns(self, A: np.ndarray, width: int) -> np.ndarray:
+        """Model-space rows ``A`` over ``width`` tableau columns, as
+        ``_standardize`` lays them out: each variable's coefficient on its
+        column, negated on a split variable's negative part, and zero on
+        every slack column."""
+        G = np.zeros((len(A), width))
+        G[:, self.col] = A
+        G[:, self.col[self.split] + 1] -= A[:, self.split]
+        return G
 
 
 def _standardize(form: _Form):
@@ -491,19 +517,32 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     return _optimum(T, z, basis, c, const, tab.decode, pivots)
 
 
-def _branch(tab: _Tableau, j: int, up: bool, cutoff: float) -> _LP:
-    """The LP of a child of a solved node: the node's LP plus x_j >= 1
-    (``up``) or x_j <= 0, appended by ``_append_rows`` as -x_j + s = -1 or
-    x_j + s = 0.  The fractional x_j is basic, so the reduced row is its
-    basic row, negated for the down branch, less its x_j entry."""
-    col = tab.decode.col[j]
-    if np.count_nonzero(tab.basis == col) != 1:
-        raise InternalError(f"branching variable {j} is not basic")
-    G = np.zeros((1, len(tab.c)))
-    G[0, col] = -1.0 if up else 1.0
-    val = tab.decode.val[j]  # the lower-bound shift, 0 for a binary
-    return _append_rows(tab, G, np.array([val - 1.0 if up else -val]),
-                        cutoff)
+def _node(parent: _Tableau, form: _Form, held: int, j: int, up: bool,
+          cutoff: float) -> _LP:
+    """The LP of a node from its parent's tableau, which holds the first
+    ``held`` rows of ``form``: the parent's LP plus x_j >= 1 (``up``) or
+    x_j <= 0 when j >= 0, and the rows of ``form`` from ``held`` on,
+    appended by ``_append_rows``.
+
+    The bound is the row -x_j + s = -1 or x_j + s = 0; the fractional x_j
+    is basic, so its reduced row is its basic row, negated for the down
+    branch, less its x_j entry.  A model row stands as it is if "<=" and
+    negated if ">=", over the tableau's columns (``_Decode.columns``)."""
+    d, width = parent.decode, len(parent.c)
+    A, slack = form.A[held:], form.slack[held:]
+    first = int(j >= 0)
+    G = np.zeros((first + len(A), width))
+    h = np.zeros(len(G))
+    if j >= 0:
+        col = d.col[j]
+        if np.count_nonzero(parent.basis == col) != 1:
+            raise InternalError(f"branching variable {j} is not basic")
+        G[0, col] = -1.0 if up else 1.0
+        h[0] = d.val[j] - 1.0 if up else -d.val[j]
+    if len(A):
+        G[first:] = d.columns(A, width) * slack[:, None]
+        h[first:] = (form.b[held:] - A @ d.val) * slack
+    return _append_rows(parent, G, h, cutoff)
 
 
 class _Root(NamedTuple):
@@ -513,43 +552,27 @@ class _Root(NamedTuple):
     form: _Form
 
 
-def _new_rows(root: _Root, form: _Form) -> tuple[
-        _Tableau, np.ndarray, np.ndarray, Optional[tuple[np.ndarray, float]]]:
-    """The root's tableau, the rows ``form`` adds to the model ``root``
-    was solved for, and ``form``'s objective unless it is the root
-    model's, as ``_append_rows`` takes them; InputError unless ``form``
-    has the same variables, bounds and objective sense, its first rows
-    are the root model's rows, and every added row has a slack."""
-    old, k = root.form, len(root.form.b)
-    if (form.A.shape[1] != old.A.shape[1]
+def _new_objective(root: _Root, form: _Form) -> tuple[
+        _Tableau, Optional[tuple[np.ndarray, float]]]:
+    """The root's tableau, and ``form``'s objective over its columns with
+    its constant unless it is the root model's, as ``_append_rows`` takes
+    them; InputError unless ``form`` has the root model's variables,
+    bounds, objective sense and rows."""
+    old = root.form
+    if (form.A.shape != old.A.shape or form.sign != old.sign
             or not np.array_equal(form.lb, old.lb)
-            or not np.array_equal(form.ub, old.ub)):
-        raise InputError("root tableau is of a model with other variables "
-                         "or bounds")
-    if (len(form.b) < k or form.sign != old.sign
-            or not np.array_equal(form.A[:k], old.A)
-            or not np.array_equal(form.b[:k], old.b)
-            or not np.array_equal(form.slack[:k], old.slack)):
-        raise InputError("root tableau is of a model that is not this "
-                         "model's objective sense and first rows")
-    if (form.slack[k:] == 0.0).any():
-        raise InputError("an \"=\" row cannot be appended to a root tableau")
-    # A "<=" row (slack +1) stands as it is, a ">=" row (slack -1) is
-    # negated; both over the root's columns, lower bounds shifted and free
-    # variables split.
-    A, slack, d = form.A[k:], form.slack[k:], root.tableau.decode
-    G = np.zeros((len(A), len(root.tableau.c)))
-    G[:, d.col] = A
-    G[:, d.col[d.split] + 1] -= A[:, d.split]
-    cost = None
-    if not np.array_equal(form.cost, old.cost):
-        # As ``_standardize`` prices the columns: the slacks cost nothing.
-        c = np.zeros(len(root.tableau.c))
-        c[d.col] = form.cost
-        c[d.col[d.split] + 1] -= form.cost[d.split]
-        cost = c, float(form.cost @ d.val)
-    return (root.tableau, G * slack[:, None],
-            (form.b[k:] - A @ d.val) * slack, cost)
+            or not np.array_equal(form.ub, old.ub)
+            or not np.array_equal(form.A, old.A)
+            or not np.array_equal(form.b, old.b)
+            or not np.array_equal(form.slack, old.slack)):
+        raise InputError("root tableau is of a model with other variables, "
+                         "bounds, objective sense or rows")
+    if np.array_equal(form.cost, old.cost):
+        return root.tableau, None
+    # As ``_standardize`` prices the columns: the slacks cost nothing.
+    d = root.tableau.decode
+    return root.tableau, (d.columns(form.cost[None], len(root.tableau.c))[0],
+                          float(form.cost @ d.val))
 
 
 def solve_lp(model: MilpModel) -> MilpResult:
@@ -570,104 +593,126 @@ def _feasible(form: _Form, x: np.ndarray) -> bool:
 
 def solve_milp(
     model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
-    cutoff: Optional[float] = None, root: Optional[_Root] = None,
+    root: Optional[_Root] = None, lazy: Optional[Lazy] = None,
+    deadline: float = math.inf,
 ) -> MilpResult:
     """Exact optimum by depth-first branch-and-bound over the binaries.
 
     Branches on the binary with fractional part closest to 0.5 (ties
     within 1e-12 go to the lowest index), exploring the
     rounding-toward-incumbent child first.  Each child is warm-started
-    from its parent's final tableau (``_branch``); only the root is
-    solved cold (``_relax``), unless ``root`` is given.  ``nodes`` counts
-    every LP solved, those of the zero-objective search for an unbounded
-    model included.
+    from its parent's final tableau (``_node``); only the root is solved
+    cold (``_relax``), unless ``root`` is given.  ``nodes`` counts every
+    LP solved, those of the zero-objective search for an unbounded model
+    included.  The search stops with status "node_limit" before its
+    ``node_limit``-th LP, and with "time_limit" when it pops a node after
+    ``deadline`` (a ``time.monotonic()`` reading).
 
-    ``cutoff`` is an objective value the caller already holds, in the
-    model's sense: a node whose bound does not beat it (lie below it for
-    "min", above it for "max") by FEAS_TOL is pruned as if the value were
-    the incumbent's.  When the search then ends with no incumbent and
-    some node was pruned that way, the status is "cutoff", with no
-    assignment: no point beats the cutoff.  The cutoff takes no part in
-    the zero-objective search.
+    ``lazy`` is called at every integral point x (model space) that meets
+    the rows so far and that the search does not prune, with the tree's
+    bound: the least bound over x's node and the open nodes, in the
+    model's sense.  It returns the best value of a point with x's
+    binaries in the whole model, the one with every row the callback
+    could return (an infinity in the worse direction if there is none),
+    which becomes the incumbent's value, with x, when better; and model
+    rows "<=" or ">=" that x violates by more than FEAS_TOL
+    (InternalError if one does not).  Those rows join the model for the
+    rest of the search: x's node is solved again with them, and every
+    open node appends the rows its parent's tableau lacks when it is
+    popped.  With no rows, x's node is closed.
 
     ``root`` is the ``root`` of an earlier result, for a model with the
-    same variables, bounds and objective sense whose rows are a prefix of
-    this model's; the objective may differ.  The root LP then appends
-    the other rows to its tableau (``_append_rows``), and prices the new
+    same variables, bounds, objective sense and rows; the objective may
+    differ.  The root LP then starts from its tableau and prices the new
     objective if there is one, instead of starting cold.  The result
     carries its own root LP back as ``root``.
     """
     form = _form(model)
     bins = form.binaries
-    warm = None if root is None else _new_rows(root, form)
+    warm = None if root is None else _new_objective(root, form)
     root_lp: Optional[_Root] = None
 
-    # In minimization orientation: the incumbent's value, and until there
-    # is one, the cutoff.
-    best_value = math.inf if cutoff is None else form.sign * cutoff
+    # In minimization orientation: the incumbent's value.
+    best_value = math.inf
     best_x: Optional[np.ndarray] = None
-    limited = unbounded = pruned = False
+    stopped: Optional[str] = None
+    unbounded = False
 
     # Each entry: the node's branch record (the value each branched binary
-    # is bound to), its parent's tableau (None at the root) and the binary
-    # branched last.  Both children of a node share its tableau, which is
+    # is bound to), its parent's tableau (None at the root), the binary
+    # branched last (-1 to solve a node again with new rows), the number
+    # of rows of ``form`` that tableau holds, and its LP's value, a bound
+    # on the node's.  Both children of a node share its tableau, which is
     # freed once both are popped.
-    top: tuple[dict[int, float], Optional[_Tableau], int] = ({}, None, -1)
+    top = ({}, None, -1, len(form.b), -math.inf)
     stack = [top]
     nodes = pivots = 0
     while stack:
         if nodes == node_limit:
-            limited = True
+            stopped = "node_limit"
+            break
+        if time.monotonic() > deadline:
+            stopped = "time_limit"
             break
         # Release the last node's tableau before this node allocates its
         # own: held through the solve, it raised the peak resident memory.
         lp = None
-        fixed, parent, j = stack.pop()
+        fixed, parent, j, held, _ = stack.pop()
         nodes += 1
         if parent is not None:
-            lp = _branch(parent, j, fixed[j] == 1.0, best_value)
+            lp = _node(parent, form, held, j, fixed.get(j) == 1.0,
+                       best_value)
         elif warm is not None:
-            # Solved in full, as a cold root is: one stopped at the cutoff
-            # would not tell an infeasible model from one that cannot beat
-            # the cutoff.
-            tab, G, h, cost = warm
-            lp = _append_rows(tab, G, h, math.inf, cost)
+            tab, cost = warm
+            lp = _append_rows(tab, np.zeros((0, len(tab.c))), np.zeros(0),
+                              math.inf, cost)
         else:
             lp = _relax(form)
         if nodes == 1 and lp.tableau is not None:
             root_lp = _Root(lp.tableau, form)
         pivots += lp.pivots
-        if lp.status == "infeasible":
-            continue
-        if lp.status == "cutoff":
-            pruned = True
+        if lp.status in ("infeasible", "cutoff"):
             continue
         if lp.status == "unbounded":
             # Every binary lies in [0, 1], so the improving ray moves only
             # continuous variables: the model is unbounded exactly when it
             # has an integral point.  Without an incumbent, search for one
-            # from the root with a zero objective, whose bound 0 says
-            # nothing about the cutoff.
+            # from the root with a zero objective.
             unbounded = True
             if best_x is not None:
                 break
             form = form._replace(cost=np.zeros_like(form.cost))
-            best_value, pruned, warm = math.inf, False, None
+            best_value, warm = math.inf, None
             stack = [top]
             continue
         bound, x = lp.value, lp.x
         if bound >= best_value - FEAS_TOL:
-            pruned = True
             continue
         xb = x[bins]
         f = xb - np.floor(xb)
         dist = np.where(np.minimum(f, 1 - f) > INT_TOL, np.abs(f - 0.5), INF)
         if not (dist < INF).any():
             x[bins] = np.round(xb) + 0.0  # as round(): 0.0, never -0.0
-            if _feasible(form, x):
-                best_value, best_x = bound, x
-                if unbounded:
-                    break
+            if not _feasible(form, x):
+                continue
+            value, rows = bound, []
+            if lazy is not None:
+                tree = min([bound] + [entry[4] for entry in stack])
+                value, rows = lazy(x.copy(), form.sign * tree)
+                value *= form.sign
+            if value < best_value:
+                best_value, best_x = value, x
+            if rows:
+                A, b, slack = _rows(rows, len(x))
+                if not (slack * (A @ x - b) > FEAS_TOL).all():
+                    raise InternalError("a lazy row holds at the point it "
+                                        "was returned for")
+                stack.append((fixed, lp.tableau, -1, len(form.b), bound))
+                form = form._replace(A=np.concatenate((form.A, A)),
+                                     b=np.concatenate((form.b, b)),
+                                     slack=np.concatenate((form.slack, slack)))
+            elif unbounded:
+                break
             continue
         k = int(np.argmax(dist <= dist.min() + 1e-12))
         j = int(bins[k])
@@ -675,16 +720,16 @@ def solve_milp(
             raise InternalError(f"binary {j} is fractional below its branch")
         first = float(round(best_x[j] if best_x is not None else f[k]))
         # Depth-first: the preferred child is pushed last (popped first).
-        stack.append(({**fixed, j: 1.0 - first}, lp.tableau, j))
-        stack.append(({**fixed, j: first}, lp.tableau, j))
+        held = len(form.b)
+        stack.append(({**fixed, j: 1.0 - first}, lp.tableau, j, held, bound))
+        stack.append(({**fixed, j: first}, lp.tableau, j, held, bound))
 
-    if best_x is None:
-        status = ("node_limit" if limited else "cutoff" if pruned
-                  else "infeasible")
-        return MilpResult(status, math.nan, [], nodes, pivots, root_lp)
-    if unbounded:
+    if unbounded and best_x is not None:
         return MilpResult("unbounded", -form.sign * math.inf, [], nodes,
-                          pivots, root_lp)
-    return MilpResult("node_limit" if limited else "optimal",
-                      form.sign * best_value, best_x.tolist(), nodes, pivots,
-                      root_lp)
+                          pivots, root_lp, -form.sign * math.inf)
+    bound = form.sign * min([best_value] + [entry[4] for entry in stack])
+    if best_x is None:
+        return MilpResult(stopped or "infeasible", math.nan, [], nodes,
+                          pivots, root_lp, bound)
+    return MilpResult(stopped or "optimal", form.sign * best_value,
+                      best_x.tolist(), nodes, pivots, root_lp, bound)

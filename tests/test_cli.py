@@ -139,6 +139,21 @@ class TestSolve:
         assert "internal error: certificate disagrees" in caplog.text
         assert not out.exists()
 
+    def test_time_limit_exits_three_with_a_valid_bound(self, tmp_path):
+        # The deadline stops the master's tree at its first node: the
+        # report keeps the warm start's x, is not optimal, and its last
+        # lower bound does not pass its value.
+        path = tmp_path / "paper60.json"
+        save_instance(gen_selection(60, 1, gamma=3, gamma_prime=1), path)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", str(path), "--method",
+                     "iterative", "--time-limit", "0",
+                     "--out", str(out)]) == cli.EXIT_TIME_LIMIT
+        payload = json.loads(out.read_text())
+        assert payload["optimal"] is False
+        assert payload["lower_bounds"][-1] <= payload["value"]
+        assert payload["upper_bounds"][-1] == payload["value"]
+
 
 class TestEvaluate:
     def test_matrix_csv(self, tmp_path, example_two_file):

@@ -1,10 +1,14 @@
 """First-stage solvers: agreement, reports, bound traces, guards."""
 
 import dataclasses
+import math
+import time
+import types
 
 import pytest
 
 from balregret.adversarial import (
+    MilpAdversary,
     adversarial_bruteforce,
     adversarial_selection_dp,
 )
@@ -73,7 +77,39 @@ def test_methods_agree_on_random_selection():
                 solve.__name__, inst)
 
 
+def _spy_lazy(monkeypatch) -> list:
+    """Record every ``milp.solve_milp`` call that passes a lazy callback:
+    its model and, per callback call, the point, the tree's bound, and
+    the value and rows returned."""
+    solves = []
+    solve = milp.solve_milp
+
+    def spy(model, *args, lazy=None, **kwargs):
+        if lazy is None:
+            return solve(model, *args, **kwargs)
+        calls = []
+        solves.append((model, calls))
+
+        def wrapped(x, bound):
+            value, rows = lazy(x, bound)
+            calls.append((x, bound, value, rows))
+            return value, rows
+
+        return solve(model, *args, lazy=wrapped, **kwargs)
+
+    monkeypatch.setattr(milp, "solve_milp", spy)
+    return solves
+
+
+def _appended(solves) -> bool:
+    """Whether some recorded solve appended a lazy row."""
+    return any(rows for _, calls in solves for *_, rows in calls)
+
+
 def test_iterative_bound_traces():
+    # One entry per adversary call of the tree and one for the closed
+    # tree: the lower bounds rise, the upper bounds fall, and both meet
+    # at the value.
     rng = SplitMix64(31338)
     for trial in range(25):
         inst = rand_mrs(rng, n_lo=4, n_hi=7, name=f"trace{trial}")
@@ -81,49 +117,97 @@ def test_iterative_bound_traces():
         assert rep.optimal
         lbs, ubs = rep.lower_bounds, rep.upper_bounds
         assert lbs and ubs and len(lbs) == len(ubs)
+        if rep.value:
+            assert len(lbs) == rep.iterations + 1
         assert all(a <= b + 1e-9 for a, b in zip(lbs, lbs[1:]))
         assert all(a >= b - 1e-9 for a, b in zip(ubs, ubs[1:]))
         assert all(lb <= ub + 1e-9 for lb, ub in zip(lbs, ubs))
-        assert ubs[-1] - lbs[-1] <= 1e-6
-        assert rep.gap <= 1e-6
-        assert rep.value == int(round(ubs[-1]))
+        assert lbs[-1] == ubs[-1] == float(rep.value)
+        assert rep.gap == 0.0
 
 
-def test_iterative_master_cutoff_saves_the_last_adversary_call(monkeypatch):
-    # Each master's cutoff is the best adversary value so far.  A solve
-    # that ends on a master that cannot beat it calls the adversary once
-    # for the warm start and once per other master; one that ends on an
-    # optimal master calls it once more.
-    statuses, calls = [], []
-    solve_milp, dp = master.milp.solve_milp, master.ADVERSARY_METHODS["dp"]
-
-    def spy_solve(model, **kwargs):
-        res = solve_milp(model, **kwargs)
-        statuses.append(res.status)
-        return res
-
-    monkeypatch.setattr(master.milp, "solve_milp", spy_solve)
+def test_iterative_calls_the_adversary_once_per_integral_point(monkeypatch):
+    # One tree per solve.  The adversary runs once on the warm start and
+    # once on the x of each integral point the tree evaluates; each of
+    # those calls adds the tree's bound to the lower bounds.
+    solves = _spy_lazy(monkeypatch)
+    calls = []
+    dp = master.ADVERSARY_METHODS["dp"]
     monkeypatch.setitem(master.ADVERSARY_METHODS, "dp",
                         lambda inst, x: calls.append(x) or dp(inst, x))
-    rng = SplitMix64(31339)
-    ends = {"cutoff": 0, "optimal": 0}
-    for trial in range(40):
-        inst = rand_mrs(rng, n_lo=5, n_hi=8, max_parts=3, name=f"cut{trial}")
-        inst = Instance(inst.costs, Budgets(1 + trial % 3, trial % 2),
-                        inst.feasible, name=inst.name)
-        del statuses[:], calls[:]
+    points = 0
+    for k in range(30):
+        inst = gen_selection(8 + k % 5, 31339 + k, gamma=1 + k % 3,
+                             gamma_prime=k % 3)
+        del solves[:], calls[:]
         rep = master.solve_iterative(inst)
         assert rep.optimal and rep.value == master.solve_bruteforce(inst).value
-        if not statuses:  # the warm start is worth 0
+        if not solves:  # the warm start is worth 0
+            assert len(calls) == 1 and rep.iterations == 0
             continue
-        assert set(statuses[:-1]) <= {"optimal"}
-        end = statuses[-1]
-        ends[end] += 1
-        assert len(calls) == rep.iterations + (end == "optimal"), inst
-        if end == "cutoff":
-            assert (rep.lower_bounds[-1] == rep.upper_bounds[-1]
-                    == float(rep.value))
-    assert ends["cutoff"] >= 10 and ends["optimal"] >= 1
+        [(_, evaluated)] = solves
+        assert len(calls) == 1 + len(evaluated) == 1 + rep.iterations, inst
+        assert calls[1:] == [
+            BinarySolution([int(round(v)) for v in x[1:1 + inst.n]])
+            for x, *_ in evaluated]
+        assert [bound for _, bound, *_ in evaluated] == rep.lower_bounds[:-1]
+        points += len(evaluated)
+    assert points >= 20
+
+
+def test_adversary_points_meet_every_earlier_lazy_row(monkeypatch):
+    # Every point the tree passes to the adversary meets every cut the
+    # adversary returned before it, on selection (DP) and on paths and
+    # knapsacks (MILP).
+    solves = _spy_lazy(monkeypatch)
+    rng = SplitMix64(31340)
+    instances = [(gen_selection(n, seed, gamma=3, gamma_prime=1), "dp")
+                 for n, seed in ((30, 7), (40, 3), (60, 1))]
+    instances += [(inst, "milp") for inst in layered_instances(rng, 15)]
+    instances += [(gen_knapsack(6 + k % 5, 31340 + k, gamma=1 + k % 3,
+                                gamma_prime=k % 4), "milp") for k in range(15)]
+    checked = 0
+    for inst, adversary in instances:
+        del solves[:]
+        rep = master.solve_iterative(inst, adversary=adversary)
+        assert rep.optimal
+        for _, evaluated in solves:
+            rows = []
+            for x, _, _, new in evaluated:
+                for coefs, sense, rhs in rows:
+                    assert sense == ">="
+                    assert (sum(a * x[j] for j, a in coefs.items())
+                            >= rhs - milp.FEAS_TOL), inst
+                    checked += 1
+                rows += new
+    assert checked >= 200
+
+
+def test_iterative_deadline_keeps_the_best_x_and_the_tree_bound(
+        monkeypatch):
+    # A deadline that passes after the tree's k-th adversary call stops
+    # the tree at its next node: the report keeps the best x found, is
+    # not optimal, and ends on the tree's bound, which no earlier bound
+    # passes and which does not pass the value.
+    inst = gen_selection(30, 7, gamma=3, gamma_prime=1)
+    full = master.solve_iterative(inst)
+    assert full.iterations > 3
+    calls = []
+    dp = master.ADVERSARY_METHODS["dp"]
+    monkeypatch.setitem(master.ADVERSARY_METHODS, "dp",
+                        lambda inst, x: calls.append(x) or dp(inst, x))
+    clock = time.monotonic
+    for k in range(1, full.iterations):
+        monkeypatch.setattr(milp, "time", types.SimpleNamespace(
+            monotonic=lambda: math.inf if len(calls) > k else clock()))
+        del calls[:]
+        rep = master.solve_iterative(inst)
+        assert not rep.optimal and rep.iterations == k
+        assert len(rep.lower_bounds) == len(rep.upper_bounds) == k + 1
+        assert rep.lower_bounds[-2] <= rep.lower_bounds[-1] <= rep.value
+        assert rep.upper_bounds[-1] == rep.value >= full.value
+        assert rep.value == min(dp(inst, x).value for x in calls)
+        assert dp(inst, rep.x).value == rep.value
 
 
 def test_iterative_adversary_choices_agree(example_one):
@@ -220,7 +304,7 @@ def test_stuck_adversary_raises_internal_error(example_one, monkeypatch):
 
 
 @pytest.mark.xfail(reason="float64 simplex tolerances at costs x 10^5; "
-                          "ROADMAP item 2's integer certificate")
+                          "ROADMAP item 4's integer certificate")
 def test_compact_exact_on_scaled_selection():
     base = gen_selection(6, 10, gamma=2, gamma_prime=1)
     k = 10**5
@@ -359,11 +443,13 @@ def test_huge_declared_node_count_solves_like_two_nodes():
         assert got == want
 
 
-def test_iterative_matches_bruteforce_on_selection():
-    # Both adversaries at gamma_prime 0-3, the range over which a round's
-    # cut moves between break points.  A value of 0 that both adversaries
+def test_iterative_matches_bruteforce_on_selection(monkeypatch):
+    # Both adversaries at gamma_prime 0-3, the range over which a cut
+    # moves between break points.  A value of 0 that both adversaries
     # certify is optimal, since no value lies below it; the draws go on
-    # until 300 instances are positive.
+    # until 300 instances are positive.  ``rounds`` counts the solves
+    # whose tree appended at least one lazy row.
+    solves = _spy_lazy(monkeypatch)
     rng = SplitMix64(41019)
     positive = rounds = 0
     while positive < 300:
@@ -372,51 +458,61 @@ def test_iterative_matches_bruteforce_on_selection():
         inst = Instance(inst.costs, Budgets(1 + rng.randint(0, 2),
                                             rng.randint(0, 3)),
                         inst.feasible, name=inst.name)
-        reps = [master.solve_iterative(inst, adversary=adversary)
-                for adversary in ("dp", "milp")]
+        reps, appended = [], []
+        for adversary in ("dp", "milp"):
+            del solves[:]
+            reps.append(master.solve_iterative(inst, adversary=adversary))
+            appended.append(_appended(solves))
         if all(rep.optimal and rep.value == 0 for rep in reps):
             continue
         want = master.solve_bruteforce(inst).value
         for rep in reps:
             assert rep.optimal and rep.value == want, (rep.method, inst)
             assert adversarial_bruteforce(inst, rep.x).value == want
-            rounds += rep.iterations > 1
+        rounds += sum(appended)
         positive += 1
     assert rounds >= 300
 
 
-def test_iterative_matches_bruteforce_on_paths_and_knapsacks():
+def test_iterative_matches_bruteforce_on_paths_and_knapsacks(monkeypatch):
+    solves = _spy_lazy(monkeypatch)
     rng = SplitMix64(41020)
     instances = [gen_knapsack(6 + k % 5, 41020 + k, gamma=1 + k % 3,
                               gamma_prime=k % 4) for k in range(40)]
     instances += layered_instances(rng, 40, first=40)
     rounds = 0
     for inst in instances:
+        del solves[:]
         rep = master.solve_iterative(inst, adversary="milp")
         assert rep.optimal, inst
         assert rep.value == master.solve_bruteforce(inst).value, inst
-        rounds += rep.iterations > 1
+        rounds += _appended(solves)
     assert rounds >= 10
 
 
 def test_iterative_milp_adversary_solves_one_root_cold(monkeypatch):
-    # Every adversary model of a solve has the same rows, so only its
-    # first root LP is solved cold; the others start from the last one's.
-    # The adversary's models have 3n + 1 columns, the master's n + 1.
-    cold_columns = []
-    relax = milp._relax
+    # Every adversary call of a solve sets the objective of one model, so
+    # only its first root LP is solved cold; the others start from the
+    # last one's.  The adversary's model has 3n + 1 columns, the
+    # master's n + 1.
+    solves = _spy_lazy(monkeypatch)
+    cold_columns, models = [], []
+    relax, build = milp._relax, MilpAdversary.of
 
     def spy(form):
         cold_columns.append(form.A.shape[1])
         return relax(form)
 
     monkeypatch.setattr(milp, "_relax", spy)
+    monkeypatch.setattr(MilpAdversary, "of",
+                        lambda inst: models.append(build(inst)) or models[-1])
     rounds = 0
     for inst in layered_instances(SplitMix64(41021), 20):
-        del cold_columns[:]
-        rep = master.solve_iterative(inst, adversary="milp")
+        del cold_columns[:], models[:], solves[:]
+        master.solve_iterative(inst, adversary="milp")
         assert cold_columns.count(3 * inst.n + 1) == 1, inst
-        rounds += rep.iterations > 1
+        assert len(models) == 1
+        rounds += _appended(solves)
     assert rounds >= 3
 
 
@@ -478,28 +574,30 @@ def test_paper_scale_selection_converges_in_few_rounds():
 
 
 def test_iterative_builds_one_master_and_grows_it(monkeypatch):
-    # One build per solve; every round solves that same model, one cut
-    # longer than the round before.
-    builds, solves = [], []
-    build, solve = master.build_master, milp.solve_milp
+    # One build and one tree per solve: the master is solved once, and
+    # the cuts the adversary returns, one per call at most, join that
+    # tree as lazy rows.  The model itself is left as built.
+    builds = []
+    build = master.build_master
 
     def spy_build(inst, pool):
         builds.append(build(inst, pool))
         return builds[-1]
 
-    def spy_solve(model, *args, **kwargs):
-        solves.append((model, len(model.constraints)))
-        return solve(model, *args, **kwargs)
-
     monkeypatch.setattr(master, "build_master", spy_build)
-    monkeypatch.setattr(milp, "solve_milp", spy_solve)
-    rep = master.solve_iterative(gen_selection(30, 7, gamma=3, gamma_prime=1))
+    solves = _spy_lazy(monkeypatch)
+    inst = gen_selection(30, 7, gamma=3, gamma_prime=1)
+    rep = master.solve_iterative(inst)
     assert rep.optimal and rep.value == 81 and rep.iterations > 2
     assert len(builds) == 1
-    assert [model for model, _ in solves] == builds * rep.iterations
-    first = solves[0][1]
-    assert ([rows for _, rows in solves]
-            == list(range(first, first + rep.iterations)))
+    [(model, evaluated)] = solves
+    assert model is builds[0]
+    assert all(len(rows) <= 1 for *_, rows in evaluated)
+    appended = sum(len(rows) for *_, rows in evaluated)
+    assert appended > 2
+    assert len(model.constraints) == len(
+        master._first_stage_model(inst)[0].constraints) + len(
+        inst.break_points(master._initial_scenario(inst)[0].indices())) + 1
 
 
 def test_cut_that_misses_the_adversary_value_raises(monkeypatch):

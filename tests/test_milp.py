@@ -3,12 +3,13 @@
 import copy
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from balregret.core import InputError, ScaleError
+from balregret.core import InputError, InternalError, ScaleError
 from balregret.instances import SplitMix64
 from balregret import milp
 
@@ -571,40 +572,107 @@ def _with_row(model, rng: SplitMix64, sense: str = ">="):
     return more
 
 
-def test_warm_root_matches_cold_solve_along_row_chains():
-    # Each model of a chain adds one random ">=" row to the last; its warm
-    # solve starts from the last model's root LP.  Every other step passes
-    # the last optimum, or a value near it, as a cutoff.
+def _with_rows(model, rows):
+    """A copy of the model with the given rows appended."""
+    more = copy.deepcopy(model)
+    for row in rows:
+        more.add_constraint(*row)
+    return more
+
+
+def _hidden_rows(model, rng: SplitMix64, k: int):
+    """k random integer rows over the model's variables."""
+    return [({j: float(rng.randint(-3, 3)) for j in range(len(model.variables))
+              if rng.randint(0, 1)}, "<=" if rng.randint(0, 1) else ">=",
+             float(rng.randint(-4, 4))) for _ in range(k)]
+
+
+def _excess(row, x) -> float:
+    """How far x violates the row (<= 0 when it holds)."""
+    coefs, sense, rhs = row
+    lhs = sum(a * x[j] for j, a in coefs.items())
+    return lhs - rhs if sense == "<=" else rhs - lhs
+
+
+def test_lazy_rows_match_cold_solve_of_the_whole_model():
+    # A pure-binary model keeps some random rows hidden from the engine; a
+    # callback returns those its integral points violate.  The search must
+    # end where a cold solve of the model with every row ends.  Each point
+    # meets every row returned before it, and each tree bound is a bound
+    # on the optimum.
     rng = SplitMix64(4714)
-    seen, warm = {}, 0
-    for model in _seeded_models()[::4]:
+    binary = SplitMix64(4712)
+    models = [_random_binary_model(binary)[0] for _ in range(150)]
+    models += [_seeded_knapsack_model(binary, 6 + k % 7) for k in range(40)]
+    seen, appended = {}, 0
+    for model in models:
+        hidden = _hidden_rows(model, rng, 1 + rng.randint(0, 3))
+        whole = milp.solve_milp(_with_rows(model, hidden))
+        worse = 1.0 if model.objective_sense == "min" else -1.0
+        returned, bounds = [], []
+
+        def lazy(x, bound):
+            assert all(_excess(row, x) <= milp.FEAS_TOL for row in returned)
+            bounds.append(bound)
+            rows = [row for row in hidden if _excess(row, x) > 0.5]
+            returned.extend(rows)
+            value = sum(a * x[j] for j, a in model.objective.items())
+            return (worse * math.inf if rows else value), rows
+
+        res = milp.solve_milp(model, lazy=lazy)
+        assert res.status == whole.status, model
+        seen[res.status] = seen.get(res.status, 0) + 1
+        appended += bool(returned)
+        if res.status == "optimal":
+            assert res.value == pytest.approx(whole.value, abs=1e-6)
+            assert res.bound == res.value
+            assert milp._feasible(milp._form(_with_rows(model, hidden)),
+                                  np.array(res.assignment))
+            assert all(worse * b <= worse * res.value + 1e-6 for b in bounds)
+    assert appended >= 50
+    assert min(seen.get(s, 0) for s in ("optimal", "infeasible")) >= 20
+
+
+def test_lazy_row_that_holds_at_its_point_raises():
+    # A row the point already meets would be appended again and again.
+    model = _seeded_knapsack_model(SplitMix64(8), 8)
+    holds = ({0: 1.0}, "<=", 1.0)
+    with pytest.raises(InternalError, match="lazy row"):
+        milp.solve_milp(model, lazy=lambda x, bound: (0.0, [holds]))
+
+
+def test_limits_stop_with_a_bound_on_the_optimum():
+    # A search stopped by its node limit or its deadline reports the
+    # better of its incumbent and the weakest open node as its bound.
+    checked = 0
+    for model in _seeded_models()[400::3]:
         res = milp.solve_milp(model)
-        last = res.value if res.status == "optimal" else None
-        for step in range(6):
-            if res.root is None:
-                break
-            model = _with_row(model, rng)
-            worse = 1.0 if model.objective_sense == "min" else -1.0
-            cutoff = (last + worse * rng.randint(-1, 2)
-                      if step % 2 and last is not None else None)
-            cold = milp.solve_milp(model, cutoff=cutoff)
-            res = milp.solve_milp(model, cutoff=cutoff, root=res.root)
-            warm += 1
-            assert res.status == cold.status, model
-            seen[res.status] = seen.get(res.status, 0) + 1
+        assert res.status in ("optimal", "infeasible")
+        if res.status == "optimal":
+            assert res.bound == res.value
+        worse = 1.0 if model.objective_sense == "min" else -1.0
+        for limit in range(1, res.nodes):
+            limited = milp.solve_milp(model, node_limit=limit)
+            assert limited.status == "node_limit" and limited.nodes == limit
             if res.status == "optimal":
-                assert res.value == pytest.approx(cold.value, abs=1e-6)
-                assert milp._feasible(milp._form(model),
-                                      np.array(res.assignment))
-                last = res.value
-    assert warm >= 300
-    assert min(seen.get(s, 0) for s in ("optimal", "infeasible", "cutoff")) >= 20
+                assert worse * limited.bound <= worse * res.value + 1e-6
+                if limited.assignment:
+                    assert worse * limited.value >= worse * res.value - 1e-6
+                    assert worse * limited.bound <= worse * limited.value
+            checked += 1
+        stopped = milp.solve_milp(model, deadline=0.0)
+        assert (stopped.status, stopped.nodes) == ("time_limit", 0)
+        assert stopped.bound == -worse * math.inf
+        late = milp.solve_milp(model, deadline=time.monotonic() + 3600.0)
+        assert (late.status, late.assignment, late.nodes) == (
+            res.status, res.assignment, res.nodes)
+    assert checked >= 100
 
 
 def test_warm_root_with_new_objective_matches_cold_solve():
-    # Each model of a chain has new random costs in the same sense, and
-    # every other one also adds a random ">=" row; its warm solve starts
-    # from the last model's root LP, which prices the new objective.
+    # Each model of a chain has new random costs in the same sense; its
+    # warm solve starts from the last model's root LP, which prices the
+    # new objective.
     rng = SplitMix64(4715)
     seen, warm = {}, 0
     for model in _seeded_models()[::4]:
@@ -612,7 +680,7 @@ def test_warm_root_with_new_objective_matches_cold_solve():
         for step in range(6):
             if res.root is None:
                 break
-            model = _with_row(model, rng) if step % 2 else copy.deepcopy(model)
+            model = copy.deepcopy(model)
             model.set_objective(model.objective_sense, {
                 j: rng.randint(-5, 5) for j in range(len(model.variables))})
             cold = milp.solve_milp(model)
@@ -633,10 +701,9 @@ def test_warm_root_rejects_another_model():
     model = _seeded_knapsack_model(SplitMix64(9), 8)
     root = milp.solve_milp(model).root
     rng = SplitMix64(10)
-    assert milp.solve_milp(_with_row(model, rng), root=root).status == (
-        "optimal")
-    with pytest.raises(InputError, match="="):
-        milp.solve_milp(_with_row(model, rng, "="), root=root)
+    repriced = copy.deepcopy(model)
+    repriced.set_objective("max", {0: 1.0})
+    assert milp.solve_milp(repriced, root=root).status == "optimal"
     wider = copy.deepcopy(model)
     wider.add_binary()
     bounded = copy.deepcopy(model)
@@ -645,46 +712,10 @@ def test_warm_root_rejects_another_model():
     reordered.constraints.reverse()
     flipped = copy.deepcopy(model)
     flipped.set_objective("min", model.objective)
-    for other in (wider, bounded, reordered, flipped):
+    for other in (wider, bounded, reordered, flipped, _with_row(model, rng),
+                  _with_row(model, rng, "=")):
         with pytest.raises(InputError):
             milp.solve_milp(other, root=root)
-
-
-def test_cutoff_prunes_only_what_cannot_beat_it():
-    seen = {}
-    for model in _seeded_models():
-        res = milp.solve_milp(model)
-        seen[res.status] = seen.get(res.status, 0) + 1
-        worse = 1.0 if model.objective_sense == "min" else -1.0
-        if res.status == "optimal":
-            # A cutoff the optimum beats changes nothing.
-            for margin in (1e-3, 1.0):
-                loose = milp.solve_milp(model, cutoff=res.value + worse * margin)
-                assert (loose.status, loose.value, loose.assignment) == (
-                    res.status, res.value, res.assignment)
-            # One the optimum does not beat leaves no incumbent.
-            for margin in (0.0, 1.0):
-                cut = milp.solve_milp(model, cutoff=res.value - worse * margin)
-                assert cut.status == "cutoff" and cut.assignment == []
-                assert math.isnan(cut.value)
-            if res.nodes > 1:  # the root branches: no incumbent at node 1
-                limited = milp.solve_milp(model, node_limit=1,
-                                          cutoff=res.value + worse)
-                assert limited.status == "node_limit"
-                assert limited.assignment == []
-        elif res.status == "infeasible":
-            assert milp.solve_milp(model, cutoff=worse * 1e9).status == (
-                "infeasible")
-            # A cutoff no bound beats prunes the root unless its LP has no
-            # bounded optimum.
-            root = milp.solve_lp(model).status
-            assert milp.solve_milp(model, cutoff=-worse * 1e9).status == (
-                "cutoff" if root == "optimal" else "infeasible")
-        else:  # the zero-objective search ignores the cutoff
-            for cutoff in (-1e9, 0.0, 1e9):
-                assert milp.solve_milp(model, cutoff=cutoff).status == (
-                    "unbounded")
-    assert min(seen.values()) >= 30
 
 
 def test_entering_column_falls_back_past_a_column_without_pivot():
