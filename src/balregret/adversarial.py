@@ -193,8 +193,9 @@ def adversarial_milp(
 
     res = milp.solve_milp(held.model, root=held.root)
     held.root = res.root
-    if res.status == "node_limit" and not res.assignment:
-        raise ScaleError("adversarial MILP hit the node limit with no incumbent")
+    if not res.assignment:
+        raise ScaleError(f"adversarial MILP ended {res.status} with no "
+                         "solution")
     optimal = res.status == "optimal"
     y = _read_solution(inst.feasible, res.assignment[:n])
     const = sum(ci * xi for ci, xi in zip(c, x.x))
@@ -257,18 +258,17 @@ def adversarial_selection_dp(
     # pass int64 from n = 8.
     base = sum(ci * xi for ci, xi in zip(c, x.x))
     gamma_prime = inst.budgets.gamma_prime
-    row = width + 2
-    span = max(1, _DP_STATES // ((inst.n + 1) * (max(f.quotas) + 2) * row))
-    end = (1 + f.quotas[-1]) * row + 1
+    span = max(1, _DP_STATES // ((inst.n + 1) * (max(f.quotas) + 1)
+                                 * (width + 1)))
     best = None
     for lo in range(0, len(points), span):
-        states = _dp_states(f, cost[:, lo:lo + span], gain, attackable, row)
-        done = states[-1, end:end + row - 1].T.tolist()
+        states = _dp_states(f, cost[:, lo:lo + span], gain, attackable, width)
+        done = states[-1, f.quotas[-1]].T.tolist()
         values = [base + max(by_ac) - gamma_prime * s
                   for by_ac, s in zip(done, points[lo:lo + span])]
         k = max(range(len(values)), key=values.__getitem__)  # first on ties
         if best is None or values[k] > best[0]:
-            best = values[k], lo + k, states[:, :, k], done[k]
+            best = values[k], lo + k, states[..., k], done[k]
     best_value, k, trail, by_ac = best
     value = max(by_ac)
     ac = by_ac.index(value)  # smallest on ties
@@ -276,20 +276,20 @@ def adversarial_selection_dp(
     # Backtrack the k-th point from the end, starting each partition at
     # its quota. Each state replays the tie rule of a forward pass that
     # offers it pick, then attack, then skip, and keeps the first best
-    # offer; a border cell never matches a reachable value.
+    # offer.
     j = inst.n
-    cell = row + 1 + ac
     y_idx: list[int] = []
     for part, quota in zip(reversed(f.partitions), reversed(f.quotas)):
-        cell += quota * row
+        yc = quota
         for i in reversed(part):
             j -= 1
-            if trail.item(j, cell - row) - cost.item(i, k) == value:
+            if yc and trail.item(j, yc - 1, ac) - cost.item(i, k) == value:
                 y_idx.append(i)
-                cell -= row
-            elif attackable[i] and trail.item(j, cell - 1) + d[i] == value:
-                cell -= 1
-            value = trail.item(j, cell)
+                yc -= 1
+            elif (ac and attackable[i]
+                  and trail.item(j, yc, ac - 1) + d[i] == value):
+                ac -= 1
+            value = trail.item(j, yc, ac)
     y = BinarySolution.from_indices(y_idx, inst.n)
     cert = _certificate_for(inst, x, y)
     if cert.value != best_value:
@@ -298,35 +298,30 @@ def adversarial_selection_dp(
 
 
 def _dp_states(f: MultiRepSelection, cost: np.ndarray, gain: np.ndarray,
-               attackable: list[bool], row: int) -> np.ndarray:
+               attackable: list[bool], width: int) -> np.ndarray:
     """The selection DP's pass over the points of ``cost``'s columns.
 
-    Returns ``states[j, (1 + yc) * row + 1 + ac, k]``: the best value at
-    the k-th point after the first j items in partition order, with yc
-    picks in the current partition and ac attacks so far. After a
+    Returns ``states[j, yc, ac, k]``: the best value at the k-th point
+    after the first j items in partition order, with yc picks in the
+    current partition and ac of at most ``width`` attacks so far. After a
     partition's last item its states with the quota met move to yc = 0,
-    where the next partition starts. A pick moves one row and an attack
-    one cell, so every move reads one contiguous slice. Row 0 and the
-    first cell of each row are a border that holds no reachable value; an
-    attack wraps into the first cell from the row before, so each attack
-    step resets it.
+    where the next partition starts. A pick shifts the yc axis and an
+    attack the ac axis; no pick reaches yc = 0, which starts unreached.
     """
-    states = np.empty((len(cost) + 1, (max(f.quotas) + 2) * row,
+    states = np.empty((len(cost) + 1, max(f.quotas) + 1, width + 1,
                        cost.shape[1]), dtype=np.int64)
-    states[:, :row] = _UNREACHED
+    states[:, 0] = _UNREACHED
     states[0] = _UNREACHED
-    states[0, row + 1] = 0
+    states[0, 0, 0] = 0
     j = 0
     for l, part in enumerate(f.partitions):
         if l:
-            met = (1 + f.quotas[l - 1]) * row
-            states[j, row:2 * row] = states[j, met:met + row]
-            states[j, 2 * row:] = _UNREACHED
+            states[j, 0] = states[j, f.quotas[l - 1]]
+            states[j, 1:] = _UNREACHED
         for i, cur, nxt in zip(part, states[j:], states[j + 1:]):
-            np.subtract(cur[:-row], cost[i], out=nxt[row:])  # pick
+            np.subtract(cur[:-1], cost[i], out=nxt[1:])  # pick
             if attackable[i]:
-                np.maximum(nxt[1:], cur[:-1] + gain[i], out=nxt[1:])
-                nxt[::row].fill(_UNREACHED)
+                np.maximum(nxt[:, 1:], cur[:, :-1] + gain[i], out=nxt[:, 1:])
             np.maximum(nxt, cur, out=nxt)  # skip
         j += len(part)
     return states

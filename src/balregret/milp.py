@@ -14,10 +14,10 @@ solved from then on carries (a branch-and-cut tree, as a cutting-plane
 loop needs it).  A root may also start from the root of an earlier solve
 of a model with the same rows (``root``), as the calls of an evaluator
 whose rows do not depend on its input do; the new objective is priced
-before the primal pass.  An unbounded relaxation is settled by the same
-search with a zero objective, which looks for an integral point.  Models
-at desk scale only; simplicity and debuggability over sparsity: a pivot
-costs a fixed number of numpy calls on a dense tableau.
+before the primal pass.  Every model the program builds is bounded, so
+an LP that reads unbounded at any node raises ScaleError.  Models at desk
+scale only; simplicity and debuggability over sparsity: a pivot costs a
+fixed number of numpy calls on a dense tableau.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ MIN_PIVOT = 1e-7  # smallest tableau entry accepted as a pivot element
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
 BLAND_AFTER = 1000
-DEFAULT_NODE_LIMIT = 10**6
+# LPs a branch and bound solves before it stops with status "node_limit".
+NODE_LIMIT = 10**6
 _MAX_PIVOTS = 200_000
 # A pivot updates its tableau in blocks of whole rows of at most this many
 # entries (512 KB): one block for every tableau on the perfbench call lists.
@@ -100,7 +101,7 @@ class MilpModel:
 
 @dataclass
 class MilpResult:
-    # "optimal" | "infeasible" | "unbounded" | "node_limit" | "time_limit"
+    # "optimal" | "infeasible" | "node_limit" | "time_limit"
     status: str
     value: float
     assignment: list[float]
@@ -512,8 +513,7 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
         status, more = _run_simplex(T, z, basis)
         pivots += more
     if status != "optimal":
-        return _LP(status, -math.inf if status == "unbounded" else math.nan,
-                   None, pivots)
+        return _LP(status, math.nan, None, pivots)
     return _optimum(T, z, basis, c, const, tab.decode, pivots)
 
 
@@ -553,11 +553,11 @@ class _Root(NamedTuple):
 
 
 def _new_objective(root: _Root, form: _Form) -> tuple[
-        _Tableau, Optional[tuple[np.ndarray, float]]]:
+        _Tableau, tuple[np.ndarray, float]]:
     """The root's tableau, and ``form``'s objective over its columns with
-    its constant unless it is the root model's, as ``_append_rows`` takes
-    them; InputError unless ``form`` has the root model's variables,
-    bounds, objective sense and rows."""
+    its constant, as ``_append_rows`` takes them; InputError unless
+    ``form`` has the root model's variables, bounds, objective sense and
+    rows."""
     old = root.form
     if (form.A.shape != old.A.shape or form.sign != old.sign
             or not np.array_equal(form.lb, old.lb)
@@ -567,8 +567,6 @@ def _new_objective(root: _Root, form: _Form) -> tuple[
             or not np.array_equal(form.slack, old.slack)):
         raise InputError("root tableau is of a model with other variables, "
                          "bounds, objective sense or rows")
-    if np.array_equal(form.cost, old.cost):
-        return root.tableau, None
     # As ``_standardize`` prices the columns: the slacks cost nothing.
     d = root.tableau.decode
     return root.tableau, (d.columns(form.cost[None], len(root.tableau.c))[0],
@@ -592,9 +590,8 @@ def _feasible(form: _Form, x: np.ndarray) -> bool:
 
 
 def solve_milp(
-    model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT,
-    root: Optional[_Root] = None, lazy: Optional[Lazy] = None,
-    deadline: float = math.inf,
+    model: MilpModel, root: Optional[_Root] = None,
+    lazy: Optional[Lazy] = None, deadline: float = math.inf,
 ) -> MilpResult:
     """Exact optimum by depth-first branch-and-bound over the binaries.
 
@@ -603,10 +600,10 @@ def solve_milp(
     rounding-toward-incumbent child first.  Each child is warm-started
     from its parent's final tableau (``_node``); only the root is solved
     cold (``_relax``), unless ``root`` is given.  ``nodes`` counts every
-    LP solved, those of the zero-objective search for an unbounded model
-    included.  The search stops with status "node_limit" before its
-    ``node_limit``-th LP, and with "time_limit" when it pops a node after
-    ``deadline`` (a ``time.monotonic()`` reading).
+    LP solved.  The search stops with status "node_limit" before its
+    ``NODE_LIMIT``-th LP, and with "time_limit" when it pops a node after
+    ``deadline`` (a ``time.monotonic()`` reading).  An LP that reads
+    unbounded raises ScaleError: the model must be bounded.
 
     ``lazy`` is called at every integral point x (model space) that meets
     the rows so far and that the search does not prune, with the tree's
@@ -624,8 +621,8 @@ def solve_milp(
     ``root`` is the ``root`` of an earlier result, for a model with the
     same variables, bounds, objective sense and rows; the objective may
     differ.  The root LP then starts from its tableau and prices the new
-    objective if there is one, instead of starting cold.  The result
-    carries its own root LP back as ``root``.
+    objective, instead of starting cold.  The result carries its own root
+    LP back as ``root``.
     """
     form = _form(model)
     bins = form.binaries
@@ -636,7 +633,6 @@ def solve_milp(
     best_value = math.inf
     best_x: Optional[np.ndarray] = None
     stopped: Optional[str] = None
-    unbounded = False
 
     # Each entry: the node's branch record (the value each branched binary
     # is bound to), its parent's tableau (None at the root), the binary
@@ -644,11 +640,10 @@ def solve_milp(
     # of rows of ``form`` that tableau holds, and its LP's value, a bound
     # on the node's.  Both children of a node share its tableau, which is
     # freed once both are popped.
-    top = ({}, None, -1, len(form.b), -math.inf)
-    stack = [top]
+    stack = [({}, None, -1, len(form.b), -math.inf)]
     nodes = pivots = 0
     while stack:
-        if nodes == node_limit:
+        if nodes == NODE_LIMIT:
             stopped = "node_limit"
             break
         if time.monotonic() > deadline:
@@ -674,17 +669,8 @@ def solve_milp(
         if lp.status in ("infeasible", "cutoff"):
             continue
         if lp.status == "unbounded":
-            # Every binary lies in [0, 1], so the improving ray moves only
-            # continuous variables: the model is unbounded exactly when it
-            # has an integral point.  Without an incumbent, search for one
-            # from the root with a zero objective.
-            unbounded = True
-            if best_x is not None:
-                break
-            form = form._replace(cost=np.zeros_like(form.cost))
-            best_value, warm = math.inf, None
-            stack = [top]
-            continue
+            raise ScaleError(f"LP relaxation unbounded at node {nodes}: "
+                             "the engine solves bounded models only")
         bound, x = lp.value, lp.x
         if bound >= best_value - FEAS_TOL:
             continue
@@ -711,8 +697,6 @@ def solve_milp(
                 form = form._replace(A=np.concatenate((form.A, A)),
                                      b=np.concatenate((form.b, b)),
                                      slack=np.concatenate((form.slack, slack)))
-            elif unbounded:
-                break
             continue
         k = int(np.argmax(dist <= dist.min() + 1e-12))
         j = int(bins[k])
@@ -724,9 +708,6 @@ def solve_milp(
         stack.append(({**fixed, j: 1.0 - first}, lp.tableau, j, held, bound))
         stack.append(({**fixed, j: first}, lp.tableau, j, held, bound))
 
-    if unbounded and best_x is not None:
-        return MilpResult("unbounded", -form.sign * math.inf, [], nodes,
-                          pivots, root_lp, -form.sign * math.inf)
     bound = form.sign * min([best_value] + [entry[4] for entry in stack])
     if best_x is None:
         return MilpResult(stopped or "infeasible", math.nan, [], nodes,

@@ -99,7 +99,9 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
     kinks = np.concatenate(([0], c_all))
     grid = np.concatenate(
         ([0], (c_all + d_all)[:, None] - kinks[None, :]), axis=None)
-    grid = np.unique(grid[grid >= 0])
+    # Sorted and without repeats; np.unique would import numpy.ma.
+    grid = np.sort(grid[grid >= 0])
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
     totals = gamma * grid
     kappas = np.empty((f.num_partitions, len(grid)), dtype=np.int64)

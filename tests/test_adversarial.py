@@ -1,9 +1,11 @@
 """The three adversarial solvers agree and their certificates check out."""
 
+import math
+
 import numpy as np
 import pytest
 
-from balregret import adversarial, master
+from balregret import adversarial, master, milp
 from balregret.adversarial import (
     _OVERFLOW_LIMIT,
     _certificate_for,
@@ -24,7 +26,7 @@ from balregret.core import (
     ScaleError,
     enumerate_solutions,
 )
-from balregret.instances import SplitMix64, gen_knapsack
+from balregret.instances import SplitMix64, gen_knapsack, gen_selection
 from conftest import (
     layered_instances,
     rand_mrs,
@@ -231,6 +233,52 @@ def test_milp_handles_knapsack():
     cand = enumerate_solutions(inst.feasible)
     assert (adversarial_milp(inst, x).value
             == adversarial_bruteforce(inst, x, cand).value)
+
+
+def _scaled_selection(seed: int, k: int) -> Instance:
+    """``gen_selection(8, seed, gamma=2, gamma_prime=1)`` with every cost
+    and deviation multiplied by k."""
+    base = gen_selection(8, seed, gamma=2, gamma_prime=1)
+    return Instance(ItemCosts(tuple(v * k for v in base.costs.c_hat),
+                              tuple(v * k for v in base.costs.d)),
+                    base.budgets, base.feasible)
+
+
+def test_milp_adversary_without_a_solution_raises_scale_error(monkeypatch,
+                                                              example_one):
+    # An engine result with no assignment is a failed solve, whatever its
+    # status, not a solution of the wrong length.
+    monkeypatch.setattr(milp, "solve_milp", lambda model, root=None:
+                        milp.MilpResult("infeasible", math.nan, []))
+    with pytest.raises(ScaleError, match="infeasible"):
+        adversarial_milp(example_one, BinarySolution.from_indices([0, 2], 5))
+
+
+@pytest.mark.parametrize("seed, picks", [(10, (0, 1, 4, 6)),
+                                         (13, (0, 3, 4, 5))])
+def test_milp_adversary_is_exact_or_raises_scale_error_at_x_10_5(seed, picks):
+    # The float64 simplex reads these root LPs as unbounded, although the
+    # model is bounded: a ScaleError (exit 2), never a usage error.
+    inst = _scaled_selection(seed, 10**5)
+    x = BinarySolution.from_indices(picks, inst.n)
+    try:
+        value = adversarial_milp(inst, x).value
+    except ScaleError:
+        return
+    assert value == adversarial_selection_dp(inst, x).value
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+@pytest.mark.parametrize("seed, picks", [
+    (7, (0, 1, 5, 7)), (26, (1, 4, 5, 6)), (28, (1, 3, 5, 7)),
+    (32, (1, 2, 3, 7)), (36, (2, 3, 4, 5))])
+def test_milp_adversary_equals_the_selection_dp(seed, picks):
+    # At costs x 10^5 the float64 simplex reports these wrong values as
+    # optimal; seed 7's is 16,700,000 where the DP gives 20,200,000.
+    inst = _scaled_selection(seed, 10**5)
+    x = BinarySolution.from_indices(picks, inst.n)
+    assert (adversarial_milp(inst, x).value
+            == adversarial_selection_dp(inst, x).value)
 
 
 def test_budget_monotonicity():

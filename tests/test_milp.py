@@ -75,18 +75,20 @@ def test_lp_infeasible():
     assert milp.solve_lp(m).status == "infeasible"
 
 
-def test_lp_unbounded():
+def test_lp_unbounded(monkeypatch):
     m = milp.MilpModel()
     a = m.add_continuous(0.0)
     b = m.add_continuous(0.0)
     m.add_constraint({a: 1.0, b: -1.0}, "<=", 1.0)
     m.set_objective("max", {b: 1.0})
     assert milp.solve_lp(m).status == "unbounded"
-    assert milp.solve_milp(m).status == "unbounded"
+    with pytest.raises(ScaleError, match="unbounded"):
+        milp.solve_milp(m)
     # A binary held to [0.4, hi] by two rows and a free variable the
-    # objective pushes without limit: every relaxation is unbounded, so the
-    # model is unbounded exactly when the binary can be integral.
-    for hi, status in ((0.6, "infeasible"), (1.0, "unbounded")):
+    # objective pushes without limit: every relaxation is unbounded, so
+    # branch and bound refuses the model whether or not the binary can be
+    # integral, at its root LP, within any node limit.
+    for hi in (0.6, 1.0):
         m = milp.MilpModel()
         x = m.add_binary()
         free = m.add_continuous(-milp.INF)
@@ -94,8 +96,12 @@ def test_lp_unbounded():
         m.add_constraint({x: 1.0}, "<=", hi)
         m.set_objective("min", {free: 1.0})
         assert milp.solve_lp(m).status == "unbounded"
-        assert milp.solve_milp(m).status == status
-        assert milp.solve_milp(m, node_limit=1).status == "node_limit"
+        with pytest.raises(ScaleError, match="unbounded at node 1"):
+            milp.solve_milp(m)
+        with monkeypatch.context() as limited:
+            limited.setattr(milp, "NODE_LIMIT", 1)
+            with pytest.raises(ScaleError, match="unbounded at node 1"):
+                milp.solve_milp(m)
 
 
 def test_lp_without_rows():
@@ -119,7 +125,8 @@ def test_lp_without_rows():
     m.set_objective("max", {free: 1.0})
     res = milp.solve_lp(m)
     assert res.status == "unbounded" and res.value == math.inf
-    assert milp.solve_milp(m).status == "unbounded"
+    with pytest.raises(ScaleError, match="unbounded"):
+        milp.solve_milp(m)
     # No variables at all: the tableau is its rhs column alone.
     empty = milp.MilpModel()
     for solve in (milp.solve_lp, milp.solve_milp):
@@ -297,10 +304,11 @@ def test_unit_interval_continuous_reaches_binary_optimum():
     assert mixed.assignment[0] in (0.0, 1.0)
 
 
-def test_node_limit_reports_status():
+def test_node_limit_reports_status(monkeypatch):
     rng = SplitMix64(99)
     model, _, _ = _random_binary_model(rng)
-    res = milp.solve_milp(model, node_limit=1)
+    monkeypatch.setattr(milp, "NODE_LIMIT", 1)
+    res = milp.solve_milp(model)
     assert res.status in ("node_limit", "optimal", "infeasible")
 
 
@@ -368,6 +376,8 @@ def _highs(model, relax):
 
 
 def test_highs_agrees_on_random_mixed_models():
+    # Branch and bound refuses a model whose relaxation is unbounded; its
+    # "unbounded" count is of those refusals.
     rng = SplitMix64(2024)
     seen = {}
     for _ in range(200):
@@ -377,10 +387,14 @@ def test_highs_agrees_on_random_mixed_models():
         for v in pinned.variables:
             if v.kind == "binary" and rng.randint(0, 1):
                 v.lb = v.ub = float(rng.randint(0, 1))
-        for kind, ours, theirs in (
-            ("lp", milp.solve_lp(pinned), _highs(pinned, True)),
-            ("milp", milp.solve_milp(model), _highs(model, False)),
-        ):
+        legs = [("lp", milp.solve_lp(pinned), _highs(pinned, True))]
+        if _highs(model, True)[0] == "unbounded":
+            with pytest.raises(ScaleError, match="unbounded"):
+                milp.solve_milp(model)
+            seen["milp", "unbounded"] = seen.get(("milp", "unbounded"), 0) + 1
+        else:
+            legs.append(("milp", milp.solve_milp(model), _highs(model, False)))
+        for kind, ours, theirs in legs:
             assert ours.status == theirs[0]
             seen[kind, ours.status] = seen.get((kind, ours.status), 0) + 1
             if ours.status == "optimal":
@@ -475,8 +489,8 @@ def test_standardize_matches_loop_reference():
 def _cold_branch_and_bound(model):
     """Status and value of the model by a depth-first branch-and-bound
     whose every node is solved cold by ``milp._relax``, its fixings pinned
-    as lb = ub, and which splits the binaries of an unbounded node in
-    turn: the reference for the warm-started nodes of ``solve_milp``."""
+    as lb = ub, and which stops as "unbounded" at an unbounded node: the
+    reference for the warm-started nodes of ``solve_milp``."""
     form = milp._form(model)
     bins = form.binaries.tolist()
     best = math.inf
@@ -489,11 +503,7 @@ def _cold_branch_and_bound(model):
         if lp.status == "infeasible":
             continue
         if lp.status == "unbounded":
-            free = [j for j in bins if j not in fixed]
-            if not free:
-                return "unbounded", None
-            stack += [{**fixed, free[0]: v} for v in (0.0, 1.0)]
-            continue
+            return "unbounded", None
         if lp.value >= best - milp.FEAS_TOL:
             continue
         frac = [j for j in bins
@@ -522,7 +532,7 @@ def _seeded_knapsack_model(rng: SplitMix64, n: int):
     return m
 
 
-def test_engine_counters_repeat_and_respect_node_limit():
+def test_engine_counters_repeat_and_respect_node_limit(monkeypatch):
     model = _seeded_knapsack_model(SplitMix64(8), 14)
     first, again = milp.solve_milp(model), milp.solve_milp(model)
     # The pivot path is pinned: a kernel change that picks another
@@ -530,11 +540,21 @@ def test_engine_counters_repeat_and_respect_node_limit():
     assert (first.status, first.value) == ("optimal", 185.0)
     assert (first.nodes, first.pivots) == (17, 31)
     assert (first.nodes, first.pivots) == (again.nodes, again.pivots)
-    limited = milp.solve_milp(model, node_limit=3)
+    monkeypatch.setattr(milp, "NODE_LIMIT", 3)
+    limited = milp.solve_milp(model)
     assert limited.status == "node_limit" and limited.nodes == 3
     assert 0 < limited.pivots < first.pivots
     lp = milp.solve_lp(model)
     assert lp.nodes == 1 and lp.pivots > 0
+
+
+def _milp_outcome(model):
+    """``solve_milp``'s result, or None when it refuses an unbounded
+    relaxation."""
+    try:
+        return milp.solve_milp(model)
+    except ScaleError:
+        return None
 
 
 def _seeded_models():
@@ -551,10 +571,14 @@ def _seeded_models():
 def test_warm_started_nodes_match_cold_reference():
     seen, warm = {}, 0
     for model in _seeded_models():
-        res = milp.solve_milp(model)
         status, value = _cold_branch_and_bound(model)
-        assert res.status == status
         seen[status] = seen.get(status, 0) + 1
+        if status == "unbounded":
+            with pytest.raises(ScaleError, match="unbounded"):
+                milp.solve_milp(model)
+            continue
+        res = milp.solve_milp(model)
+        assert res.status == status
         if status == "optimal":
             assert res.value == pytest.approx(value, rel=1e-6, abs=1e-6)
             assert milp._feasible(milp._form(model),
@@ -641,7 +665,7 @@ def test_lazy_row_that_holds_at_its_point_raises():
         milp.solve_milp(model, lazy=lambda x, bound: (0.0, [holds]))
 
 
-def test_limits_stop_with_a_bound_on_the_optimum():
+def test_limits_stop_with_a_bound_on_the_optimum(monkeypatch):
     # A search stopped by its node limit or its deadline reports the
     # better of its incumbent and the weakest open node as its bound.
     checked = 0
@@ -652,7 +676,9 @@ def test_limits_stop_with_a_bound_on_the_optimum():
             assert res.bound == res.value
         worse = 1.0 if model.objective_sense == "min" else -1.0
         for limit in range(1, res.nodes):
-            limited = milp.solve_milp(model, node_limit=limit)
+            with monkeypatch.context() as limits:
+                limits.setattr(milp, "NODE_LIMIT", limit)
+                limited = milp.solve_milp(model)
             assert limited.status == "node_limit" and limited.nodes == limit
             if res.status == "optimal":
                 assert worse * limited.bound <= worse * res.value + 1e-6
@@ -672,20 +698,30 @@ def test_limits_stop_with_a_bound_on_the_optimum():
 def test_warm_root_with_new_objective_matches_cold_solve():
     # Each model of a chain has new random costs in the same sense; its
     # warm solve starts from the last model's root LP, which prices the
-    # new objective.
+    # new objective.  A chain ends at a model whose relaxation is
+    # unbounded, which both solves refuse.
     rng = SplitMix64(4715)
     seen, warm = {}, 0
     for model in _seeded_models()[::4]:
-        res = milp.solve_milp(model)
+        try:
+            res = milp.solve_milp(model)
+        except ScaleError:  # an unbounded relaxation: no root LP to start from
+            continue
         for step in range(6):
             if res.root is None:
                 break
             model = copy.deepcopy(model)
             model.set_objective(model.objective_sense, {
                 j: rng.randint(-5, 5) for j in range(len(model.variables))})
-            cold = milp.solve_milp(model)
-            res = milp.solve_milp(model, root=res.root)
             warm += 1
+            try:
+                cold = milp.solve_milp(model)
+            except ScaleError:
+                with pytest.raises(ScaleError, match="unbounded"):
+                    milp.solve_milp(model, root=res.root)
+                seen["unbounded"] = seen.get("unbounded", 0) + 1
+                break
+            res = milp.solve_milp(model, root=res.root)
             assert res.status == cold.status, model
             seen[res.status] = seen.get(res.status, 0) + 1
             if res.status == "optimal":
@@ -737,10 +773,15 @@ def test_pivot_blocks_match_one_whole_update(monkeypatch, entries):
     # Every model here fits one pivot block by default.  Blocks of one row
     # (a row wider than the budget still makes a block), or of a few, give
     # the same pivots and the same bits.
+    # A model whose relaxation is unbounded raises either way.
     models = _seeded_models()[::7]
-    whole = [milp.solve_milp(m) for m in models]
+    whole = [_milp_outcome(m) for m in models]
     monkeypatch.setattr(milp, "_PIVOT_ENTRIES", entries)
     for model, res in zip(models, whole):
+        if res is None:
+            with pytest.raises(ScaleError, match="unbounded"):
+                milp.solve_milp(model)
+            continue
         blocked = milp.solve_milp(model)
         assert (blocked.status, blocked.assignment, blocked.nodes,
                 blocked.pivots) == (res.status, res.assignment, res.nodes,
