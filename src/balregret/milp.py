@@ -1,7 +1,10 @@
 """Self-contained bounded-scale mixed-binary linear programming.
 
 A dense two-phase tableau simplex plus a depth-first branch-and-bound.
-Each solve reads the model into arrays once (``_form``).  At most the root
+Each solve reads the model into arrays once (``_form``).  A fixed variable
+(``lb == ub``), such as a binary the caller pins, has no tableau column
+and no bound row: its value moves the rhs and the objective constant
+(``_standardize``), so branching never meets one.  At most the root
 is cold-started: its tableau is built from those arrays, and phase 1 starts
 from the slack basis wherever a row's slack can be basic and carries
 artificials only for the other rows.  Every other node is warm-started by
@@ -75,6 +78,8 @@ class MilpModel:
     def add_continuous(self, lb: float = 0.0, ub: float = INF) -> int:
         if lb > ub:
             raise InputError("lower bound above upper bound")
+        if lb == INF or ub == -INF:
+            raise InputError("lower bound +inf or upper bound -inf")
         self.variables.append(Variable("continuous", lb, ub))
         return len(self.variables) - 1
 
@@ -180,13 +185,17 @@ def _form(model: MilpModel) -> _Form:
 class _Decode(NamedTuple):
     """Map from tableau columns back to model space: the lower-bound
     shifts ``val``, the ``split`` free variables, and each variable's first
-    column ``col`` (a split variable's negative part is the next one)."""
+    column ``col`` (a split variable's negative part is the next one).  A
+    fixed variable has no column: its shift is its value, and its ``col``
+    is -1, a zero entry after the tableau's columns."""
 
     val: np.ndarray
     split: np.ndarray
     col: np.ndarray
 
     def __call__(self, xstd: np.ndarray) -> np.ndarray:
+        """The model-space point of ``xstd``, a value per tableau column
+        followed by the zero that fixed variables read."""
         x = self.val + xstd[self.col]
         x[self.split] -= xstd[self.col[self.split] + 1]
         return x
@@ -195,11 +204,13 @@ class _Decode(NamedTuple):
         """Model-space rows ``A`` over ``width`` tableau columns, as
         ``_standardize`` lays them out: each variable's coefficient on its
         column, negated on a split variable's negative part, and zero on
-        every slack column."""
-        G = np.zeros((len(A), width))
+        every slack column.  A fixed variable's coefficients land on a
+        column past the tableau's, which is dropped: they belong in the
+        rhs, at its value ``val``."""
+        G = np.zeros((len(A), width + 1))
         G[:, self.col] = A
         G[:, self.col[self.split] + 1] -= A[:, self.split]
-        return G
+        return G[:, :-1]
 
 
 def _standardize(form: _Form):
@@ -207,22 +218,27 @@ def _standardize(form: _Form):
 
     Finite lower bounds are shifted, free variables are split (the
     negative part's column right after the positive part's), finite upper
-    bounds become extra rows after the model's, in variable order.  The
-    columns are [structural | slacks | artificials | rhs].  Rows with a
-    negative rhs are negated, and so are ">=" rows with rhs 0; a row whose
-    slack then enters with +1 starts with that slack basic (the slack
-    crash basis), and only "=" rows and rows left with a surplus slack get
-    an artificial.  Returns the tableau, the starting basis, the phase-2
-    costs of the structural and slack columns, the objective constant, and
-    a decoder back to model space.
+    bounds become extra rows after the model's, in variable order.  A
+    fixed variable (``lb == ub``) has neither a column nor a bound row:
+    its shift is its value, which moves every row's rhs and the objective
+    constant.  The columns are [structural | slacks | artificials | rhs].
+    Rows with a negative rhs are negated, and so are ">=" rows with rhs 0;
+    a row whose slack then enters with +1 starts with that slack basic
+    (the slack crash basis), and only "=" rows and rows left with a
+    surplus slack get an artificial.  Returns the tableau, the starting
+    basis, the phase-2 costs of the structural and slack columns, the
+    objective constant, and a decoder back to model space.
     """
     split = form.lb == -INF
+    fixed = form.lb == form.ub
     val = np.where(split, 0.0, form.lb)  # lower-bound shifts
-    span = 1 + split.astype(np.intp)  # columns per variable: 1 or 2
-    col = np.cumsum(span) - span  # first column of each variable
+    span = np.where(fixed, 0, 1 + split)  # columns per variable: 0, 1 or 2
+    # Each variable's first column; a fixed variable's, -1, is a spare last
+    # entry in every array laid out by columns (``_Decode``).
+    col = np.where(fixed, -1, np.cumsum(span) - span)
     ncols = int(span.sum())
     neg = col[split] + 1
-    bounded = np.flatnonzero(form.ub < INF)
+    bounded = np.flatnonzero((form.ub < INF) & ~fixed)
 
     # Per row: the rhs, the sign that makes it non-negative (-1 also for
     # ">=" rows with rhs 0) and the slack's coefficient after that sign
@@ -236,7 +252,7 @@ def _standardize(form: _Form):
     m, m0 = len(rhs), len(form.b)
     art = ncols + int(has_slack.sum())
     T = _zeros(m, art + int(has_art.sum()) + 1, "LP tableau")
-    T[:m0, col] = form.A
+    T[:m0, col] = form.A  # fixed variables' entries hit the rhs, set last
     T[:m0, neg] -= form.A[:, split]
     brow, bcol = m0 + np.arange(len(bounded)), col[bounded]
     bsplit = split[bounded]  # a split variable's bound holds both parts
@@ -250,11 +266,11 @@ def _standardize(form: _Form):
     T[:, -1] = np.abs(rhs)
     basis = np.where(has_art, art_col, slack_col)
 
-    c = np.zeros(art)
-    c[col] += form.cost
+    c = np.zeros(art + 1)
+    c[col] = form.cost
     c[neg] -= form.cost[split]
     const = float(form.cost @ val)
-    return T, basis, c, const, _Decode(val, split, col)
+    return T, basis, c[:-1], const, _Decode(val, split, col)
 
 
 def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
@@ -427,11 +443,11 @@ class _LP(NamedTuple):
 def _optimum(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
              c: np.ndarray, const: float, decode: _Decode, pivots: int) -> _LP:
     """The optimal LP of a final phase-2 tableau, keeping its tableau."""
-    x = np.zeros(len(c))
+    x = np.zeros(len(c) + 1)  # the last entry, 0, is read by col -1
     x[basis] = T[:, -1]
     other = np.ones(T.shape[1], dtype=bool)
     other[basis] = False
-    return _LP("optimal", float(c @ x) + const, decode(x), pivots,
+    return _LP("optimal", float(c @ x[:-1]) + const, decode(x), pivots,
                _Tableau(T[:, other], z, basis, c, const, decode))
 
 
@@ -445,8 +461,9 @@ def _relax(form: _Form) -> _LP:
     c1[art:] = 1.0
     z1 = _reduced_costs(T, c1, basis)
     status, pivots = _run_simplex(T, z1, basis)
-    if status == "unbounded":  # phase 1 is bounded below by zero
-        raise InternalError("phase-1 unbounded")
+    # Phase 1 is bounded below by zero: only roundoff reads it unbounded.
+    if status == "unbounded":
+        raise ScaleError("phase-1 unbounded")
     if -z1[-1] > 1e-6:
         return _LP("infeasible", math.nan, None, pivots)
 
@@ -700,8 +717,8 @@ def solve_milp(
             continue
         k = int(np.argmax(dist <= dist.min() + 1e-12))
         j = int(bins[k])
-        if j in fixed:  # a branch row that does not hold would recur forever
-            raise InternalError(f"binary {j} is fractional below its branch")
+        if j in fixed:  # a branch row that roundoff broke would recur forever
+            raise ScaleError(f"binary {j} is fractional below its branch")
         first = float(round(best_x[j] if best_x is not None else f[k]))
         # Depth-first: the preferred child is pushed last (popped first).
         held = len(form.b)

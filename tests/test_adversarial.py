@@ -281,6 +281,50 @@ def test_milp_adversary_equals_the_selection_dp(seed, picks):
             == adversarial_selection_dp(inst, x).value)
 
 
+def _scaled_path(name: str, k: int) -> Instance:
+    """The instance ``name`` of ``layered_instances(SplitMix64(2026), 20)``
+    with every cost and deviation multiplied by k."""
+    base = {inst.name: inst
+            for inst in layered_instances(SplitMix64(2026), 20)}[name]
+    return Instance(ItemCosts(tuple(v * k for v in base.costs.c_hat),
+                              tuple(v * k for v in base.costs.d)),
+                    base.budgets, base.feasible, name=name)
+
+
+def _path_case(name: str, k: int, picks: tuple[int, ...]):
+    """The scaled path instance, the first-stage path ``picks`` and its
+    brute-force value."""
+    inst = _scaled_path(name, k)
+    x = BinarySolution.from_indices(picks, inst.n)
+    return inst, x, adversarial_bruteforce(
+        inst, x, enumerate_solutions(inst.feasible)).value
+
+
+@pytest.mark.parametrize("name, picks", [
+    ("layered12", (1, 5, 10, 13)), ("layered12", (2, 8, 12, 15)),
+    ("layered10", (2, 8, 12, 15, 22))])
+def test_milp_adversary_is_exact_or_raises_scale_error_on_paths(name, picks):
+    # At costs x 10^6 the float64 simplex breaks down on these path models
+    # (a phase-1 LP that reads unbounded, a binary fractional below its own
+    # branch): a ScaleError (exit 2), never an internal error.
+    inst, x, expect = _path_case(name, 10**6, picks)
+    try:
+        value = adversarial_milp(inst, x).value
+    except ScaleError:
+        return
+    assert value == expect
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+@pytest.mark.parametrize("picks", [(2, 7, 14, 23, 25), (2, 8, 15, 19, 24)])
+def test_milp_adversary_equals_bruteforce_on_scaled_paths(picks):
+    # At costs x 10^5 the float64 simplex reports these wrong values as
+    # optimal: 7,500,000 where brute force gives 9,900,000, and 5,900,000
+    # for 8,000,000.
+    inst, x, expect = _path_case("layered1", 10**5, picks)
+    assert adversarial_milp(inst, x).value == expect
+
+
 def test_budget_monotonicity():
     rng = SplitMix64(7003)
     for trial in range(25):

@@ -206,6 +206,12 @@ def test_model_validation():
         m.set_objective("minimize", {a: 1.0})
     with pytest.raises(InputError):
         m.add_continuous(2.0, 1.0)
+    # A variable fixed at an infinite value would leave the tableau with
+    # an infinite shift.
+    for lb, ub in ((-milp.INF, -milp.INF), (milp.INF, milp.INF)):
+        with pytest.raises(InputError):
+            m.add_continuous(lb, ub)
+    assert len(m.variables) == 1
 
 
 def _random_binary_model(rng: SplitMix64):
@@ -375,20 +381,28 @@ def _highs(model, relax):
     return ("unbounded" if res.status == 0 else "infeasible"), None
 
 
+def _pinned(model, rng: SplitMix64):
+    """The model with a random subset of its binaries pinned to 0 or 1 by
+    lb = ub."""
+    for v in model.variables:
+        if v.kind == "binary" and rng.randint(0, 1):
+            v.lb = v.ub = float(rng.randint(0, 1))
+    return model
+
+
 def test_highs_agrees_on_random_mixed_models():
     # Branch and bound refuses a model whose relaxation is unbounded; its
     # "unbounded" count is of those refusals.
     rng = SplitMix64(2024)
     seen = {}
     for _ in range(200):
-        model = _random_mixed_model(rng)
-        # The LP leg pins a random subset of the binaries with lb = ub.
-        pinned = copy.deepcopy(model)
-        for v in pinned.variables:
-            if v.kind == "binary" and rng.randint(0, 1):
-                v.lb = v.ub = float(rng.randint(0, 1))
-        legs = [("lp", milp.solve_lp(pinned), _highs(pinned, True))]
-        if _highs(model, True)[0] == "unbounded":
+        # Both legs pin a random subset of the binaries with lb = ub, so
+        # fixed variables, which have no tableau column, meet warm-started
+        # nodes and the incumbent rule.
+        model = _pinned(_random_mixed_model(rng), rng)
+        relaxed = _highs(model, True)
+        legs = [("lp", milp.solve_lp(model), relaxed)]
+        if relaxed[0] == "unbounded":
             with pytest.raises(ScaleError, match="unbounded"):
                 milp.solve_milp(model)
             seen["milp", "unbounded"] = seen.get(("milp", "unbounded"), 0) + 1
@@ -403,14 +417,29 @@ def test_highs_agrees_on_random_mixed_models():
     for kind in ("lp", "milp"):
         for status in ("optimal", "infeasible", "unbounded"):
             assert seen.get((kind, status), 0) >= 20
+    # The mixed stream seldom branches; pinned knapsacks branch several
+    # levels deep below their fixed binaries.
+    warm = 0
+    for k in range(40):
+        model = _pinned(_seeded_knapsack_model(rng, 8 + k % 5), rng)
+        res, theirs = milp.solve_milp(model), _highs(model, False)
+        assert res.status == theirs[0]
+        if res.status == "optimal":
+            assert res.value == pytest.approx(theirs[1], abs=1e-6)
+            warm += res.nodes > 1 and any(v.lb == v.ub
+                                          for v in model.variables)
+    assert warm >= 20
 
 
 def _loop_standardize(model):
     """Tableau, starting basis, phase-2 costs and objective constant of
     ``_standardize``, built by a loop over the model's rows and variables:
-    the reference for its array form."""
+    the reference for its array form.  A fixed variable (lb = ub) has no
+    column and no bound row; its value enters through the shift."""
     cols, ncols, rows = {}, 0, list(model.constraints)
     for j, v in enumerate(model.variables):
+        if v.lb == v.ub:
+            continue
         free = v.lb == -milp.INF
         cols[j] = (ncols, ncols + 1 if free else None)
         ncols += 2 if free else 1
@@ -420,6 +449,8 @@ def _loop_standardize(model):
 
     def expand(coefs, out):
         for j, a in coefs.items():
+            if j not in cols:
+                continue
             out[cols[j][0]] += a
             if cols[j][1] is not None:
                 out[cols[j][1]] -= a
@@ -623,12 +654,15 @@ def test_lazy_rows_match_cold_solve_of_the_whole_model():
     # callback returns those its integral points violate.  The search must
     # end where a cold solve of the model with every row ends.  Each point
     # meets every row returned before it, and each tree bound is a bound
-    # on the optimum.
-    rng = SplitMix64(4714)
+    # on the optimum.  Every second model pins some binaries, which have
+    # no tableau column, so lazy rows over them put their coefficients in
+    # the rhs.
+    rng, pins = SplitMix64(4714), SplitMix64(4716)
     binary = SplitMix64(4712)
     models = [_random_binary_model(binary)[0] for _ in range(150)]
     models += [_seeded_knapsack_model(binary, 6 + k % 7) for k in range(40)]
-    seen, appended = {}, 0
+    models = [_pinned(m, pins) if k % 2 else m for k, m in enumerate(models)]
+    seen, appended, on_pinned = {}, 0, 0
     for model in models:
         hidden = _hidden_rows(model, rng, 1 + rng.randint(0, 3))
         whole = milp.solve_milp(_with_rows(model, hidden))
@@ -647,13 +681,15 @@ def test_lazy_rows_match_cold_solve_of_the_whole_model():
         assert res.status == whole.status, model
         seen[res.status] = seen.get(res.status, 0) + 1
         appended += bool(returned)
+        on_pinned += any(model.variables[j].lb == model.variables[j].ub
+                         for coefs, _, _ in returned for j in coefs)
         if res.status == "optimal":
             assert res.value == pytest.approx(whole.value, abs=1e-6)
             assert res.bound == res.value
             assert milp._feasible(milp._form(_with_rows(model, hidden)),
                                   np.array(res.assignment))
             assert all(worse * b <= worse * res.value + 1e-6 for b in bounds)
-    assert appended >= 50
+    assert appended >= 50 and on_pinned >= 20
     assert min(seen.get(s, 0) for s in ("optimal", "infeasible")) >= 20
 
 
