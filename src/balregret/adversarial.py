@@ -8,7 +8,6 @@ multi-representative selection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,11 +123,10 @@ def adversarial_bruteforce(
     return cert
 
 
-@dataclass
-class MilpAdversary:
-    """The dualized adversary MILP of one instance and the root LP of its
-    last solve.  Its rows do not depend on x, only its objective does
-    (``adversarial_milp``), so the calls of one solve share one model.
+def adversary_model(inst: Instance) -> milp.MilpModel:
+    """The rows of the dualized adversary MILP of one instance.  They do
+    not depend on x, only the objective does (``adversarial_milp``), so
+    the calls of one solve share one ``milp.HeldRows`` of them.
 
     Variables: the adversary's packing y (binary), the attack delta, the
     balancing dual s and the caps' duals t, n each but s.  For fixed
@@ -136,69 +134,54 @@ class MilpAdversary:
     binary; the rows y_i + delta_i <= 1 cap the attack at 1, so it carries
     no upper bound.
     """
-
-    model: milp.MilpModel
-    root: Optional[milp._Root] = None
-
-    @classmethod
-    def of(cls, inst: Instance) -> "MilpAdversary":
-        n, d = inst.n, inst.costs.d
-        model = milp.MilpModel()
-        y_vars = [model.add_binary() for _ in range(n)]
-        delta_vars = [model.add_continuous(0.0) for _ in range(n)]
-        s_var = model.add_continuous(0.0)
-        t_vars = [model.add_continuous(0.0) for _ in range(n)]
-        for i in range(n):
-            # s + t_i >= d_i y_i
-            model.add_constraint(
-                {s_var: 1.0, t_vars[i]: 1.0, y_vars[i]: -float(d[i])}, ">=",
-                0.0)
-            model.add_constraint({y_vars[i]: 1.0, delta_vars[i]: 1.0}, "<=",
-                                 1.0)
-        model.add_constraint({v: 1.0 for v in delta_vars}, "<=",
-                             float(inst.budgets.gamma))
-        for coefs, sense, rhs in inst.feasible.linear_rows():
-            model.add_constraint({y_vars[j]: a for j, a in coefs.items()},
-                                 sense, rhs)
-        return cls(model)
+    n, d = inst.n, inst.costs.d
+    model = milp.MilpModel()
+    y_vars = [model.add_binary() for _ in range(n)]
+    delta_vars = [model.add_continuous(0.0) for _ in range(n)]
+    s_var = model.add_continuous(0.0)
+    t_vars = [model.add_continuous(0.0) for _ in range(n)]
+    for i in range(n):
+        # s + t_i >= d_i y_i
+        model.add_constraint(
+            {s_var: 1.0, t_vars[i]: 1.0, y_vars[i]: -float(d[i])}, ">=", 0.0)
+        model.add_constraint({y_vars[i]: 1.0, delta_vars[i]: 1.0}, "<=", 1.0)
+    model.add_constraint({v: 1.0 for v in delta_vars}, "<=",
+                         float(inst.budgets.gamma))
+    for coefs, sense, rhs in inst.feasible.linear_rows():
+        model.add_constraint({y_vars[j]: a for j, a in coefs.items()},
+                             sense, rhs)
+    return model
 
 
 def adversarial_milp(
     inst: Instance,
     x: BinarySolution,
-    held: Optional[MilpAdversary] = None,
+    held: Optional[milp.HeldRows] = None,
 ) -> AdversaryCertificate:
     """Exact adversarial value via the dualized mixed-integer program.
 
     A caller that evaluates several x on one instance may pass ``held``,
-    the instance's ``MilpAdversary``: the call then sets only its
-    objective, and its root LP starts from the last call's final tableau
-    (``milp.solve_milp``'s ``root``); the call leaves its own there.
+    the ``milp.HeldRows`` of its ``adversary_model``: the call's root LP
+    then starts from the last call's final tableau
+    (``milp.solve_repriced``), and leaves its own there.
     """
     _check_scale(inst)
-    n = inst.n
-    c, d = inst.costs.c_hat, inst.costs.d
+    c, d, xs = (np.asarray(v, dtype=np.int64)
+                for v in (inst.costs.c_hat, inst.costs.d, x.x))
     if held is None:
-        held = MilpAdversary.of(inst)
+        held = milp.HeldRows(adversary_model(inst))
 
-    # The variables in ``MilpAdversary`` order: y, delta, s, t.  t_i, the
-    # dual of the balancing cap eps_i <= 1 - x_i, costs 1 - x_i: where
-    # x_i = 1 it is free, and its row never binds.
-    obj: dict[int, float] = {2 * n: -float(inst.budgets.gamma_prime)}
-    for i in range(n):
-        obj[i] = -float(c[i])
-        obj[n + i] = float(d[i] * x.x[i])
-        obj[2 * n + 1 + i] = -float(1 - x.x[i])
-    held.model.set_objective("max", obj)
-
-    res = milp.solve_milp(held.model, root=held.root)
-    held.root = res.root
+    # The costs in ``adversary_model``'s variable order: y, delta, s, t.
+    # t_i, the dual of the balancing cap eps_i <= 1 - x_i, costs 1 - x_i:
+    # where x_i = 1 it is free, and its row never binds.
+    cost = np.concatenate((-c, d * xs, [-inst.budgets.gamma_prime], xs - 1))
+    res = milp.solve_repriced(held, "max", cost)
     if not res.assignment:
         raise ScaleError(f"adversarial MILP ended {res.status} with no "
                          "solution")
     optimal = res.status == "optimal"
-    y = _read_solution(inst.feasible, res.assignment[:n])
-    const = sum(ci * xi for ci, xi in zip(c, x.x))
+    y = _read_solution(inst.feasible, res.assignment[:inst.n])
+    const = int(c @ xs)
     cert = _certificate_for(inst, x, y, optimal=optimal)
     if optimal and abs(cert.value - (const + res.value)) >= 1e-5:
         raise InternalError(f"MILP certificate {cert.value} != optimum "

@@ -438,12 +438,12 @@ class ShortestPath:
             return x
         return BinarySolution.from_indices(path, self.n)
 
-    def _shortest(self, costs: Sequence[float]) -> Optional[list[int]]:
-        """Deterministic Dijkstra returning the edge list of a minimum path."""
+    def _shortest(self, costs: Sequence[int]) -> Optional[list[int]]:
+        """Exact integer Dijkstra: the edge list of a minimum path."""
         out = self._out_edges()
-        dist: dict[int, float] = {self.source: 0.0}
+        dist: dict[int, int] = {self.source: 0}
         pred: dict[int, int] = {}
-        heap: list[tuple[float, int]] = [(0.0, self.source)]
+        heap: list[tuple[int, int]] = [(0, self.source)]
         done: set[int] = set()
         while heap:
             dv, v = heapq.heappop(heap)
@@ -452,8 +452,8 @@ class ShortestPath:
             done.add(v)
             for e in out[v]:
                 _, head = self.edges[e]
-                nd = dv + float(costs[e])
-                if head not in dist or nd < dist[head] - 1e-12:
+                nd = dv + costs[e]
+                if head not in dist or nd < dist[head]:
                     dist[head] = nd
                     pred[head] = e
                     heapq.heappush(heap, (nd, head))

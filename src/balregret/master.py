@@ -23,10 +23,10 @@ from typing import Callable, Optional
 
 from . import milp
 from .adversarial import (
-    MilpAdversary,
     adversarial_bruteforce,
     adversarial_milp,
     adversarial_selection_dp,
+    adversary_model,
     evaluate_against,
     pick_matrix,
 )
@@ -317,8 +317,8 @@ def _pick_adversary(inst: Instance,
     an evaluator for the calls of one solve.  It looks the method up in
     ``ADVERSARY_METHODS`` at each call and passes what those calls share:
     the brute force one enumeration of the feasible set, and the MILP
-    one model, whose rows are the same for every x, with the root LP of
-    its last call."""
+    one ``milp.HeldRows`` of its model, whose rows are the same for every
+    x, with the root LP of its last call."""
     if adversary is None:
         adversary = "dp" if isinstance(inst.feasible, MultiRepSelection) else "milp"
     if adversary not in ADVERSARY_METHODS:
@@ -327,7 +327,7 @@ def _pick_adversary(inst: Instance,
     if adversary == "bruteforce":
         shared = (enumerate_solutions(inst.feasible),)
     elif adversary == "milp":
-        shared = (MilpAdversary.of(inst),)
+        shared = (milp.HeldRows(adversary_model(inst)),)
     return adversary, lambda x: ADVERSARY_METHODS[adversary](inst, x, *shared)
 
 

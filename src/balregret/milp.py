@@ -14,10 +14,11 @@ rows are the node's branching bound and the lazy rows its parent lacks: a
 caller may pass a callback that values each integral point the search
 reaches and returns model rows that the point violates, which every node
 solved from then on carries (a branch-and-cut tree, as a cutting-plane
-loop needs it).  A root may also start from the root of an earlier solve
-of a model with the same rows (``root``), as the calls of an evaluator
-whose rows do not depend on its input do; the new objective is priced
-before the primal pass.  Every model the program builds is bounded, so
+loop needs it).  A model whose rows stay while its objective changes, as
+an evaluator's whose rows do not depend on its input, is read once into a
+``HeldRows``; each ``solve_repriced`` of it starts its root from the last
+solve's final root tableau and prices the new objective before the primal
+pass.  Every model the program builds is bounded, so
 an LP that reads unbounded at any node raises ScaleError.  Models at desk
 scale only; simplicity and debuggability over sparsity: a pivot costs a
 fixed number of numpy calls on a dense tableau.
@@ -51,6 +52,14 @@ MAX_TABLEAU_ENTRIES = 5 * 10**7
 
 INF = math.inf
 _SLACK_COEF = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+
+
+def _sign(sense: str) -> float:
+    """The factor that turns an objective of ``sense`` into a min-sense
+    one; InputError on an unknown sense."""
+    if sense not in ("min", "max"):
+        raise InputError(f"unknown objective sense {sense!r}")
+    return 1.0 if sense == "min" else -1.0
 
 
 @dataclass
@@ -95,8 +104,7 @@ class MilpModel:
         self.constraints.append((coefs, sense, float(rhs)))
 
     def set_objective(self, sense: str, coefs: dict[int, float]) -> None:
-        if sense not in ("min", "max"):
-            raise InputError(f"unknown objective sense {sense!r}")
+        _sign(sense)
         for j in coefs:
             if not (0 <= j < len(self.variables)):
                 raise InputError(f"objective references unknown variable {j}")
@@ -112,9 +120,6 @@ class MilpResult:
     assignment: list[float]
     nodes: int = 0  # LP relaxations solved
     pivots: int = 0  # simplex pivots over all of them, cold and warm
-    # The solved root LP, for ``solve_milp(root=...)`` on a model with the
-    # same rows; None unless the root LP had an optimum.
-    root: Optional[_Root] = field(default=None, repr=False, compare=False)
     # The best bound on the optimum the search proved, in the model's
     # sense: the value when optimal, else the better of the incumbent's
     # value and the weakest bound of a node left open.
@@ -169,7 +174,7 @@ def _form(model: MilpModel) -> _Form:
     raises ScaleError before it is allocated: every tableau of the model is
     larger still."""
     variables = model.variables
-    sign = 1.0 if model.objective_sense == "min" else -1.0
+    sign = _sign(model.objective_sense)
     cost = np.zeros(len(variables))
     cost[list(model.objective)] = list(model.objective.values())
     return _Form(
@@ -488,8 +493,7 @@ def _relax(form: _Form) -> _LP:
 
 
 def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
-                 cutoff: float,
-                 cost: Optional[tuple[np.ndarray, float]] = None) -> _LP:
+                 cutoff: float, cost: Optional[np.ndarray] = None) -> _LP:
     """The LP of a solved tableau's LP plus the rows ``G x' + s = h`` over
     its columns, each with a new slack s >= 0, warm-started from the
     tableau.
@@ -503,10 +507,10 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     primal pass clears any dual infeasibility roundoff left.  An LP whose
     objective reaches ``cutoff - FEAS_TOL`` stops as "cutoff".
 
-    ``cost``, when given, is a new objective over the tableau's columns
-    and its constant: the dual simplex still runs on the tableau's own
-    reduced costs, and ``cutoff`` bounds that objective, but the reduced
-    costs of the new one replace them before the primal pass.
+    ``cost``, when given, is a new min-sense objective in model space,
+    priced as ``_standardize`` prices it: the dual simplex still runs on
+    the tableau's own reduced costs, and ``cutoff`` bounds that objective,
+    but the new one's replace them before the primal pass.
     """
     m, w, k = len(tab.basis), len(tab.c), len(h)
     T = _zeros(m + k, w + k + 1, "LP tableau")
@@ -517,12 +521,17 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     T[np.arange(m), tab.basis] = 1.0
     T[m:, :w] = G
     T[m:, -1] = h
-    T[m:] -= G[:, tab.basis] @ T[:m]
+    # Row by row: a BLAS matrix product's roundoff, and so the pivot path,
+    # can change with its thread count; a vector-matrix product's did not.
+    for g, row in zip(G[:, tab.basis], T[m:]):
+        row -= g @ T[:m]
     T[m + np.arange(k), w + np.arange(k)] = 1.0
     z = np.concatenate((tab.z[:-1], np.zeros(k), tab.z[-1:]))
     basis = np.concatenate((tab.basis, w + np.arange(k)))
     status, pivots = _dual_simplex(T, z, basis, cutoff - tab.const)
-    c, const = (tab.c, tab.const) if cost is None else cost
+    d = tab.decode
+    c, const = ((tab.c, tab.const) if cost is None
+                else (d.columns(cost[None], w)[0], float(cost @ d.val)))
     c = np.concatenate((c, np.zeros(k)))
     if status == "optimal":
         if cost is not None:
@@ -562,34 +571,6 @@ def _node(parent: _Tableau, form: _Form, held: int, j: int, up: bool,
     return _append_rows(parent, G, h, cutoff)
 
 
-class _Root(NamedTuple):
-    """A solved root LP: its final tableau and the model's arrays."""
-
-    tableau: _Tableau
-    form: _Form
-
-
-def _new_objective(root: _Root, form: _Form) -> tuple[
-        _Tableau, tuple[np.ndarray, float]]:
-    """The root's tableau, and ``form``'s objective over its columns with
-    its constant, as ``_append_rows`` takes them; InputError unless
-    ``form`` has the root model's variables, bounds, objective sense and
-    rows."""
-    old = root.form
-    if (form.A.shape != old.A.shape or form.sign != old.sign
-            or not np.array_equal(form.lb, old.lb)
-            or not np.array_equal(form.ub, old.ub)
-            or not np.array_equal(form.A, old.A)
-            or not np.array_equal(form.b, old.b)
-            or not np.array_equal(form.slack, old.slack)):
-        raise InputError("root tableau is of a model with other variables, "
-                         "bounds, objective sense or rows")
-    # As ``_standardize`` prices the columns: the slacks cost nothing.
-    d = root.tableau.decode
-    return root.tableau, (d.columns(form.cost[None], len(root.tableau.c))[0],
-                          float(form.cost @ d.val))
-
-
 def solve_lp(model: MilpModel) -> MilpResult:
     """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
     form = _form(model)
@@ -607,8 +588,8 @@ def _feasible(form: _Form, x: np.ndarray) -> bool:
 
 
 def solve_milp(
-    model: MilpModel, root: Optional[_Root] = None,
-    lazy: Optional[Lazy] = None, deadline: float = math.inf,
+    model: MilpModel, lazy: Optional[Lazy] = None,
+    deadline: float = math.inf,
 ) -> MilpResult:
     """Exact optimum by depth-first branch-and-bound over the binaries.
 
@@ -616,11 +597,11 @@ def solve_milp(
     within 1e-12 go to the lowest index), exploring the
     rounding-toward-incumbent child first.  Each child is warm-started
     from its parent's final tableau (``_node``); only the root is solved
-    cold (``_relax``), unless ``root`` is given.  ``nodes`` counts every
-    LP solved.  The search stops with status "node_limit" before its
-    ``NODE_LIMIT``-th LP, and with "time_limit" when it pops a node after
-    ``deadline`` (a ``time.monotonic()`` reading).  An LP that reads
-    unbounded raises ScaleError: the model must be bounded.
+    cold (``_relax``).  ``nodes`` counts every LP solved.  The search
+    stops with status "node_limit" before its ``NODE_LIMIT``-th LP, and
+    with "time_limit" when it pops a node after ``deadline`` (a
+    ``time.monotonic()`` reading).  An LP that reads unbounded raises
+    ScaleError: the model must be bounded.
 
     ``lazy`` is called at every integral point x (model space) that meets
     the rows so far and that the search does not prune, with the tree's
@@ -634,17 +615,41 @@ def solve_milp(
     rest of the search: x's node is solved again with them, and every
     open node appends the rows its parent's tableau lacks when it is
     popped.  With no rows, x's node is closed.
-
-    ``root`` is the ``root`` of an earlier result, for a model with the
-    same variables, bounds, objective sense and rows; the objective may
-    differ.  The root LP then starts from its tableau and prices the new
-    objective, instead of starting cold.  The result carries its own root
-    LP back as ``root``.
     """
-    form = _form(model)
+    return _search(_form(model), None, lazy, deadline)[0]
+
+
+class HeldRows:
+    """A model's variables, bounds and rows, read once, for solves under
+    many objectives (``solve_repriced``), and ``root``, the final root
+    tableau of the last solve (None if that root LP had no optimum)."""
+
+    def __init__(self, model: MilpModel) -> None:
+        self.form = _form(model)
+        self.root: Optional[_Tableau] = None
+
+
+def solve_repriced(held: HeldRows, sense: str, cost: np.ndarray) -> MilpResult:
+    """``solve_milp`` of the held model under the objective ``sense``
+    ``cost``, one coefficient per variable (InputError on another length).
+    Its root LP starts from ``held.root`` priced anew, in min sense, or
+    cold without one, and leaves its own there."""
+    sign = _sign(sense)
+    if np.shape(cost) != held.form.lb.shape:
+        raise InputError(f"objective of {np.size(cost)} coefficients for "
+                         f"{len(held.form.lb)} variables")
+    form = held.form._replace(cost=sign * np.asarray(cost, float), sign=sign)
+    res, held.root = _search(form, held.root, None, math.inf)
+    return res
+
+
+def _search(form: _Form, warm: Optional[_Tableau], lazy: Optional[Lazy],
+            deadline: float) -> tuple[MilpResult, Optional[_Tableau]]:
+    """``solve_milp``'s search of ``form`` and its final root tableau
+    (None if the root LP had no optimum).  The root starts from ``warm``,
+    a root tableau of the same rows under any objective, if given."""
     bins = form.binaries
-    warm = None if root is None else _new_objective(root, form)
-    root_lp: Optional[_Root] = None
+    root: Optional[_Tableau] = None
 
     # In minimization orientation: the incumbent's value.
     best_value = math.inf
@@ -675,13 +680,12 @@ def solve_milp(
             lp = _node(parent, form, held, j, fixed.get(j) == 1.0,
                        best_value)
         elif warm is not None:
-            tab, cost = warm
-            lp = _append_rows(tab, np.zeros((0, len(tab.c))), np.zeros(0),
-                              math.inf, cost)
+            lp = _append_rows(warm, np.zeros((0, len(warm.c))), np.zeros(0),
+                              math.inf, form.cost)
         else:
             lp = _relax(form)
-        if nodes == 1 and lp.tableau is not None:
-            root_lp = _Root(lp.tableau, form)
+        if nodes == 1:
+            root = lp.tableau
         pivots += lp.pivots
         if lp.status in ("infeasible", "cutoff"):
             continue
@@ -728,6 +732,6 @@ def solve_milp(
     bound = form.sign * min([best_value] + [entry[4] for entry in stack])
     if best_x is None:
         return MilpResult(stopped or "infeasible", math.nan, [], nodes,
-                          pivots, root_lp, bound)
+                          pivots, bound), root
     return MilpResult(stopped or "optimal", form.sign * best_value,
-                      best_x.tolist(), nodes, pivots, root_lp, bound)
+                      best_x.tolist(), nodes, pivots, bound), root

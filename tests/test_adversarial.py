@@ -248,7 +248,7 @@ def test_milp_adversary_without_a_solution_raises_scale_error(monkeypatch,
                                                               example_one):
     # An engine result with no assignment is a failed solve, whatever its
     # status, not a solution of the wrong length.
-    monkeypatch.setattr(milp, "solve_milp", lambda model, root=None:
+    monkeypatch.setattr(milp, "solve_repriced", lambda held, sense, cost:
                         milp.MilpResult("infeasible", math.nan, []))
     with pytest.raises(ScaleError, match="infeasible"):
         adversarial_milp(example_one, BinarySolution.from_indices([0, 2], 5))

@@ -21,7 +21,7 @@ from balregret.core import (
     nominal_solve,
     _read_solution,
 )
-from balregret import core
+from balregret import core, evaluation
 from balregret.instances import SplitMix64, gen_selection
 from conftest import rand_mrs, solutions
 
@@ -170,6 +170,15 @@ class TestShortestPath:
         assert [rhs for _, _, rhs in f.linear_rows()] == [1.0, 0.0, -1.0]
         assert list(f.enumerate_solutions()) == [(0, 1)]
         assert f.nominal_solve((1, 1)).indices() == (0, 1)
+
+    def test_shortest_path_sums_are_exact_above_2_53(self):
+        # As a float 2^53 + 1 rounds to 2^53: summed as floats, both
+        # parallel edges read equal and edge 0 won.
+        f = ShortestPath(2, [(0, 1), (0, 1)], 0, 1)
+        assert f.nominal_solve([2**53 + 1, 2**53]).indices() == (1,)
+        inst = Instance(ItemCosts([2**53 + 1, 2**53], [0, 0]), Budgets(0, 0),
+                        f)
+        assert evaluation.optimize_criterion(inst, "BC").value == 2**53
 
     def test_enumeration(self):
         f = diamond_graph()

@@ -8,7 +8,6 @@ import types
 import pytest
 
 from balregret.adversarial import (
-    MilpAdversary,
     adversarial_bruteforce,
     adversarial_selection_dp,
 )
@@ -491,27 +490,30 @@ def test_iterative_matches_bruteforce_on_paths_and_knapsacks(monkeypatch):
 
 
 def test_iterative_milp_adversary_solves_one_root_cold(monkeypatch):
-    # Every adversary call of a solve sets the objective of one model, so
-    # only its first root LP is solved cold; the others start from the
-    # last one's.  The adversary's model has 3n + 1 columns, the
-    # master's n + 1.
+    # Every adversary call of a solve reprices the rows of one model, read
+    # into arrays once, so only its first root LP is solved cold; the
+    # others start from the last one's.  The adversary's model has 3n + 1
+    # columns, the master's n + 1.
     solves = _spy_lazy(monkeypatch)
-    cold_columns, models = [], []
-    relax, build = milp._relax, MilpAdversary.of
+    cold_columns, read_columns = [], []
+    relax, form = milp._relax, milp._form
 
-    def spy(form):
-        cold_columns.append(form.A.shape[1])
-        return relax(form)
+    def spy_relax(f):
+        cold_columns.append(f.A.shape[1])
+        return relax(f)
 
-    monkeypatch.setattr(milp, "_relax", spy)
-    monkeypatch.setattr(MilpAdversary, "of",
-                        lambda inst: models.append(build(inst)) or models[-1])
+    def spy_form(model):
+        read_columns.append(len(model.variables))
+        return form(model)
+
+    monkeypatch.setattr(milp, "_relax", spy_relax)
+    monkeypatch.setattr(milp, "_form", spy_form)
     rounds = 0
     for inst in layered_instances(SplitMix64(41021), 20):
-        del cold_columns[:], models[:], solves[:]
+        del cold_columns[:], read_columns[:], solves[:]
         master.solve_iterative(inst, adversary="milp")
         assert cold_columns.count(3 * inst.n + 1) == 1, inst
-        assert len(models) == 1
+        assert read_columns.count(3 * inst.n + 1) == 1, inst
         rounds += _appended(solves)
     assert rounds >= 3
 

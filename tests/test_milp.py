@@ -618,15 +618,6 @@ def test_warm_started_nodes_match_cold_reference():
     assert min(seen.values()) >= 30 and warm >= 100
 
 
-def _with_row(model, rng: SplitMix64, sense: str = ">="):
-    """A copy of the model with one more random row."""
-    more = copy.deepcopy(model)
-    more.add_constraint(
-        {j: rng.randint(-3, 3) for j in range(len(more.variables))
-         if rng.randint(0, 1)}, sense, rng.randint(-6, 4))
-    return more
-
-
 def _with_rows(model, rows):
     """A copy of the model with the given rows appended."""
     more = copy.deepcopy(model)
@@ -731,63 +722,59 @@ def test_limits_stop_with_a_bound_on_the_optimum(monkeypatch):
     assert checked >= 100
 
 
+def _dense_objective(model) -> list[float]:
+    """The model's objective coefficients, one per variable."""
+    return [model.objective.get(j, 0.0) for j in range(len(model.variables))]
+
+
 def test_warm_root_with_new_objective_matches_cold_solve():
-    # Each model of a chain has new random costs in the same sense; its
-    # warm solve starts from the last model's root LP, which prices the
-    # new objective.  A chain ends at a model whose relaxation is
-    # unbounded, which both solves refuse.
+    # One held model per chain; each step gives it new random costs, in
+    # the other sense every third step, and its solve starts from the last
+    # solve's root LP, which prices the new objective.  A chain ends at a
+    # model whose relaxation is unbounded, which both solves refuse.
     rng = SplitMix64(4715)
     seen, warm = {}, 0
     for model in _seeded_models()[::4]:
+        held = milp.HeldRows(model)
         try:
-            res = milp.solve_milp(model)
+            cold = milp.solve_milp(model)
         except ScaleError:  # an unbounded relaxation: no root LP to start from
             continue
+        res = milp.solve_repriced(held, model.objective_sense,
+                                  _dense_objective(model))
+        assert (res.status, res.assignment) == (cold.status, cold.assignment)
         for step in range(6):
-            if res.root is None:
+            if held.root is None:
                 break
             model = copy.deepcopy(model)
-            model.set_objective(model.objective_sense, {
-                j: rng.randint(-5, 5) for j in range(len(model.variables))})
+            sense = model.objective_sense
+            if step % 3 == 2:
+                sense = "max" if sense == "min" else "min"
+            cost = [rng.randint(-5, 5) for _ in model.variables]
+            model.set_objective(sense, dict(enumerate(cost)))
             warm += 1
             try:
                 cold = milp.solve_milp(model)
             except ScaleError:
                 with pytest.raises(ScaleError, match="unbounded"):
-                    milp.solve_milp(model, root=res.root)
+                    milp.solve_repriced(held, sense, cost)
                 seen["unbounded"] = seen.get("unbounded", 0) + 1
                 break
-            res = milp.solve_milp(model, root=res.root)
+            res = milp.solve_repriced(held, sense, cost)
             assert res.status == cold.status, model
             seen[res.status] = seen.get(res.status, 0) + 1
             if res.status == "optimal":
                 assert res.value == pytest.approx(cold.value, abs=1e-6)
                 assert milp._feasible(milp._form(model),
                                       np.array(res.assignment))
+        # An objective is checked as ``set_objective`` checks it.
+        with pytest.raises(InputError):
+            milp.solve_repriced(held, "maximize", _dense_objective(model))
+        with pytest.raises(InputError):
+            milp.solve_repriced(held, "min", _dense_objective(model) + [1.0])
     assert warm >= 300
     assert min(seen.get(s, 0) for s in ("optimal", "infeasible")) >= 20
     assert seen.get("unbounded", 0) >= 5
-
-
-def test_warm_root_rejects_another_model():
-    model = _seeded_knapsack_model(SplitMix64(9), 8)
-    root = milp.solve_milp(model).root
-    rng = SplitMix64(10)
-    repriced = copy.deepcopy(model)
-    repriced.set_objective("max", {0: 1.0})
-    assert milp.solve_milp(repriced, root=root).status == "optimal"
-    wider = copy.deepcopy(model)
-    wider.add_binary()
-    bounded = copy.deepcopy(model)
-    bounded.variables[0].ub = 0.0
-    reordered = copy.deepcopy(model)
-    reordered.constraints.reverse()
-    flipped = copy.deepcopy(model)
-    flipped.set_objective("min", model.objective)
-    for other in (wider, bounded, reordered, flipped, _with_row(model, rng),
-                  _with_row(model, rng, "=")):
-        with pytest.raises(InputError):
-            milp.solve_milp(other, root=root)
 
 
 def test_entering_column_falls_back_past_a_column_without_pivot():
