@@ -40,7 +40,7 @@ def _check_scale(inst: Instance) -> None:
 
 
 def _certificate_for(
-    inst: Instance, x: BinarySolution, y: BinarySolution, optimal: bool = True
+    inst: Instance, x: BinarySolution, y: BinarySolution
 ) -> AdversaryCertificate:
     """Worst case of x against the adversary's pick y. For fixed (x, y) the
     optimal attack takes the largest deviations among items we packed and
@@ -51,9 +51,7 @@ def _certificate_for(
     eps, value = solve_balancing(
         inst.costs, inst.budgets.gamma_prime, x, delta, y
     )
-    return AdversaryCertificate(
-        value=value, y=y, delta=delta, epsilon=eps, optimal=optimal
-    )
+    return AdversaryCertificate(value=value, y=y, delta=delta, epsilon=eps)
 
 
 def _topk_shared(d_sorted: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -159,6 +157,8 @@ def adversarial_milp(
     held: Optional[milp.HeldRows] = None,
 ) -> AdversaryCertificate:
     """Exact adversarial value via the dualized mixed-integer program.
+    A solve that ends without an optimum raises ScaleError, so every
+    certificate returned is exact.
 
     A caller that evaluates several x on one instance may pass ``held``,
     the ``milp.HeldRows`` of its ``adversary_model``: the call's root LP
@@ -176,16 +176,15 @@ def adversarial_milp(
     # where x_i = 1 it is free, and its row never binds.
     cost = np.concatenate((-c, d * xs, [-inst.budgets.gamma_prime], xs - 1))
     res = milp.solve_repriced(held, "max", cost)
-    if not res.assignment:
+    if res.status != "optimal":
         raise ScaleError(f"adversarial MILP ended {res.status} with no "
                          "solution")
-    optimal = res.status == "optimal"
     y = _read_solution(inst.feasible, res.assignment[:inst.n])
-    const = int(c @ xs)
-    cert = _certificate_for(inst, x, y, optimal=optimal)
-    if optimal and abs(cert.value - (const + res.value)) >= 1e-5:
+    optimum = int(c @ xs) + res.value
+    cert = _certificate_for(inst, x, y)
+    if abs(cert.value - optimum) >= 1e-5:
         raise InternalError(f"MILP certificate {cert.value} != optimum "
-                            f"{const + res.value}")
+                            f"{optimum}")
     return cert
 
 
@@ -202,8 +201,8 @@ def adversarial_selection_dp(
     with the quota met seed the next partition, so the attack budget is
     shared. The points share every skip and attack move and differ only
     in the pick cost ``c_i + max(d_i (1 - x_i) - s, 0)``. They run in
-    passes of at most ``_DP_STATES`` states, in order, so at most two
-    passes' states are held at once.
+    passes of at most ``_DP_STATES`` states, in order, and only one pass's
+    states are held at once, besides a copy of the best point's.
 
     The first point of best value wins, across passes as within one, and
     it is the first over every item's break points too: for a fixed (y,
@@ -251,7 +250,8 @@ def adversarial_selection_dp(
                   for by_ac, s in zip(done, points[lo:lo + span])]
         k = max(range(len(values)), key=values.__getitem__)  # first on ties
         if best is None or values[k] > best[0]:
-            best = values[k], lo + k, states[..., k], done[k]
+            best = values[k], lo + k, states[..., k].copy(), done[k]
+        del states  # freed before the next pass allocates its own
     best_value, k, trail, by_ac = best
     value = max(by_ac)
     ac = by_ac.index(value)  # smallest on ties

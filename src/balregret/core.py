@@ -617,7 +617,8 @@ class Instance:
 class AdversaryCertificate:
     """Worst case for a fixed first-stage solution: the adversary's pick
     ``y`` and attack ``delta``, the balancing response ``epsilon``, and the
-    attained value."""
+    attained value.  Every adversary returns exact certificates or raises,
+    so ``optimal`` is always True."""
 
     value: int
     y: BinarySolution

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import master
 from .core import (
@@ -114,7 +114,6 @@ class CriteriaMatrix:
     mean: list[list[float]]
     excluded: list[list[int]]
     instances: int = 0
-    values: dict[str, list[list[int]]] = field(default_factory=dict)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -144,7 +143,6 @@ def criteria_matrix(batch: list[Instance],
     sums = [[0.0] * len(cols) for _ in rows]
     counts = [[0] * len(cols) for _ in rows]
     excluded = [[0] * len(cols) for _ in rows]
-    per_instance: dict[str, list[list[int]]] = {}
 
     for inst in batch:
         reports: dict[str, SolveReport] = {}
@@ -170,17 +168,13 @@ def criteria_matrix(batch: list[Instance],
         # At gamma_prime 0 the BR value of x is its R-G value.
         same = {"BR": "R-G"} if inst.budgets.gamma_prime == 0 else {}
         evaluated: dict[BinarySolution, list[int]] = {}
-        table = []
         for x in solutions:
             if x not in evaluated:
                 vals = {c: eval_criterion(inst, x, c)
                         for c in cols if c not in same}
                 evaluated[x] = [vals[same.get(c, c)] for c in cols]
-            table.append(list(evaluated[x]))
-        per_instance[inst.name or f"instance-{len(per_instance)}"] = table
-        for i, vals in enumerate(table):
-            for j, f_star in enumerate(optima):
-                f = vals[j]
+        for i, x in enumerate(solutions):
+            for j, (f, f_star) in enumerate(zip(evaluated[x], optima)):
                 if f_star == 0:
                     if f == 0:
                         counts[i][j] += 1
@@ -196,4 +190,4 @@ def criteria_matrix(batch: list[Instance],
         for i in range(len(rows))
     ]
     return CriteriaMatrix(rows=rows, cols=cols, mean=mean, excluded=excluded,
-                          instances=len(batch), values=per_instance)
+                          instances=len(batch))

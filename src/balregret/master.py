@@ -87,7 +87,6 @@ class SolveReport:
         method: str,
         wall_time: float,
         iterations: int = 1,
-        optimal: bool = True,
     ) -> "SolveReport":
         """A one-shot report whose lower and upper bounds are both the
         value."""
@@ -99,7 +98,6 @@ class SolveReport:
             upper_bounds=[float(value)],
             wall_time=wall_time,
             method=method,
-            optimal=optimal,
         )
 
     @property
@@ -151,11 +149,6 @@ def _first_stage_model(
         for i in order.forced_out:
             model.variables[x_vars[i]].ub = 0.0
     return model, value_var, x_vars
-
-
-def _first_stage_x(inst: Instance, res: milp.MilpResult) -> BinarySolution:
-    """The first-stage solution a ``_first_stage_model`` optimum encodes."""
-    return _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
 
 
 def _best_point(inst: Instance, y: BinarySolution, x: BinarySolution) -> int:
@@ -224,7 +217,7 @@ def zero_solution(inst: Instance) -> Optional[BinarySolution]:
     A returned candidate is optimal at any budgets: no value is below 0,
     because the adversary may copy x.  None means that the optimum is
     positive only when gamma and gamma_prime are both at least 1, where
-    no other solution can reach 0; ``_zero_report`` applies that
+    no other solution can reach 0; ``_solve_model`` applies that
     condition.
     """
     f = _require_selection(inst, "zero check")
@@ -285,21 +278,6 @@ def dominance_reduce(inst: Instance) -> DominanceResult:
             if above[i] + 1 > quota:
                 out.forced_out.add(i)
     return out
-
-
-def _zero_report(inst: Instance, method: str,
-                 start: float) -> Optional[SolveReport]:
-    """The exact report of value 0 when ``zero_solution`` finds one on a
-    selection instance with both budgets at least one; None otherwise,
-    and the caller solves its model."""
-    b = inst.budgets
-    if (not isinstance(inst.feasible, MultiRepSelection)
-            or b.gamma < 1 or b.gamma_prime < 1):
-        return None
-    x0 = zero_solution(inst)
-    if x0 is None:
-        return None
-    return SolveReport.exact(x0, 0, method, time.monotonic() - start)
 
 
 def _initial_scenario(inst: Instance) -> tuple[BinarySolution, Scenario]:
@@ -403,12 +381,10 @@ def solve_iterative(
     model.variables[0].ub = best_value - 1.0
     res = milp.solve_milp(model, lazy=separate, deadline=start + time_limit)
     calls = len(lower)
-    if res.status in ("optimal", "infeasible"):
-        lower.append(float(best_value))
-    elif res.status == "time_limit":
+    if res.status == "time_limit":
         lower.append(max(min(res.bound, best_value), 0.0))
     else:
-        raise ScaleError(f"master solve failed with status {res.status}")
+        lower.append(float(best_value))
     upper.append(float(best_value))
     return SolveReport(
         x=best_x,
@@ -449,19 +425,36 @@ def _full_pool(inst: Instance) -> ScenarioPool:
     return pool
 
 
+def _solve_model(inst: Instance, method: str,
+                 build: Callable[[], milp.MilpModel]) -> SolveReport:
+    """The exact report of ``method``: solve the first-stage model
+    ``build()`` returns, laid out as ``_first_stage_model``'s, unless the
+    zero check settles the instance first.
+
+    The check applies on selection with both budgets at least one, where
+    ``zero_solution``'s candidate, when it finds one, is optimal, and its
+    None proves the optimum positive.  A solve that ends without an
+    optimum raises ScaleError.
+    """
+    start = time.monotonic()
+    b = inst.budgets
+    if (isinstance(inst.feasible, MultiRepSelection)
+            and b.gamma >= 1 and b.gamma_prime >= 1):
+        x0 = zero_solution(inst)
+        if x0 is not None:
+            return SolveReport.exact(x0, 0, method, time.monotonic() - start)
+    res = milp.solve_milp(build())
+    if res.status != "optimal":
+        raise ScaleError(f"{method} solve failed with status {res.status}")
+    x = _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
+    return SolveReport.exact(x, int(round(res.value)), method,
+                             time.monotonic() - start)
+
+
 def solve_enumeration(inst: Instance) -> SolveReport:
     """One-shot master over the full scenario set."""
-    start = time.monotonic()
-    zero = _zero_report(inst, "enumeration", start)
-    if zero is not None:
-        return zero
-    pool = _full_pool(inst)
-    model = build_master(inst, pool)
-    res = milp.solve_milp(model)
-    if res.status != "optimal":
-        raise ScaleError(f"enumeration master failed with status {res.status}")
-    return SolveReport.exact(_first_stage_x(inst, res), int(round(res.value)),
-                             "enumeration", time.monotonic() - start)
+    return _solve_model(inst, "enumeration",
+                        lambda: build_master(inst, _full_pool(inst)))
 
 
 def build_compact(inst: Instance) -> milp.MilpModel:
@@ -509,22 +502,8 @@ def build_compact(inst: Instance) -> milp.MilpModel:
 
 
 def solve_compact_mrs(inst: Instance) -> SolveReport:
-    """Solve ``build_compact``'s MILP, unless the zero check settles the
-    instance first."""
-    start = time.monotonic()
-    zero = _zero_report(inst, "compact", start)
-    if zero is not None:
-        return zero
-    res = milp.solve_milp(build_compact(inst))
-    if res.status not in ("optimal", "node_limit") or not res.assignment:
-        raise ScaleError(f"compact solve failed with status {res.status}")
-    return SolveReport.exact(
-        _first_stage_x(inst, res),
-        int(round(res.value)),
-        "compact",
-        time.monotonic() - start,
-        optimal=res.status == "optimal",
-    )
+    """Solve ``build_compact``'s MILP."""
+    return _solve_model(inst, "compact", lambda: build_compact(inst))
 
 
 def solve_bruteforce(inst: Instance) -> SolveReport:

@@ -18,8 +18,10 @@ loop needs it).  A model whose rows stay while its objective changes, as
 an evaluator's whose rows do not depend on its input, is read once into a
 ``HeldRows``; each ``solve_repriced`` of it starts its root from the last
 solve's final root tableau and prices the new objective before the primal
-pass.  Every model the program builds is bounded, so
-an LP that reads unbounded at any node raises ScaleError.  Models at desk
+pass.  A search ends optimal, infeasible or at its caller's deadline:
+every model the program builds is bounded, so an LP that reads unbounded
+at any node raises ScaleError, and so does a search that needs more than
+``NODE_LIMIT`` nodes, whose result no caller could use.  Models at desk
 scale only; simplicity and debuggability over sparsity: a pivot costs a
 fixed number of numpy calls on a dense tableau.
 """
@@ -40,7 +42,7 @@ MIN_PIVOT = 1e-7  # smallest tableau entry accepted as a pivot element
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
 BLAND_AFTER = 1000
-# LPs a branch and bound solves before it stops with status "node_limit".
+# LPs a branch and bound may solve; one that needs more raises ScaleError.
 NODE_LIMIT = 10**6
 _MAX_PIVOTS = 200_000
 # A pivot updates its tableau in blocks of whole rows of at most this many
@@ -114,7 +116,8 @@ class MilpModel:
 
 @dataclass
 class MilpResult:
-    # "optimal" | "infeasible" | "node_limit" | "time_limit"
+    # "optimal" | "infeasible" | "time_limit"; ``solve_lp`` also
+    # "unbounded"
     status: str
     value: float
     assignment: list[float]
@@ -597,11 +600,11 @@ def solve_milp(
     within 1e-12 go to the lowest index), exploring the
     rounding-toward-incumbent child first.  Each child is warm-started
     from its parent's final tableau (``_node``); only the root is solved
-    cold (``_relax``).  ``nodes`` counts every LP solved.  The search
-    stops with status "node_limit" before its ``NODE_LIMIT``-th LP, and
-    with "time_limit" when it pops a node after ``deadline`` (a
-    ``time.monotonic()`` reading).  An LP that reads unbounded raises
-    ScaleError: the model must be bounded.
+    cold (``_relax``).  ``nodes`` counts every LP solved.  The status is
+    "optimal", "infeasible", or "time_limit" when the search pops a node
+    after ``deadline`` (a ``time.monotonic()`` reading).  A search that
+    needs more than ``NODE_LIMIT`` LPs raises ScaleError, as does an LP
+    that reads unbounded: the model must be bounded.
 
     ``lazy`` is called at every integral point x (model space) that meets
     the rows so far and that the search does not prune, with the tree's
@@ -666,8 +669,8 @@ def _search(form: _Form, warm: Optional[_Tableau], lazy: Optional[Lazy],
     nodes = pivots = 0
     while stack:
         if nodes == NODE_LIMIT:
-            stopped = "node_limit"
-            break
+            raise ScaleError(f"branch and bound reached its node limit "
+                             f"({NODE_LIMIT})")
         if time.monotonic() > deadline:
             stopped = "time_limit"
             break

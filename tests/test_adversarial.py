@@ -1,6 +1,7 @@
 """The three adversarial solvers agree and their certificates check out."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from balregret.core import (
     MultiRepSelection,
     ScaleError,
     enumerate_solutions,
+    nominal_solve,
 )
 from balregret.instances import SplitMix64, gen_knapsack, gen_selection
 from conftest import (
@@ -157,6 +159,30 @@ def test_dp_matches_the_per_point_oracle(monkeypatch, states):
         assert (cert.value, list(cert.y.indices())) == want, inst
 
 
+def test_dp_holds_one_pass_at_a_time(monkeypatch):
+    # Split into three passes, the DP must free each pass's states before
+    # the next one allocates its own: its peak stays near one pass's
+    # bytes, where a view of the best point kept a whole pass alive into
+    # the next one and the peak read about two passes.
+    inst = gen_selection(60, 1, gamma=3, gamma_prime=1)
+    x = nominal_solve(inst.feasible, inst.costs.worst())
+    points = inst.break_points(i for i, xi in enumerate(x.x) if not xi)
+    width = min(inst.budgets.gamma,
+                sum(xi and di > 0 for xi, di in zip(x.x, inst.costs.d)))
+    per_point = (inst.n + 1) * (max(inst.feasible.quotas) + 1) * (width + 1)
+    span = -(-len(points) // 3)
+    one_pass = adversarial_selection_dp(inst, x)
+    monkeypatch.setattr(adversarial, "_DP_STATES", per_point * span)
+    tracemalloc.start()
+    try:
+        cert = adversarial_selection_dp(inst, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert == one_pass
+    assert peak < 1.5 * 8 * per_point * span
+
+
 def _near_limit(rng: SplitMix64, inst: Instance, skew: bool) -> Instance:
     """``inst`` with costs scaled, plus a little noise, so that the sum of
     every cost and deviation lies in (2^59, 2^60]; with ``skew``, item 0's
@@ -252,6 +278,36 @@ def test_milp_adversary_without_a_solution_raises_scale_error(monkeypatch,
                         milp.MilpResult("infeasible", math.nan, []))
     with pytest.raises(ScaleError, match="infeasible"):
         adversarial_milp(example_one, BinarySolution.from_indices([0, 2], 5))
+
+
+def test_milp_adversary_at_the_node_limit_raises_scale_error(monkeypatch):
+    # A search cut short by the node limit has no exact value: the MILP
+    # adversary raises rather than return its incumbent.  With room for
+    # two nodes, every path instance whose search takes more raises, and
+    # the others return the certificate of an unlimited search; some of
+    # those cut short had incumbents below the brute-force value.
+    solve = milp.solve_repriced
+    nodes = []
+
+    def counting(held, sense, cost):
+        res = solve(held, sense, cost)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(milp, "solve_repriced", counting)
+    raised = 0
+    for inst in layered_instances(SplitMix64(2026), 20):
+        x = nominal_solve(inst.feasible, inst.costs.c_hat)
+        full = adversarial_milp(inst, x)
+        with monkeypatch.context() as limited:
+            limited.setattr(milp, "NODE_LIMIT", 2)
+            if nodes[-1] > 2:
+                with pytest.raises(ScaleError, match=r"node limit \(2\)"):
+                    adversarial_milp(inst, x)
+                raised += 1
+            else:
+                assert adversarial_milp(inst, x) == full, inst.name
+    assert 5 <= raised < 20
 
 
 @pytest.mark.parametrize("seed, picks", [(10, (0, 1, 4, 6)),

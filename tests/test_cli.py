@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from balregret import cli, master
+from balregret import cli, master, milp
 from balregret.cli import main
 from balregret.core import InternalError
 from balregret.instances import load_instance, save_instance, gen_selection
@@ -137,6 +137,20 @@ class TestSolve:
         assert main(["solve", "--instance", example_one_file, "--method",
                      "compact", "--out", str(out)]) == 2
         assert "internal error: certificate disagrees" in caplog.text
+        assert not out.exists()
+
+    def test_node_limit_exits_two(self, tmp_path, monkeypatch, caplog):
+        # Two nodes find an incumbent but do not close this compact tree:
+        # a search cut short by its node limit proves no optimum, so the
+        # solve exits 2 and writes no report, never the time limit's 3.
+        path = tmp_path / "sel.json"
+        save_instance(gen_selection(6, 2, gamma=2, gamma_prime=1), path)
+        out = tmp_path / "report.json"
+        monkeypatch.setattr(milp, "NODE_LIMIT", 2)
+        assert main(["solve", "--instance", str(path), "--method",
+                     "compact", "--out", str(out)]) == cli.EXIT_INFEASIBLE
+        assert _error_lines(caplog) == [
+            "branch and bound reached its node limit (2)"]
         assert not out.exists()
 
     def test_time_limit_exits_three_with_a_valid_bound(self, tmp_path):

@@ -122,14 +122,19 @@ class TestCriteriaMatrix:
         monkeypatch.setattr(evaluation, "optimize_criterion", counting)
         matrix = evaluation.criteria_matrix([inst], range(0, 3))
         assert calls == [(c, 1) for c in evaluation.CRITERIA] + [("BR", 2)]
-        (table,) = matrix.values.values()
+        # Each BR(gp) row holds the relative differences of BR's optimum
+        # at gp against the column optima.
+        optima = [optimize(inst, c).value for c in evaluation.CRITERIA]
         for gp in range(3):
             sub = evaluation._with_budgets(inst, gamma_prime=gp)
             x = optimize(sub, "BR").x
-            assert table[len(evaluation.CRITERIA) + gp] == [
-                evaluation.eval_criterion(inst, x, c)
-                for c in evaluation.CRITERIA
-            ]
+            values = [evaluation.eval_criterion(inst, x, c)
+                      for c in evaluation.CRITERIA]
+            expect = [(f - f_star) / f_star if f_star else
+                      (0.0 if f == 0 else math.nan)
+                      for f, f_star in zip(values, optima)]
+            assert matrix.mean[len(evaluation.CRITERIA) + gp] == (
+                pytest.approx(expect, nan_ok=True))
 
     @pytest.mark.parametrize("gamma_prime", [1, 0])
     def test_each_distinct_solution_evaluated_once(self, example_two,

@@ -5,6 +5,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,11 +312,24 @@ def test_unit_interval_continuous_reaches_binary_optimum():
 
 
 def test_node_limit_reports_status(monkeypatch):
+    # A search that needs more LPs than NODE_LIMIT raises; one that needs
+    # no more ends as it would without the limit.
     rng = SplitMix64(99)
-    model, _, _ = _random_binary_model(rng)
-    monkeypatch.setattr(milp, "NODE_LIMIT", 1)
-    res = milp.solve_milp(model)
-    assert res.status in ("node_limit", "optimal", "infeasible")
+    raised = 0
+    for _ in range(20):
+        model, _, _ = _random_binary_model(rng)
+        full = milp.solve_milp(model)
+        with monkeypatch.context() as limited:
+            limited.setattr(milp, "NODE_LIMIT", 1)
+            if full.nodes > 1:
+                with pytest.raises(ScaleError, match=r"node limit \(1\)"):
+                    milp.solve_milp(model)
+                raised += 1
+            else:
+                res = milp.solve_milp(model)
+                assert (res.status, res.assignment) == (full.status,
+                                                        full.assignment)
+    assert 0 < raised < 20
 
 
 def _random_mixed_model(rng: SplitMix64):
@@ -563,6 +577,16 @@ def _seeded_knapsack_model(rng: SplitMix64, n: int):
     return m
 
 
+def _stopped_after(monkeypatch, model, limit: int):
+    """``solve_milp`` of the model on a clock that reads 0, 1, 2, ... at
+    the nodes it pops, with the deadline that stops it after ``limit``
+    nodes."""
+    with monkeypatch.context() as clock:
+        clock.setattr(milp, "time",
+                      SimpleNamespace(monotonic=itertools.count().__next__))
+        return milp.solve_milp(model, deadline=limit - 0.5)
+
+
 def test_engine_counters_repeat_and_respect_node_limit(monkeypatch):
     model = _seeded_knapsack_model(SplitMix64(8), 14)
     first, again = milp.solve_milp(model), milp.solve_milp(model)
@@ -571,10 +595,12 @@ def test_engine_counters_repeat_and_respect_node_limit(monkeypatch):
     assert (first.status, first.value) == ("optimal", 185.0)
     assert (first.nodes, first.pivots) == (17, 31)
     assert (first.nodes, first.pivots) == (again.nodes, again.pivots)
-    monkeypatch.setattr(milp, "NODE_LIMIT", 3)
-    limited = milp.solve_milp(model)
-    assert limited.status == "node_limit" and limited.nodes == 3
+    limited = _stopped_after(monkeypatch, model, 3)
+    assert limited.status == "time_limit" and limited.nodes == 3
     assert 0 < limited.pivots < first.pivots
+    monkeypatch.setattr(milp, "NODE_LIMIT", 3)
+    with pytest.raises(ScaleError, match=r"node limit \(3\)"):
+        milp.solve_milp(model)
     lp = milp.solve_lp(model)
     assert lp.nodes == 1 and lp.pivots > 0
 
@@ -693,8 +719,10 @@ def test_lazy_row_that_holds_at_its_point_raises():
 
 
 def test_limits_stop_with_a_bound_on_the_optimum(monkeypatch):
-    # A search stopped by its node limit or its deadline reports the
-    # better of its incumbent and the weakest open node as its bound.
+    # A search stopped by its deadline reports the better of its incumbent
+    # and the weakest open node as its bound; a clock that ticks once per
+    # node stops it after each number of nodes short of the full search.
+    # Held to that number of nodes by NODE_LIMIT instead, it raises.
     checked = 0
     for model in _seeded_models()[400::3]:
         res = milp.solve_milp(model)
@@ -703,10 +731,12 @@ def test_limits_stop_with_a_bound_on_the_optimum(monkeypatch):
             assert res.bound == res.value
         worse = 1.0 if model.objective_sense == "min" else -1.0
         for limit in range(1, res.nodes):
+            limited = _stopped_after(monkeypatch, model, limit)
+            assert limited.status == "time_limit" and limited.nodes == limit
             with monkeypatch.context() as limits:
                 limits.setattr(milp, "NODE_LIMIT", limit)
-                limited = milp.solve_milp(model)
-            assert limited.status == "node_limit" and limited.nodes == limit
+                with pytest.raises(ScaleError, match="node limit"):
+                    milp.solve_milp(model)
             if res.status == "optimal":
                 assert worse * limited.bound <= worse * res.value + 1e-6
                 if limited.assignment:
