@@ -137,9 +137,9 @@ def _solve(inst: Instance, method: str, adversary: str | None,
         return master.solve_iterative(inst, adversary=adversary,
                                       time_limit=time_limit)
     if method == "enumeration":
-        return master.solve_enumeration(inst)
+        return master.solve_enumeration(inst, time_limit=time_limit)
     if method == "compact":
-        return master.solve_compact_mrs(inst)
+        return master.solve_compact_mrs(inst, time_limit=time_limit)
     if method == "bruteforce":
         return master.solve_bruteforce(inst)
     return polyalg.solve_regret_budgeted_mrs(inst)

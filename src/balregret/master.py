@@ -426,15 +426,20 @@ def _full_pool(inst: Instance) -> ScenarioPool:
 
 
 def _solve_model(inst: Instance, method: str,
-                 build: Callable[[], milp.MilpModel]) -> SolveReport:
-    """The exact report of ``method``: solve the first-stage model
-    ``build()`` returns, laid out as ``_first_stage_model``'s, unless the
-    zero check settles the instance first.
+                 build: Callable[[], milp.MilpModel],
+                 time_limit: float) -> SolveReport:
+    """The report of ``method``: solve the first-stage model ``build()``
+    returns, laid out as ``_first_stage_model``'s, unless the zero check
+    settles the instance first.
 
     The check applies on selection with both budgets at least one, where
     ``zero_solution``'s candidate, when it finds one, is optimal, and its
-    None proves the optimum positive.  A solve that ends without an
-    optimum raises ScaleError.
+    None proves the optimum positive.  A solve that pops a node after
+    ``time_limit`` seconds stops: the report then holds the search's
+    incumbent, or the robust nominal solution without one, at its exact
+    value by the instance's default adversary, is not optimal, and its
+    lower bound is the search's (or 0, which bounds every value, if that
+    is higher).  A solve that ends infeasible raises ScaleError.
     """
     start = time.monotonic()
     b = inst.budgets
@@ -443,18 +448,35 @@ def _solve_model(inst: Instance, method: str,
         x0 = zero_solution(inst)
         if x0 is not None:
             return SolveReport.exact(x0, 0, method, time.monotonic() - start)
-    res = milp.solve_milp(build())
-    if res.status != "optimal":
+    res = milp.solve_milp(build(), deadline=start + time_limit)
+    if res.status == "infeasible":
         raise ScaleError(f"{method} solve failed with status {res.status}")
-    x = _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
-    return SolveReport.exact(x, int(round(res.value)), method,
-                             time.monotonic() - start)
+    if res.assignment:
+        x = _read_solution(inst.feasible, res.assignment[1:1 + inst.n])
+    else:
+        x = _initial_scenario(inst)[0]
+    if res.status == "optimal":
+        return SolveReport.exact(x, int(round(res.value)), method,
+                                 time.monotonic() - start)
+    value = _pick_adversary(inst, None)[1](x).value
+    return SolveReport(
+        x=x,
+        value=value,
+        iterations=1,
+        lower_bounds=[max(min(res.bound, value), 0.0)],
+        upper_bounds=[float(value)],
+        wall_time=time.monotonic() - start,
+        method=method,
+        optimal=False,
+    )
 
 
-def solve_enumeration(inst: Instance) -> SolveReport:
+def solve_enumeration(inst: Instance,
+                      time_limit: float = DEFAULT_TIME_LIMIT) -> SolveReport:
     """One-shot master over the full scenario set."""
     return _solve_model(inst, "enumeration",
-                        lambda: build_master(inst, _full_pool(inst)))
+                        lambda: build_master(inst, _full_pool(inst)),
+                        time_limit)
 
 
 def build_compact(inst: Instance) -> milp.MilpModel:
@@ -501,9 +523,11 @@ def build_compact(inst: Instance) -> milp.MilpModel:
     return model
 
 
-def solve_compact_mrs(inst: Instance) -> SolveReport:
+def solve_compact_mrs(inst: Instance,
+                      time_limit: float = DEFAULT_TIME_LIMIT) -> SolveReport:
     """Solve ``build_compact``'s MILP."""
-    return _solve_model(inst, "compact", lambda: build_compact(inst))
+    return _solve_model(inst, "compact", lambda: build_compact(inst),
+                        time_limit)
 
 
 def solve_bruteforce(inst: Instance) -> SolveReport:

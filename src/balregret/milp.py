@@ -1,15 +1,22 @@
 """Self-contained bounded-scale mixed-binary linear programming.
 
-A dense two-phase tableau simplex plus a depth-first branch-and-bound.
-Each solve reads the model into arrays once (``_form``).  A fixed variable
-(``lb == ub``), such as a binary the caller pins, has no tableau column
-and no bound row: its value moves the rhs and the objective constant
-(``_standardize``), so branching never meets one.  At most the root
-is cold-started: its tableau is built from those arrays, and phase 1 starts
-from the slack basis wherever a row's slack can be basic and carries
-artificials only for the other rows.  Every other node is warm-started by
-one kernel (``_append_rows``): it adds rows to its parent's final tableau
-and restores feasibility with a dual simplex from the parent's basis.  The
+A dense two-phase simplex in dictionary form plus a depth-first
+branch-and-bound.  A tableau is kept as its dictionary (Chvátal 1983,
+*Linear Programming*, ch. 2-3): each row's entries on the non-basic
+columns and its rhs, with the basis and ``nb``, each column's model
+column.  A basic column is a unit vector and has no entries, so a pivot
+updates the non-basic columns only: it swaps the entering and leaving
+variables and rewrites the entering column as the leaving one's.  Each
+solve reads the model into arrays once (``_form``).  A fixed variable
+(``lb == ub``), such as a binary the caller pins, has no column and no
+bound row: its value moves the rhs and the objective constant
+(``_standardize``), so branching never meets one.  At most the root is
+cold-started: its dictionary is built from those arrays, and phase 1
+starts from the slack basis wherever a row's slack can be basic and
+carries artificials, basic and without columns, only for the other rows.
+Every other node is warm-started by one kernel (``_append_rows``): it adds
+rows to its parent's final dictionary, each with its slack basic, and
+restores feasibility with a dual simplex from the parent's basis.  The
 rows are the node's branching bound and the lazy rows its parent lacks: a
 caller may pass a callback that values each integral point the search
 reaches and returns model rows that the point violates, which every node
@@ -17,13 +24,13 @@ solved from then on carries (a branch-and-cut tree, as a cutting-plane
 loop needs it).  A model whose rows stay while its objective changes, as
 an evaluator's whose rows do not depend on its input, is read once into a
 ``HeldRows``; each ``solve_repriced`` of it starts its root from the last
-solve's final root tableau and prices the new objective before the primal
-pass.  A search ends optimal, infeasible or at its caller's deadline:
-every model the program builds is bounded, so an LP that reads unbounded
-at any node raises ScaleError, and so does a search that needs more than
-``NODE_LIMIT`` nodes, whose result no caller could use.  Models at desk
-scale only; simplicity and debuggability over sparsity: a pivot costs a
-fixed number of numpy calls on a dense tableau.
+solve's final root dictionary and prices the new objective before the
+primal pass.  A search ends optimal, infeasible or at its caller's
+deadline: every model the program builds is bounded, so an LP that reads
+unbounded at any node raises ScaleError, and so does a search that needs
+more than ``NODE_LIMIT`` nodes, whose result no caller could use.  Models
+at desk scale only; simplicity and debuggability over sparsity: a pivot
+costs a fixed number of numpy calls on a dense dictionary.
 """
 
 from __future__ import annotations
@@ -45,11 +52,12 @@ BLAND_AFTER = 1000
 # LPs a branch and bound may solve; one that needs more raises ScaleError.
 NODE_LIMIT = 10**6
 _MAX_PIVOTS = 200_000
-# A pivot updates its tableau in blocks of whole rows of at most this many
-# entries (512 KB): one block for every tableau on the perfbench call lists.
+# A pivot updates its dictionary in blocks of whole rows of at most this
+# many entries (512 KB): one block for every dictionary on the perfbench
+# call lists.
 _PIVOT_ENTRIES = 2**16
-# Largest phase-1 tableau allocated, in float64 entries (400 MB); a larger
-# LP raises ScaleError instead.
+# Largest dictionary allocated, in float64 entries (400 MB); a larger LP
+# raises ScaleError instead.
 MAX_TABLEAU_ENTRIES = 5 * 10**7
 
 INF = math.inf
@@ -174,8 +182,8 @@ def _rows(rows: list[Row], width: int) -> tuple[np.ndarray, ...]:
 
 def _form(model: MilpModel) -> _Form:
     """Read the model into arrays.  A dense ``A`` above MAX_TABLEAU_ENTRIES
-    raises ScaleError before it is allocated: every tableau of the model is
-    larger still."""
+    raises ScaleError before it is allocated, as a dictionary of that size
+    would."""
     variables = model.variables
     sign = _sign(model.objective_sense)
     cost = np.zeros(len(variables))
@@ -222,20 +230,23 @@ class _Decode(NamedTuple):
 
 
 def _standardize(form: _Form):
-    """Phase-1 tableau of min cᵀx', Ax' (sense) b, x' >= 0, b >= 0.
+    """Phase-1 dictionary of min cᵀx', Ax' (sense) b, x' >= 0, b >= 0.
 
     Finite lower bounds are shifted, free variables are split (the
     negative part's column right after the positive part's), finite upper
     bounds become extra rows after the model's, in variable order.  A
     fixed variable (``lb == ub``) has neither a column nor a bound row:
     its shift is its value, which moves every row's rhs and the objective
-    constant.  The columns are [structural | slacks | artificials | rhs].
-    Rows with a negative rhs are negated, and so are ">=" rows with rhs 0;
-    a row whose slack then enters with +1 starts with that slack basic
-    (the slack crash basis), and only "=" rows and rows left with a
-    surplus slack get an artificial.  Returns the tableau, the starting
-    basis, the phase-2 costs of the structural and slack columns, the
-    objective constant, and a decoder back to model space.
+    constant.  The model's columns are [structural | slacks |
+    artificials].  Rows with a negative rhs are negated, and so are ">="
+    rows with rhs 0; a row whose slack then enters with +1 starts with
+    that slack basic (the slack crash basis), and only "=" rows and rows
+    left with a surplus slack get an artificial, which starts basic.  The
+    dictionary holds the non-basic columns, the structural ones and then
+    the surplus slacks, and the rhs.  Returns the dictionary, the starting
+    basis, ``nb`` (each dictionary column's model column), the phase-2
+    costs of the structural and slack columns, the objective constant,
+    and a decoder back to model space.
     """
     split = form.lb == -INF
     fixed = form.lb == form.ub
@@ -256,82 +267,96 @@ def _standardize(form: _Form):
     slack = np.concatenate([form.slack, np.ones(len(bounded))])
     s = np.where((rhs < 0) | ((rhs == 0) & (slack < 0)), -1.0, 1.0)
     slack *= s
-    has_slack, has_art = slack != 0.0, slack <= 0.0
+    has_slack, surplus = slack != 0.0, slack < 0.0
     m, m0 = len(rhs), len(form.b)
     art = ncols + int(has_slack.sum())
-    T = _zeros(m, art + int(has_art.sum()) + 1, "LP tableau")
-    T[:m0, col] = form.A  # fixed variables' entries hit the rhs, set last
-    T[:m0, neg] -= form.A[:, split]
+    slack_col = ncols + np.cumsum(has_slack) - 1
+    art_col = art + np.cumsum(slack <= 0.0) - 1
+    nb = np.concatenate((np.arange(ncols), slack_col[surplus]))
+    N = _zeros(m, len(nb) + 1, "LP tableau")
+    N[:m0, col] = form.A  # fixed variables' entries hit the rhs, set last
+    N[:m0, neg] -= form.A[:, split]
     brow, bcol = m0 + np.arange(len(bounded)), col[bounded]
     bsplit = split[bounded]  # a split variable's bound holds both parts
-    T[brow, bcol] = 1.0
-    T[brow[bsplit], bcol[bsplit] + 1] = -1.0
-    T[s < 0, :ncols] *= -1
-    slack_col = ncols + np.cumsum(has_slack) - 1
-    art_col = art + np.cumsum(has_art) - 1
-    T[has_slack, slack_col[has_slack]] = slack[has_slack]
-    T[has_art, art_col[has_art]] = 1.0
-    T[:, -1] = np.abs(rhs)
-    basis = np.where(has_art, art_col, slack_col)
+    N[brow, bcol] = 1.0
+    N[brow[bsplit], bcol[bsplit] + 1] = -1.0
+    N[s < 0, :ncols] *= -1
+    N[surplus, ncols + np.arange(len(nb) - ncols)] = -1.0
+    N[:, -1] = np.abs(rhs)
+    basis = np.where(slack > 0.0, slack_col, art_col)
 
     c = np.zeros(art + 1)
     c[col] = form.cost
     c[neg] -= form.cost[split]
     const = float(form.cost @ val)
-    return T, basis, c[:-1], const, _Decode(val, split, col)
+    return N, basis, nb, c[:-1], const, _Decode(val, split, col)
 
 
-def _pivot(T: np.ndarray, z: np.ndarray, basis: np.ndarray, r: int, c: int):
-    row = T[r] / T[r, c]
+def _pivot(N: np.ndarray, z: np.ndarray, basis: np.ndarray, nb: np.ndarray,
+           r: int, p: int):
+    """Pivot the dictionary on row r and column p: the entering variable
+    ``nb[p]`` becomes basic in row r, and column p becomes the leaving
+    variable's, 1/N[r, p] in row r and -N[i, p]/N[r, p] in every other
+    row.  These are the floats a pivot of the whole tableau computes, as
+    its basic columns are exact unit vectors."""
+    inv = 1.0 / N[r, p]
+    row = N[r] / N[r, p]
+    leaving = N[:, p] * -inv
     # A rank-1 update in place: at desk sizes a pivot's cost is its number
     # of numpy calls, not the entries they touch.  Its one temporary, the
-    # size of a block, stays small next to a tall tableau.
-    step = max(1, _PIVOT_ENTRIES // T.shape[1])
-    for k in range(0, len(T), step):
-        block = T[k:k + step]
-        block -= block[:, c, None] * row
-    T[r] = row
-    z -= z[c] * row
-    basis[r] = c
+    # size of a block, stays small next to a tall dictionary.
+    step = max(1, _PIVOT_ENTRIES // N.shape[1])
+    for k in range(0, len(N), step):
+        block = N[k:k + step]
+        block -= block[:, p, None] * row
+    N[r] = row
+    N[:, p] = leaving
+    N[r, p] = inv
+    zp = z[p]
+    z -= zp * row
+    z[p] = zp * -inv
+    basis[r], nb[p] = nb[p], basis[r]
 
 
-def _reduced_costs(T: np.ndarray, c: np.ndarray, basis: np.ndarray):
-    """Objective row of T for costs c: reduced costs, then the negated
-    objective value."""
-    z = np.zeros(T.shape[1])
-    z[:-1] = c - c[basis] @ T[:, :-1]
-    z[-1] = -(c[basis] @ T[:, -1])
+def _reduced_costs(N: np.ndarray, cb: np.ndarray, cn: np.ndarray):
+    """Objective row of N for the costs ``cb`` of the basic and ``cn`` of
+    the non-basic columns: reduced costs, then the negated objective
+    value."""
+    z = -(cb @ N)
+    z[:-1] += cn
     return z
 
 
-def _entering(T: np.ndarray, red: np.ndarray, bland: bool) -> int:
+def _entering(N: np.ndarray, red: np.ndarray, nb: np.ndarray,
+              bland: bool) -> int:
     """The first candidate column with an entry above MIN_PIVOT, or -1.
 
     Candidates are the columns whose reduced cost is below -PIVOT_TOL in
-    index order (Bland's rule), or else below -FEAS_TOL from the most
-    negative reduced cost up, ties in index order.
+    model column order (Bland's rule), or else below -FEAS_TOL from the
+    most negative reduced cost up, ties in dictionary order.
     """
     if bland:
         cand = np.flatnonzero(red < -PIVOT_TOL)
+        cand = cand[np.argsort(nb[cand])]
     else:
         cand = np.flatnonzero(red < -FEAS_TOL)
         cand = cand[np.argsort(red[cand], kind="stable")]
-    for j in cand:
-        if (T[:, j] > MIN_PIVOT).any():
-            return int(j)
+    for p in cand:
+        if (N[:, p] > MIN_PIVOT).any():
+            return int(p)
     return -1
 
 
-def _run_simplex(T: np.ndarray, z: np.ndarray,
-                 basis: np.ndarray) -> tuple[str, int]:
-    """Iterate the tableau to optimality of the current objective row.
+def _run_simplex(N: np.ndarray, z: np.ndarray, basis: np.ndarray,
+                 nb: np.ndarray) -> tuple[str, int]:
+    """Iterate the dictionary to optimality of the current objective row.
 
     ``z`` holds reduced costs (last entry: negated objective value).
     Returns "optimal", or "unbounded" when a negative reduced-cost column
     has no pivot row, and the number of pivots made.  Outside Bland's
     rule the entering column is the most negative reduced cost (the
-    lowest index among ties); the ratio test takes the row with the
-    largest pivot among the ties for the smallest ratio.
+    first in the dictionary among ties); the ratio test takes the row
+    with the largest pivot among the ties for the smallest ratio.
     """
     if z.size == 1:  # no columns
         return "optimal", 0
@@ -339,23 +364,23 @@ def _run_simplex(T: np.ndarray, z: np.ndarray,
     bland = False
     for pivots in range(_MAX_PIVOTS):
         red = z[:-1]
-        c = int(red.argmin())
-        if red[c] >= -(PIVOT_TOL if bland else FEAS_TOL):
+        p = int(red.argmin())
+        if red[p] >= -(PIVOT_TOL if bland else FEAS_TOL):
             return "optimal", pivots
-        col = T[:, c]
+        col = N[:, p]
         pos = col > MIN_PIVOT
         if bland or not pos.any():
             # A column with no positive entry certifies an unbounded ray,
             # but roundoff can also produce a barely negative reduced cost
             # on such a column; try the remaining candidates before
             # giving up.
-            c = _entering(T, red, bland)
-            if c < 0:
+            p = _entering(N, red, nb, bland)
+            if p < 0:
                 return "unbounded", pivots
-            col = T[:, c]
+            col = N[:, p]
             pos = col > MIN_PIVOT
         # Clipping the rhs at zero ignores roundoff drift below it.
-        ratios = np.divide(np.maximum(T[:, -1], 0.0), col,
+        ratios = np.divide(np.maximum(N[:, -1], 0.0), col,
                            out=np.full(len(col), np.inf), where=pos)
         best = ratios.min()
         ties = ratios <= best + 1e-9 * (1.0 + best)
@@ -370,13 +395,13 @@ def _run_simplex(T: np.ndarray, z: np.ndarray,
                 bland = True  # sticky: do not revert once stalling is seen
         else:
             degenerate = 0
-        _pivot(T, z, basis, r, c)
+        _pivot(N, z, basis, nb, r, p)
     raise ScaleError("simplex pivot limit exceeded")
 
 
-def _dual_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
-                  limit: float) -> tuple[str, int]:
-    """Restore primal feasibility of a dual-feasible tableau.
+def _dual_simplex(N: np.ndarray, z: np.ndarray, basis: np.ndarray,
+                  nb: np.ndarray, limit: float) -> tuple[str, int]:
+    """Restore primal feasibility of a dual-feasible dictionary.
 
     Returns "optimal" once no rhs is below -FEAS_TOL, "infeasible" when a
     negative row has no negative entry to pivot on, and "cutoff" when the
@@ -387,7 +412,7 @@ def _dual_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
     degenerate = 0
     bland = False
     for pivots in range(_MAX_PIVOTS):
-        rhs = T[:, -1]
+        rhs = N[:, -1]
         r = int(rhs.argmin())  # the most negative rhs
         if rhs[r] >= -FEAS_TOL:
             return "optimal", pivots
@@ -396,7 +421,7 @@ def _dual_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
         if bland:
             rows = np.flatnonzero(rhs < -FEAS_TOL)
             r = int(rows[np.argmin(basis[rows])])
-        a = T[r, :-1]
+        a = N[r, :-1]
         neg = a < -MIN_PIVOT
         if not neg.any():
             return "infeasible", pivots
@@ -404,34 +429,39 @@ def _dual_simplex(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
                            out=np.full(len(a), np.inf), where=neg)
         best = ratios.min()
         ties = ratios <= best + 1e-9 * (1.0 + best)
-        if bland:
-            c = int(ties.argmax())  # the lowest index
-        else:  # the largest |a_rk| for stability
-            c = int(np.where(ties, a, np.inf).argmin())
+        if bland:  # the lowest model column
+            cols = np.flatnonzero(ties)
+            p = int(cols[np.argmin(nb[cols])])
+        else:  # the largest |a_rp| for stability
+            p = int(np.where(ties, a, np.inf).argmin())
         if best <= FEAS_TOL:
             degenerate += 1
             if degenerate >= BLAND_AFTER:
                 bland = True
         else:
             degenerate = 0
-        _pivot(T, z, basis, r, c)
+        _pivot(N, z, basis, nb, r, p)
     raise ScaleError("simplex pivot limit exceeded")
 
 
 class _Tableau(NamedTuple):
-    """A solved LP's final phase-2 tableau ``[structural | slacks | rhs]``
-    with its reduced-cost row ``z``, basis and column costs, the objective
-    constant, and the decoder back to model space.
+    """A solved LP's final phase-2 dictionary: ``N`` holds each row's
+    entries on the non-basic columns and its rhs, ``nb`` each of those
+    columns' model column (structural or slack) and ``basis`` each row's
+    basic one, with the reduced-cost row ``z`` over the non-basic columns
+    and the rhs, the costs of the model's columns, the objective constant,
+    and the decoder back to model space.
 
-    ``N`` keeps only the non-basic columns and the rhs, in column order:
-    the basic columns are unit vectors, and on a master with many scenario
-    rows they are most of the tableau.  A node's tableau waits on the
-    stack until its second child is popped, one per depth level.
+    A basic column is a unit vector and has no entries: on a master with
+    many scenario rows those would be most of the tableau.  A node's
+    dictionary waits on the stack until its second child is popped, one
+    per depth level.
     """
 
     N: np.ndarray
     z: np.ndarray
     basis: np.ndarray
+    nb: np.ndarray
     c: np.ndarray
     const: float
     decode: _Decode
@@ -439,7 +469,7 @@ class _Tableau(NamedTuple):
 
 class _LP(NamedTuple):
     """One node's LP: status, min-sense value, model-space point and final
-    tableau (both None unless optimal), and the pivots it took."""
+    dictionary (both None unless optimal), and the pivots it took."""
 
     status: str  # "optimal" | "infeasible" | "unbounded" | "cutoff"
     value: float
@@ -448,102 +478,97 @@ class _LP(NamedTuple):
     tableau: Optional[_Tableau] = None
 
 
-def _optimum(T: np.ndarray, z: np.ndarray, basis: np.ndarray,
-             c: np.ndarray, const: float, decode: _Decode, pivots: int) -> _LP:
-    """The optimal LP of a final phase-2 tableau, keeping its tableau."""
-    x = np.zeros(len(c) + 1)  # the last entry, 0, is read by col -1
-    x[basis] = T[:, -1]
-    other = np.ones(T.shape[1], dtype=bool)
-    other[basis] = False
-    return _LP("optimal", float(c @ x[:-1]) + const, decode(x), pivots,
-               _Tableau(T[:, other], z, basis, c, const, decode))
+def _optimum(tab: _Tableau, pivots: int) -> _LP:
+    """The optimal LP of a final phase-2 dictionary, keeping it."""
+    x = np.zeros(len(tab.c) + 1)  # the last entry, 0, is read by col -1
+    x[tab.basis] = tab.N[:, -1]
+    return _LP("optimal", float(tab.c @ x[:-1]) + tab.const, tab.decode(x),
+               pivots, tab)
 
 
 def _relax(form: _Form) -> _LP:
-    """The LP relaxation, cold-started from its phase-1 tableau."""
-    T, basis, c, const, decode = _standardize(form)
+    """The LP relaxation, cold-started from its phase-1 dictionary."""
+    N, basis, nb, c, const, decode = _standardize(form)
     art = len(c)
 
-    # Phase 1: minimize the sum of the artificials, from the crash basis.
-    c1 = np.zeros(T.shape[1] - 1)
-    c1[art:] = 1.0
-    z1 = _reduced_costs(T, c1, basis)
-    status, pivots = _run_simplex(T, z1, basis)
+    # Phase 1: minimize the sum of the artificials, from the crash basis,
+    # where every artificial is basic.
+    z1 = _reduced_costs(N, (basis >= art) * 1.0, np.zeros(len(nb)))
+    status, pivots = _run_simplex(N, z1, basis, nb)
     # Phase 1 is bounded below by zero: only roundoff reads it unbounded.
     if status == "unbounded":
         raise ScaleError("phase-1 unbounded")
     if -z1[-1] > 1e-6:
         return _LP("infeasible", math.nan, None, pivots)
 
-    # Drive artificials out of the basis or drop their rows.
+    # Drive artificials out of the basis, on the lowest model column
+    # available, or drop their rows.
     keep = np.ones(len(basis), dtype=bool)
     for i in np.flatnonzero(basis >= art):
-        cands = np.where(np.abs(T[i, :art]) > MIN_PIVOT)[0]
+        cands = np.flatnonzero((nb < art) & (np.abs(N[i, :-1]) > MIN_PIVOT))
         if cands.size:
-            _pivot(T, z1, basis, i, int(cands[0]))
+            _pivot(N, z1, basis, nb, i, int(cands[np.argmin(nb[cands])]))
             pivots += 1
         else:
             keep[i] = False
-    T = T[np.ix_(keep, np.r_[:art, -1])]  # one copy, without artificials
-    basis = basis[keep]
+    cols = np.flatnonzero(nb < art)
+    N = N[np.ix_(keep, np.append(cols, -1))]  # one copy, no artificials
+    basis, nb = basis[keep], nb[cols]
 
     # Phase 2: the model's objective over the structural and slack columns.
-    z2 = _reduced_costs(T, c, basis)
-    status, more = _run_simplex(T, z2, basis)
+    z2 = _reduced_costs(N, c[basis], c[nb])
+    status, more = _run_simplex(N, z2, basis, nb)
     if status == "unbounded":
         return _LP("unbounded", -math.inf, None, pivots + more)
-    return _optimum(T, z2, basis, c, const, decode, pivots + more)
+    return _optimum(_Tableau(N, z2, basis, nb, c, const, decode),
+                    pivots + more)
 
 
 def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
                  cutoff: float, cost: Optional[np.ndarray] = None) -> _LP:
-    """The LP of a solved tableau's LP plus the rows ``G x' + s = h`` over
-    its columns, each with a new slack s >= 0, warm-started from the
-    tableau.
+    """The LP of a solved dictionary's LP plus the rows ``G x' + s = h``
+    over its model columns, each with a new slack s >= 0, warm-started
+    from the dictionary.
 
     Each new row is reduced against the basis: subtracting its entry on
     each basic column times that column's row leaves it in the non-basic
     columns only, with its own slack basic, at a negative rhs where the
-    tableau's point violates it.  The slacks take the columns before the
-    rhs and the rows below the tableau's.  The tableau's reduced costs
-    stay dual-feasible, so the dual simplex restores feasibility, and one
+    dictionary's point violates it.  The rows go below the dictionary's,
+    and the slacks take the model columns after its last, but no
+    dictionary column: they are basic.  The reduced costs stay
+    dual-feasible, so the dual simplex restores feasibility, and one
     primal pass clears any dual infeasibility roundoff left.  An LP whose
     objective reaches ``cutoff - FEAS_TOL`` stops as "cutoff".
 
     ``cost``, when given, is a new min-sense objective in model space,
     priced as ``_standardize`` prices it: the dual simplex still runs on
-    the tableau's own reduced costs, and ``cutoff`` bounds that objective,
-    but the new one's replace them before the primal pass.
+    the dictionary's own reduced costs, and ``cutoff`` bounds that
+    objective, but the new one's replace them before the primal pass.
     """
     m, w, k = len(tab.basis), len(tab.c), len(h)
-    T = _zeros(m + k, w + k + 1, "LP tableau")
-    other = np.ones(w + k + 1, dtype=bool)
-    other[tab.basis] = False
-    other[w:w + k] = False
-    T[:m, other] = tab.N
-    T[np.arange(m), tab.basis] = 1.0
-    T[m:, :w] = G
-    T[m:, -1] = h
+    N = _zeros(m + k, len(tab.nb) + 1, "LP tableau")
+    N[:m] = tab.N
+    N[m:, :-1] = G[:, tab.nb]
+    N[m:, -1] = h
     # Row by row: a BLAS matrix product's roundoff, and so the pivot path,
     # can change with its thread count; a vector-matrix product's did not.
-    for g, row in zip(G[:, tab.basis], T[m:]):
-        row -= g @ T[:m]
-    T[m + np.arange(k), w + np.arange(k)] = 1.0
-    z = np.concatenate((tab.z[:-1], np.zeros(k), tab.z[-1:]))
+    for g, row in zip(G[:, tab.basis], N[m:]):
+        row -= g @ N[:m]
+    z, nb = tab.z.copy(), tab.nb.copy()
     basis = np.concatenate((tab.basis, w + np.arange(k)))
-    status, pivots = _dual_simplex(T, z, basis, cutoff - tab.const)
+    status, pivots = _dual_simplex(N, z, basis, nb, cutoff - tab.const)
     d = tab.decode
     c, const = ((tab.c, tab.const) if cost is None
                 else (d.columns(cost[None], w)[0], float(cost @ d.val)))
     c = np.concatenate((c, np.zeros(k)))
     if status == "optimal":
         if cost is not None:
-            z = _reduced_costs(T, c, basis)
-        status, more = _run_simplex(T, z, basis)
+            z = _reduced_costs(N, c[basis], c[nb])
+        status, more = _run_simplex(N, z, basis, nb)
         pivots += more
     if status != "optimal":
         return _LP(status, math.nan, None, pivots)
-    return _optimum(T, z, basis, c, const, tab.decode, pivots)
+    return _optimum(_Tableau(N, z, basis, nb, c, const, d), pivots)
 
 
 def _node(parent: _Tableau, form: _Form, held: int, j: int, up: bool,

@@ -7,7 +7,8 @@ import pytest
 
 from balregret import cli, master, milp
 from balregret.cli import main
-from balregret.core import InternalError
+from balregret.adversarial import adversarial_bruteforce
+from balregret.core import BinarySolution, InternalError
 from balregret.instances import load_instance, save_instance, gen_selection
 
 
@@ -129,7 +130,7 @@ class TestSolve:
 
     def test_internal_error_exits_two(self, tmp_path, example_one_file,
                                       monkeypatch, caplog):
-        def broken(inst):
+        def broken(inst, time_limit):
             raise InternalError("certificate disagrees")
 
         monkeypatch.setattr(master, "solve_compact_mrs", broken)
@@ -167,6 +168,29 @@ class TestSolve:
         assert payload["optimal"] is False
         assert payload["lower_bounds"][-1] <= payload["value"]
         assert payload["upper_bounds"][-1] == payload["value"]
+
+    @pytest.mark.parametrize("method", ["compact", "enumeration"])
+    def test_time_limit_stops_compact_and_enumeration(self, tmp_path,
+                                                      method):
+        # The zero check does not settle this instance, and the deadline
+        # stops the search before its root: the report holds the robust
+        # nominal solution at its exact value, is not optimal, and its
+        # lower bound is 0.
+        inst = gen_selection(6, 2, gamma=2, gamma_prime=1)
+        assert master.zero_solution(inst) is None
+        path = tmp_path / "sel.json"
+        save_instance(inst, path)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", str(path), "--method", method,
+                     "--time-limit", "0",
+                     "--out", str(out)]) == cli.EXIT_TIME_LIMIT
+        payload = json.loads(out.read_text())
+        x = BinarySolution.from_indices(payload["x"], inst.n)
+        assert x == master._initial_scenario(inst)[0]
+        assert payload["optimal"] is False
+        assert payload["value"] == adversarial_bruteforce(inst, x).value
+        assert payload["lower_bounds"] == [0.0]
+        assert payload["upper_bounds"] == [payload["value"]]
 
 
 class TestEvaluate:

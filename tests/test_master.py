@@ -1,6 +1,7 @@
 """First-stage solvers: agreement, reports, bound traces, guards."""
 
 import dataclasses
+import itertools
 import math
 import time
 import types
@@ -302,6 +303,36 @@ def test_stuck_adversary_raises_internal_error(example_one, monkeypatch):
         master.solve_iterative(example_one, time_limit=10.0)
 
 
+@pytest.mark.parametrize("solve", [master.solve_compact_mrs,
+                                   master.solve_enumeration])
+def test_stopped_solve_reports_its_incumbent(monkeypatch, solve):
+    # On a clock that ticks once per node the search pops, a deadline of
+    # 1.5 s stops it after two nodes, with an incumbent but no proof.  The
+    # report holds that incumbent at its exact value, is not optimal, and
+    # its lower bound is the search's.
+    inst = gen_selection(6, 2, gamma=2, gamma_prime=1)
+    results = []
+    solve_milp = milp.solve_milp
+
+    def spy(*args, **kwargs):
+        results.append(solve_milp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(milp, "solve_milp", spy)
+    monkeypatch.setattr(master, "time",
+                        types.SimpleNamespace(monotonic=lambda: 0.0))
+    monkeypatch.setattr(milp, "time", types.SimpleNamespace(
+        monotonic=itertools.count().__next__))
+    rep = solve(inst, time_limit=1.5)
+    [res] = results
+    assert (res.status, res.nodes) == ("time_limit", 2)
+    assert rep.x.x == tuple(round(v) for v in res.assignment[1:1 + inst.n])
+    assert rep.optimal is False
+    assert rep.value == adversarial_bruteforce(inst, rep.x).value
+    assert rep.upper_bounds == [rep.value]
+    assert rep.lower_bounds == [res.bound] and 0 < res.bound < rep.value
+
+
 @pytest.mark.xfail(reason="float64 simplex tolerances at costs x 10^5; "
                           "ROADMAP item 4's integer certificate")
 def test_compact_exact_on_scaled_selection():
@@ -402,7 +433,8 @@ def test_zero_value_instances_build_no_model(monkeypatch):
     calls = []
     solve_milp = master.milp.solve_milp
     monkeypatch.setattr(master.milp, "solve_milp",
-                        lambda model: calls.append(1) or solve_milp(model))
+                        lambda model, **kw: calls.append(1)
+                        or solve_milp(model, **kw))
     rng = SplitMix64(41018)
     zeros = positives = 0
     for trial in range(100):

@@ -136,15 +136,16 @@ def test_lp_without_rows():
 
 
 def test_tableau_guard_raises_before_allocating():
-    # 7,100 "<=" rows over one variable, each starting from its slack: a
-    # 7,100 x 7,102 phase-1 tableau of about 5.04 * 10^7 float64 entries
-    # (403 MB), just above the guard.
-    narrow = milp.MilpModel()
-    a = narrow.add_continuous(0.0)
+    # 7,100 variables in [0, 1] under one "<=" row: each upper bound is a
+    # row that starts from its slack, which is basic and has no column, so
+    # the phase-1 dictionary is 7,101 x 7,101, about 5.04 * 10^7 float64
+    # entries (403 MB), just above the guard.
+    wide = milp.MilpModel()
     for k in range(7100):
-        narrow.add_constraint({a: 1.0}, "<=", float(k + 1))
-    narrow.set_objective("max", {a: 1.0})
-    assert 7100 * 7102 > milp.MAX_TABLEAU_ENTRIES
+        wide.add_continuous(0.0, 1.0)
+    wide.add_constraint({j: 1.0 for j in range(7100)}, "<=", 1.0)
+    wide.set_objective("max", {0: 1.0})
+    assert 7101 * 7101 > milp.MAX_TABLEAU_ENTRIES
     # 7,100 "<=" rows over 7,100 variables, row k holding variable k only:
     # the dense model alone has 7,100 x 7,100 entries, also above it.
     square = milp.MilpModel()
@@ -153,11 +154,21 @@ def test_tableau_guard_raises_before_allocating():
         square.add_constraint({x: 1.0}, "<=", 1.0)
     square.set_objective("max", {0: 1.0})
     assert 7100 * 7100 > milp.MAX_TABLEAU_ENTRIES
-    for m in (narrow, square):
+    # 7,100 "<=" rows over one variable: the basic slacks have no columns,
+    # so its dictionary is 7,100 x 2, and it solves.
+    narrow = milp.MilpModel()
+    a = narrow.add_continuous(0.0)
+    for k in range(7100):
+        narrow.add_constraint({a: 1.0}, "<=", float(k + 1))
+    narrow.set_objective("max", {a: 1.0})
+    for m in (wide, square, narrow):
         tracemalloc.start()
         try:
-            with pytest.raises(ScaleError):
-                milp.solve_milp(m)
+            if m is narrow:
+                assert milp.solve_milp(m).value == 1.0
+            else:
+                with pytest.raises(ScaleError):
+                    milp.solve_milp(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,11 +196,15 @@ def test_crash_basis_puts_artificials_only_where_needed():
     for coefs, sense, rhs in rows:
         m.add_constraint(coefs, sense, rhs)
     m.set_objective("max", {b: 2.0, c: 1.0})
-    T, basis, cost, *_ = milp._standardize(milp._form(m))
+    N, basis, nb, cost, *_ = milp._standardize(milp._form(m))
     art = len(cost)
-    assert T.shape == (10, art + 5 + 1) and art == 4 + 7
+    assert art == 4 + 7
     assert [i for i in range(10) if basis[i] >= art] == [2, 3, 4, 5, 6]
-    assert (T[:, -1] >= 0).all()
+    # The dictionary's columns are the non-basic ones: the structural
+    # columns and the surplus slacks of rows 2 and 6 (columns 6 and 7);
+    # every artificial and every other slack is basic.
+    assert N.shape == (10, 4 + 2 + 1) and nb.tolist() == [0, 1, 2, 3, 6, 7]
+    assert (N[:, -1] >= 0).all()
     res = milp.solve_lp(m)
     assert res.status == "optimal"
     assert res.value == pytest.approx(3.0)
@@ -514,10 +529,14 @@ def test_standardize_matches_loop_reference():
             if rng.randint(0, 2) == 0:
                 v.lb = v.ub = float(rng.randint(-2, 2))
         form = milp._form(model)
-        T, basis, c, const, _ = milp._standardize(form)
+        N, basis, nb, c, const, _ = milp._standardize(form)
         ref = _loop_standardize(model)
-        assert np.array_equal(T, ref[0])
-        assert basis.tolist() == ref[1]
+        # The dictionary is the reference's non-basic columns and rhs; the
+        # basic ones it leaves out are unit vectors.
+        other = [j for j in range(ref[0].shape[1] - 1) if j not in ref[1]]
+        assert basis.tolist() == ref[1] and nb.tolist() == other
+        assert np.array_equal(N, ref[0][:, other + [-1]])
+        assert np.array_equal(ref[0][:, ref[1]], np.eye(len(ref[1])))
         assert np.array_equal(c, ref[2]) and const == ref[3]
         x = np.array([float(rng.randint(-1, 2)) for _ in model.variables])
         worst = 0.0
@@ -808,17 +827,105 @@ def test_warm_root_with_new_objective_matches_cold_solve():
 
 
 def test_entering_column_falls_back_past_a_column_without_pivot():
-    # Column 0 has the most negative reduced cost but no positive entry.
-    # The next candidate by reduced cost is column 2 (-2), not column 1
-    # (-1, the next by index).  Its pivot leaves column 0 with no positive
+    # A dictionary over model columns 0-2, with 3 and 4 basic.  Column 0
+    # has the most negative reduced cost but no positive entry.  The next
+    # candidate by reduced cost is column 2 (-2), not column 1 (-1, the
+    # next by index).  Its pivot on row 1 makes 2 basic and gives its
+    # dictionary column to 4, and it leaves column 0 with no positive
     # entry and no other candidate: the ray is unbounded.
-    T = np.array([[-1.0, 1.0, 1.0, 1.0, 0.0, 4.0],
-                  [0.0, 1.0, 1.0, 0.0, 1.0, 2.0]])
-    z = np.array([-3.0, -1.0, -2.0, 0.0, 0.0, 0.0])
-    basis = np.array([3, 4])
-    assert milp._run_simplex(T, z, basis) == ("unbounded", 1)
-    assert basis.tolist() == [3, 2]
-    assert z.tolist() == [-3.0, 1.0, 0.0, 0.0, 2.0, 4.0]
+    N = np.array([[-1.0, 1.0, 1.0, 4.0],
+                  [0.0, 1.0, 1.0, 2.0]])
+    z = np.array([-3.0, -1.0, -2.0, 0.0])
+    basis, nb = np.array([3, 4]), np.array([0, 1, 2])
+    assert milp._run_simplex(N, z, basis, nb) == ("unbounded", 1)
+    assert basis.tolist() == [3, 2] and nb.tolist() == [0, 1, 4]
+    assert N.tolist() == [[-1.0, 0.0, -1.0, 2.0], [0.0, 1.0, 1.0, 2.0]]
+    assert z.tolist() == [-3.0, 1.0, 2.0, 4.0]
+
+
+def _whole_pivot(T, z, basis, r, c):
+    """The pivot of a whole tableau ``[columns | rhs]`` on row r and
+    column c, basic columns included: the reference for the dictionary's
+    ``milp._pivot``."""
+    row = T[r] / T[r, c]
+    T -= np.outer(T[:, c], row)
+    T[r] = row
+    z -= z[c] * row
+    basis[r] = c
+
+
+def _bland_pivot(T, z, basis):
+    """Bland's rule on a whole tableau: the lowest column with a reduced
+    cost below -PIVOT_TOL and an entry above MIN_PIVOT, and the row of
+    the lowest basic column among the ratio test's ties; None if no
+    column has both."""
+    for c in range(T.shape[1] - 1):
+        col = T[:, c]
+        if z[c] < -milp.PIVOT_TOL and (col > milp.MIN_PIVOT).any():
+            pos = col > milp.MIN_PIVOT
+            ratios = np.where(pos, np.maximum(T[:, -1], 0.0)
+                              / np.where(pos, col, 1.0), np.inf)
+            best = ratios.min()
+            rows = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
+            return int(rows[np.argmin(basis[rows])]), c
+    return None
+
+
+def test_dictionary_pivots_match_the_whole_tableau():
+    # A random tableau and its dictionary take the same seeded sequence of
+    # pivots, each on a random entry or by Bland's rule, whose entering
+    # candidates the dictionary orders by ``nb``.  After every step the
+    # tableau rebuilt from N, ``basis`` and ``nb`` equals the whole one,
+    # bit for bit.
+    rng = SplitMix64(2718)
+    steps, bland, reordered = 0, 0, 0
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        order = list(range(m + n))
+        for i in range(len(order) - 1, 0, -1):
+            k = rng.randint(0, i)
+            order[i], order[k] = order[k], order[i]
+        basis, nb = np.array(order[:m]), np.array(sorted(order[m:]))
+        N = np.array([[rng.randint(-999, 999) / 7.0 for _ in range(n)]
+                      + [rng.randint(0, 999) / 3.0] for _ in range(m)])
+        z = np.array([rng.randint(-999, 999) / 11.0 for _ in range(n + 1)])
+        T = np.zeros((m, m + n + 1))
+        T[:, nb], T[:, -1] = N[:, :-1], N[:, -1]
+        T[np.arange(m), basis] = 1.0
+        zt = np.zeros(m + n + 1)
+        zt[nb], zt[-1] = z[:-1], z[-1]
+        tbasis = basis.copy()
+        for _ in range(10):
+            if rng.randint(0, 1):
+                step = _bland_pivot(T, zt, tbasis)
+                p = milp._entering(N, z[:-1], nb, True)
+                if step is None:
+                    assert p == -1
+                    continue
+                r, c = step
+                assert nb[p] == c
+                first = int(np.flatnonzero((z[:-1] < -milp.PIVOT_TOL) & (
+                    N[:, :-1] > milp.MIN_PIVOT).any(0))[0])
+                reordered += first != p
+                bland += 1
+            else:
+                r = rng.randint(0, m - 1)
+                big = np.flatnonzero(np.abs(N[r, :-1]) > 0.5)
+                if not big.size:
+                    continue
+                p = int(big[rng.randint(0, len(big) - 1)])
+                c = nb[p]
+            _whole_pivot(T, zt, tbasis, r, c)
+            milp._pivot(N, z, basis, nb, r, p)
+            steps += 1
+            rebuilt = np.zeros_like(T)
+            rebuilt[:, nb], rebuilt[:, -1] = N[:, :-1], N[:, -1]
+            rebuilt[np.arange(m), basis] = 1.0
+            zr = np.zeros_like(zt)
+            zr[nb], zr[-1] = z[:-1], z[-1]
+            assert basis.tolist() == tbasis.tolist()
+            assert np.array_equal(rebuilt, T) and np.array_equal(zr, zt)
+    assert steps >= 300 and bland >= 100 and reordered >= 10
 
 
 @pytest.mark.parametrize("entries", [1, 24])
