@@ -171,16 +171,18 @@ def adversarial_milp(
     if held is None:
         held = milp.HeldRows(adversary_model(inst))
 
-    # The costs in ``adversary_model``'s variable order: y, delta, s, t.
-    # t_i, the dual of the balancing cap eps_i <= 1 - x_i, costs 1 - x_i:
-    # where x_i = 1 it is free, and its row never binds.
-    cost = np.concatenate((-c, d * xs, [-inst.budgets.gamma_prime], xs - 1))
-    res = milp.solve_repriced(held, "max", cost)
+    # The adversary maximizes -c·y + (d·x)·delta - gamma_prime s
+    # - (1 - x)·t; the engine minimizes its negation, in
+    # ``adversary_model``'s variable order: y, delta, s, t.  t_i, the dual
+    # of the balancing cap eps_i <= 1 - x_i, costs 1 - x_i: where x_i = 1
+    # it is free, and its row never binds.
+    cost = np.concatenate((c, -d * xs, [inst.budgets.gamma_prime], 1 - xs))
+    res = milp.solve_repriced(held, cost)
     if res.status != "optimal":
         raise ScaleError(f"adversarial MILP ended {res.status} with no "
                          "solution")
     y = _read_solution(inst.feasible, res.assignment[:inst.n])
-    optimum = int(c @ xs) + res.value
+    optimum = int(c @ xs) - res.value
     cert = _certificate_for(inst, x, y)
     if abs(cert.value - optimum) >= 1e-5:
         raise InternalError(f"MILP certificate {cert.value} != optimum "

@@ -101,10 +101,13 @@ class ItemCosts:
         items.sort(key=lambda i: (-self.d[i], i))
         return items[: max(0, k)]
 
-    def break_points(self) -> tuple[int, ...]:
-        """Sorted candidate values {0} | {d_i} for the break point of the
-        balancing dual."""
-        return tuple(sorted({0, *self.d}))
+    def break_points(
+        self, items: Optional[Iterable[int]] = None
+    ) -> tuple[int, ...]:
+        """Sorted candidate values {0} | {d_i : i in items} (default every
+        item) for the break point of the balancing dual."""
+        d = self.d if items is None else (self.d[i] for i in items)
+        return tuple(sorted({0, *d}))
 
 
 @dataclass(frozen=True)
@@ -285,6 +288,9 @@ class Knapsack:
         Items with non-negative cost are never worth packing, so only
         negative-cost items enter the capacity DP (maximizing forgone cost).
         On value ties the DP prefers excluding the higher-indexed item.
+        No solve path passes a negative cost, as instance costs are
+        non-negative: the DP serves callers of this public method that
+        do, such as perfbench's random packings.
         """
         _check_dim(len(costs), self.n)
         gains = [(-c, i) for i, c in enumerate(costs) if c < 0]
@@ -540,13 +546,11 @@ class Instance:
         self, items: Optional[Iterable[int]] = None
     ) -> tuple[int, ...]:
         """The break points of the balancing dual over ``items`` (default
-        every item) that can bind: {0} | {d_i : i in items} in increasing
-        order, or only the largest at gamma_prime = 0, where it makes every
+        every item) that can bind: ``ItemCosts.break_points(items)``, or
+        only the largest at gamma_prime = 0, where it makes every
         ``max(d_i - s, 0)`` over the items 0 and, with no ``-gamma_prime *
         s`` term, each point's value is non-decreasing in s."""
-        if items is None:
-            items = range(self.n)
-        points = tuple(sorted({0, *(self.costs.d[i] for i in items)}))
+        points = self.costs.break_points(items)
         return points if self.budgets.gamma_prime else points[-1:]
 
     def to_dict(self) -> dict:

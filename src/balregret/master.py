@@ -134,7 +134,7 @@ def _first_stage_model(
     model = milp.MilpModel()
     value_var = model.add_continuous(-milp.INF)
     x_vars = [model.add_binary() for _ in range(inst.n)]
-    model.set_objective("min", {value_var: 1.0})
+    model.set_objective({value_var: 1.0})
     for coefs, sense, rhs in inst.feasible.linear_rows():
         model.add_constraint({x_vars[j]: a for j, a in coefs.items()}, sense, rhs)
     if isinstance(inst.feasible, MultiRepSelection):

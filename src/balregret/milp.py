@@ -1,6 +1,9 @@
 """Self-contained bounded-scale mixed-binary linear programming.
 
-A dense two-phase simplex in dictionary form plus a depth-first
+It minimizes, through two entry points: ``solve_milp`` for a model and
+``solve_repriced`` for a ``HeldRows`` under a new objective.  A caller
+that maximizes negates its objective and the value it reads back.  A
+dense two-phase simplex in dictionary form plus a depth-first
 branch-and-bound.  A tableau is kept as its dictionary (Chvátal 1983,
 *Linear Programming*, ch. 2-3): each row's entries on the non-basic
 columns and its rhs, with the basis and ``nb``, each column's model
@@ -64,14 +67,6 @@ INF = math.inf
 _SLACK_COEF = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 
-def _sign(sense: str) -> float:
-    """The factor that turns an objective of ``sense`` into a min-sense
-    one; InputError on an unknown sense."""
-    if sense not in ("min", "max"):
-        raise InputError(f"unknown objective sense {sense!r}")
-    return 1.0 if sense == "min" else -1.0
-
-
 @dataclass
 class Variable:
     kind: str  # "binary" | "continuous"
@@ -81,13 +76,13 @@ class Variable:
 
 @dataclass
 class MilpModel:
-    """Variables, sparse linear constraints, and a linear objective."""
+    """Variables, sparse linear constraints, and a linear objective to
+    minimize."""
 
     variables: list[Variable] = field(default_factory=list)
     constraints: list[tuple[dict[int, float], str, float]] = field(
         default_factory=list
     )
-    objective_sense: str = "min"
     objective: dict[int, float] = field(default_factory=dict)
 
     def add_binary(self) -> int:
@@ -113,27 +108,24 @@ class MilpModel:
         coefs = {j: float(v) for j, v in coefs.items() if v != 0.0}
         self.constraints.append((coefs, sense, float(rhs)))
 
-    def set_objective(self, sense: str, coefs: dict[int, float]) -> None:
-        _sign(sense)
+    def set_objective(self, coefs: dict[int, float]) -> None:
+        """Minimize sum coefs[j] x_j."""
         for j in coefs:
             if not (0 <= j < len(self.variables)):
                 raise InputError(f"objective references unknown variable {j}")
-        self.objective_sense = sense
         self.objective = {j: float(v) for j, v in coefs.items()}
 
 
 @dataclass
 class MilpResult:
-    # "optimal" | "infeasible" | "time_limit"; ``solve_lp`` also
-    # "unbounded"
-    status: str
-    value: float
+    status: str  # "optimal" | "infeasible" | "time_limit"
+    value: float  # the incumbent's objective, the least found
     assignment: list[float]
     nodes: int = 0  # LP relaxations solved
     pivots: int = 0  # simplex pivots over all of them, cold and warm
-    # The best bound on the optimum the search proved, in the model's
-    # sense: the value when optimal, else the better of the incumbent's
-    # value and the weakest bound of a node left open.
+    # The best lower bound on the optimum the search proved: the value
+    # when optimal, else the least of the incumbent's value and the bounds
+    # of the nodes left open.
     bound: float = math.nan
 
 
@@ -146,7 +138,7 @@ Lazy = Callable[[np.ndarray, float], tuple[float, list[Row]]]
 class _Form(NamedTuple):
     """A model read into arrays: rows ``A x (sense) b``, where each row's
     slack enters with +1 ("<="), -1 (">=") or not at all ("="); bounds
-    ``lb <= x <= ub``; min-sense costs; the objective sign; the binaries."""
+    ``lb <= x <= ub``; the costs to minimize; the binaries."""
 
     A: np.ndarray
     b: np.ndarray
@@ -154,7 +146,6 @@ class _Form(NamedTuple):
     lb: np.ndarray
     ub: np.ndarray
     cost: np.ndarray
-    sign: float
     binaries: np.ndarray
 
 
@@ -185,15 +176,13 @@ def _form(model: MilpModel) -> _Form:
     raises ScaleError before it is allocated, as a dictionary of that size
     would."""
     variables = model.variables
-    sign = _sign(model.objective_sense)
     cost = np.zeros(len(variables))
     cost[list(model.objective)] = list(model.objective.values())
     return _Form(
         *_rows(model.constraints, len(variables)),
         np.array([v.lb for v in variables], dtype=float),
         np.array([v.ub for v in variables], dtype=float),
-        sign * cost,
-        sign,
+        cost,
         np.flatnonzero([v.kind == "binary" for v in variables]),
     )
 
@@ -468,7 +457,7 @@ class _Tableau(NamedTuple):
 
 
 class _LP(NamedTuple):
-    """One node's LP: status, min-sense value, model-space point and final
+    """One node's LP: status, value, model-space point and final
     dictionary (both None unless optimal), and the pivots it took."""
 
     status: str  # "optimal" | "infeasible" | "unbounded" | "cutoff"
@@ -540,10 +529,10 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     primal pass clears any dual infeasibility roundoff left.  An LP whose
     objective reaches ``cutoff - FEAS_TOL`` stops as "cutoff".
 
-    ``cost``, when given, is a new min-sense objective in model space,
-    priced as ``_standardize`` prices it: the dual simplex still runs on
-    the dictionary's own reduced costs, and ``cutoff`` bounds that
-    objective, but the new one's replace them before the primal pass.
+    ``cost``, when given, is a new objective in model space, priced as
+    ``_standardize`` prices it: the dual simplex still runs on the
+    dictionary's own reduced costs, and ``cutoff`` bounds that objective,
+    but the new one's replace them before the primal pass.
     """
     m, w, k = len(tab.basis), len(tab.c), len(h)
     N = _zeros(m + k, len(tab.nb) + 1, "LP tableau")
@@ -599,14 +588,6 @@ def _node(parent: _Tableau, form: _Form, held: int, j: int, up: bool,
     return _append_rows(parent, G, h, cutoff)
 
 
-def solve_lp(model: MilpModel) -> MilpResult:
-    """Solve the continuous relaxation (binaries relaxed to [0, 1])."""
-    form = _form(model)
-    lp = _relax(form)
-    return MilpResult(lp.status, form.sign * lp.value,
-                      [] if lp.x is None else lp.x.tolist(), 1, lp.pivots)
-
-
 def _feasible(form: _Form, x: np.ndarray) -> bool:
     """Whether x meets every model row within FEAS_TOL."""
     excess = form.A @ x - form.b
@@ -633,40 +614,39 @@ def solve_milp(
 
     ``lazy`` is called at every integral point x (model space) that meets
     the rows so far and that the search does not prune, with the tree's
-    bound: the least bound over x's node and the open nodes, in the
-    model's sense.  It returns the best value of a point with x's
-    binaries in the whole model, the one with every row the callback
-    could return (an infinity in the worse direction if there is none),
-    which becomes the incumbent's value, with x, when better; and model
-    rows "<=" or ">=" that x violates by more than FEAS_TOL
-    (InternalError if one does not).  Those rows join the model for the
-    rest of the search: x's node is solved again with them, and every
-    open node appends the rows its parent's tableau lacks when it is
-    popped.  With no rows, x's node is closed.
+    bound: the least lower bound over x's node and the open nodes.  It
+    returns the least value of a point with x's binaries in the whole
+    model, the one with every row the callback could return (+inf if
+    there is none), which becomes the incumbent's value, with x, when
+    lower; and model rows "<=" or ">=" that x violates by more than
+    FEAS_TOL (InternalError if one does not).  Those rows join the model
+    for the rest of the search: x's node is solved again with them, and
+    every open node appends the rows its parent's tableau lacks when it
+    is popped.  With no rows, x's node is closed.
     """
     return _search(_form(model), None, lazy, deadline)[0]
 
 
 class HeldRows:
     """A model's variables, bounds and rows, read once, for solves under
-    many objectives (``solve_repriced``), and ``root``, the final root
-    tableau of the last solve (None if that root LP had no optimum)."""
+    many objectives (``solve_repriced``; the model's own objective goes
+    unused), and ``root``, the final root tableau of the last solve (None
+    if that root LP had no optimum)."""
 
     def __init__(self, model: MilpModel) -> None:
         self.form = _form(model)
         self.root: Optional[_Tableau] = None
 
 
-def solve_repriced(held: HeldRows, sense: str, cost: np.ndarray) -> MilpResult:
-    """``solve_milp`` of the held model under the objective ``sense``
-    ``cost``, one coefficient per variable (InputError on another length).
-    Its root LP starts from ``held.root`` priced anew, in min sense, or
-    cold without one, and leaves its own there."""
-    sign = _sign(sense)
+def solve_repriced(held: HeldRows, cost: np.ndarray) -> MilpResult:
+    """``solve_milp`` of the held model minimizing ``cost``, one
+    coefficient per variable (InputError on another length).  Its root LP
+    starts from ``held.root`` priced anew, or cold without one, and leaves
+    its own there."""
     if np.shape(cost) != held.form.lb.shape:
         raise InputError(f"objective of {np.size(cost)} coefficients for "
                          f"{len(held.form.lb)} variables")
-    form = held.form._replace(cost=sign * np.asarray(cost, float), sign=sign)
+    form = held.form._replace(cost=np.asarray(cost, float))
     res, held.root = _search(form, held.root, None, math.inf)
     return res
 
@@ -679,7 +659,6 @@ def _search(form: _Form, warm: Optional[_Tableau], lazy: Optional[Lazy],
     bins = form.binaries
     root: Optional[_Tableau] = None
 
-    # In minimization orientation: the incumbent's value.
     best_value = math.inf
     best_x: Optional[np.ndarray] = None
     stopped: Optional[str] = None
@@ -733,10 +712,9 @@ def _search(form: _Form, warm: Optional[_Tableau], lazy: Optional[Lazy],
             value, rows = bound, []
             if lazy is not None:
                 tree = min([bound] + [entry[4] for entry in stack])
-                value, rows = lazy(x.copy(), form.sign * tree)
-                value *= form.sign
-            if value < best_value:
-                best_value, best_x = value, x
+                value, rows = lazy(x.copy(), tree)
+            if value < best_value:  # a callback's value may be an int
+                best_value, best_x = float(value), x
             if rows:
                 A, b, slack = _rows(rows, len(x))
                 if not (slack * (A @ x - b) > FEAS_TOL).all():
@@ -757,9 +735,9 @@ def _search(form: _Form, warm: Optional[_Tableau], lazy: Optional[Lazy],
         stack.append(({**fixed, j: 1.0 - first}, lp.tableau, j, held, bound))
         stack.append(({**fixed, j: first}, lp.tableau, j, held, bound))
 
-    bound = form.sign * min([best_value] + [entry[4] for entry in stack])
+    bound = min([best_value] + [entry[4] for entry in stack])
     if best_x is None:
         return MilpResult(stopped or "infeasible", math.nan, [], nodes,
                           pivots, bound), root
-    return MilpResult(stopped or "optimal", form.sign * best_value,
+    return MilpResult(stopped or "optimal", best_value,
                       best_x.tolist(), nodes, pivots, bound), root

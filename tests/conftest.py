@@ -16,6 +16,7 @@ from balregret.core import (
     enumerate_solutions,
 )
 from balregret.instances import SplitMix64, load_instance
+from balregret import milp
 
 
 def _bundled(name: str) -> Instance:
@@ -39,6 +40,16 @@ def solutions(f: FeasibleSet) -> list[BinarySolution]:
     """Every feasible solution of f, in ``enumerate_solutions`` order."""
     return [BinarySolution.from_indices(p, f.n)
             for p in enumerate_solutions(f)]
+
+
+def lp_relaxation(model: milp.MilpModel) -> tuple[str, float, list[float]]:
+    """Status, value and point of the model's continuous relaxation
+    (binaries relaxed to [0, 1]), solved cold by the engine's own LP
+    (``milp._relax``); the point is [] unless optimal.  The engine's
+    solves are all branch and bound, which refuses an unbounded LP, so
+    this is how the tests read one."""
+    lp = milp._relax(milp._form(model))
+    return lp.status, lp.value, [] if lp.x is None else lp.x.tolist()
 
 
 def rand_mrs(rng: SplitMix64, n_lo: int = 3, n_hi: int = 6,

@@ -274,7 +274,7 @@ def test_milp_adversary_without_a_solution_raises_scale_error(monkeypatch,
                                                               example_one):
     # An engine result with no assignment is a failed solve, whatever its
     # status, not a solution of the wrong length.
-    monkeypatch.setattr(milp, "solve_repriced", lambda held, sense, cost:
+    monkeypatch.setattr(milp, "solve_repriced", lambda held, cost:
                         milp.MilpResult("infeasible", math.nan, []))
     with pytest.raises(ScaleError, match="infeasible"):
         adversarial_milp(example_one, BinarySolution.from_indices([0, 2], 5))
@@ -289,8 +289,8 @@ def test_milp_adversary_at_the_node_limit_raises_scale_error(monkeypatch):
     solve = milp.solve_repriced
     nodes = []
 
-    def counting(held, sense, cost):
-        res = solve(held, sense, cost)
+    def counting(held, cost):
+        res = solve(held, cost)
         nodes.append(res.nodes)
         return res
 

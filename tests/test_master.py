@@ -21,12 +21,13 @@ from balregret.core import (
     InternalError,
     ItemCosts,
     Knapsack,
+    ScaleError,
     Scenario,
     ShortestPath,
 )
 from balregret.instances import SplitMix64, gen_knapsack, gen_selection
 from balregret import master, milp, polyalg
-from conftest import layered_instances, rand_mrs
+from conftest import layered_instances, lp_relaxation, rand_mrs
 
 
 def _with_gamma_prime(inst: Instance, gamma_prime: int) -> Instance:
@@ -333,16 +334,35 @@ def test_stopped_solve_reports_its_incumbent(monkeypatch, solve):
     assert rep.lower_bounds == [res.bound] and 0 < res.bound < rep.value
 
 
+def _scaled_selection(seed: int, k: int) -> Instance:
+    """``gen_selection(6, seed, gamma=2, gamma_prime=1)`` with its costs
+    and deviations times k."""
+    base = gen_selection(6, seed, gamma=2, gamma_prime=1)
+    return Instance(ItemCosts(tuple(v * k for v in base.costs.c_hat),
+                              tuple(v * k for v in base.costs.d)),
+                    base.budgets, base.feasible)
+
+
 @pytest.mark.xfail(reason="float64 simplex tolerances at costs x 10^5; "
                           "ROADMAP item 4's integer certificate")
 def test_compact_exact_on_scaled_selection():
-    base = gen_selection(6, 10, gamma=2, gamma_prime=1)
-    k = 10**5
-    inst = Instance(ItemCosts(tuple(v * k for v in base.costs.c_hat),
-                              tuple(v * k for v in base.costs.d)),
-                    base.budgets, base.feasible)
+    inst = _scaled_selection(10, 10**5)
     assert master.solve_bruteforce(inst).value == 600000
     assert master.solve_compact_mrs(inst).value == 600000
+
+
+@pytest.mark.xfail(raises=ScaleError, strict=True, reason="ROADMAP item 4")
+@pytest.mark.parametrize("method, seed", [
+    ("iterative", 10), ("compact", 2), ("compact", 10),
+    ("enumeration", 2), ("enumeration", 10)])
+def test_methods_exact_on_selection_at_costs_x_10_6(method, seed):
+    # The root LP of iterative's master reads unbounded, and compact's and
+    # enumeration's models read infeasible: float roundoff in both cases.
+    inst = _scaled_selection(seed, 10**6)
+    solve = {"iterative": master.solve_iterative,
+             "compact": master.solve_compact_mrs,
+             "enumeration": master.solve_enumeration}[method]
+    assert solve(inst).value == master.solve_bruteforce(inst).value
 
 
 def test_gamma_prime_zero_methods_agree_with_regret_algorithm():
@@ -589,10 +609,10 @@ def test_break_point_cuts_keep_the_balancing_lp_relaxation():
         for chosen in subsets:
             chosen = list(dict.fromkeys(chosen))
             sub = {key: None for key in pool if key[:2] in set(chosen)}
-            cut = milp.solve_lp(master.build_master(inst, sub))
-            ref = milp.solve_lp(_eps_block_master(inst, chosen))
-            assert cut.status == ref.status == "optimal"
-            assert cut.value == pytest.approx(ref.value, abs=1e-6), inst
+            cut = lp_relaxation(master.build_master(inst, sub))
+            ref = lp_relaxation(_eps_block_master(inst, chosen))
+            assert cut[0] == ref[0] == "optimal"
+            assert cut[1] == pytest.approx(ref[1], abs=1e-6), inst
             compared += 1
     assert compared == 120
 

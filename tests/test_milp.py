@@ -13,20 +13,21 @@ import pytest
 from balregret.core import InputError, InternalError, ScaleError
 from balregret.instances import SplitMix64
 from balregret import milp
+from conftest import lp_relaxation
 
 
 def test_lp_known_optimum():
-    # max 3a + 2b s.t. a + b <= 4, a <= 2
+    # max 3a + 2b s.t. a + b <= 4, a <= 2, as min -3a - 2b
     m = milp.MilpModel()
     a = m.add_continuous(0.0)
     b = m.add_continuous(0.0)
     m.add_constraint({a: 1.0, b: 1.0}, "<=", 4.0)
     m.add_constraint({a: 1.0}, "<=", 2.0)
-    m.set_objective("max", {a: 3.0, b: 2.0})
-    res = milp.solve_lp(m)
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(10.0)
-    assert res.assignment == pytest.approx([2.0, 2.0])
+    m.set_objective({a: -3.0, b: -2.0})
+    status, value, x = lp_relaxation(m)
+    assert status == "optimal"
+    assert -value == pytest.approx(10.0)
+    assert x == pytest.approx([2.0, 2.0])
 
 
 def test_lp_equality_and_lower_bounds():
@@ -34,11 +35,11 @@ def test_lp_equality_and_lower_bounds():
     a = m.add_continuous(1.0, 5.0)
     b = m.add_continuous(-milp.INF)
     m.add_constraint({a: 1.0, b: 1.0}, "=", 3.0)
-    m.set_objective("min", {a: 1.0, b: 2.0})
-    res = milp.solve_lp(m)
+    m.set_objective({a: 1.0, b: 2.0})
+    status, value, _ = lp_relaxation(m)
     # push a to its upper bound, b picks up the slack
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(5.0 + 2.0 * (-2.0))
+    assert status == "optimal"
+    assert value == pytest.approx(5.0 + 2.0 * (-2.0))
 
 
 def test_free_variable_with_finite_upper_bound():
@@ -47,11 +48,11 @@ def test_free_variable_with_finite_upper_bound():
     m = milp.MilpModel()
     a = m.add_continuous(-milp.INF, -2.0)
     m.add_constraint({a: 1.0}, ">=", -5.0)
-    m.set_objective("max", {a: 1.0})
-    res = milp.solve_lp(m)
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(-2.0)
-    assert res.assignment == pytest.approx([-2.0])
+    m.set_objective({a: -1.0})  # max a
+    status, value, x = lp_relaxation(m)
+    assert status == "optimal"
+    assert -value == pytest.approx(-2.0)
+    assert x == pytest.approx([-2.0])
 
 
 @pytest.mark.parametrize("ub", [3.0, -3.0])
@@ -60,10 +61,10 @@ def test_milp_free_variable_with_finite_upper_bound(ub):
     m = milp.MilpModel()
     a = m.add_continuous(-milp.INF, ub)
     b = m.add_binary()
-    m.set_objective("max", {a: 1.0, b: 1.0})
+    m.set_objective({a: -1.0, b: -1.0})
     res = milp.solve_milp(m)
     assert res.status == "optimal"
-    assert res.value == pytest.approx(ub + 1.0)
+    assert -res.value == pytest.approx(ub + 1.0)
     assert res.assignment == pytest.approx([ub, 1.0])
 
 
@@ -72,8 +73,8 @@ def test_lp_infeasible():
     a = m.add_continuous(0.0)
     m.add_constraint({a: 1.0}, ">=", 2.0)
     m.add_constraint({a: 1.0}, "<=", 1.0)
-    m.set_objective("min", {a: 1.0})
-    assert milp.solve_lp(m).status == "infeasible"
+    m.set_objective({a: 1.0})
+    assert lp_relaxation(m)[0] == "infeasible"
 
 
 def test_lp_unbounded(monkeypatch):
@@ -81,8 +82,8 @@ def test_lp_unbounded(monkeypatch):
     a = m.add_continuous(0.0)
     b = m.add_continuous(0.0)
     m.add_constraint({a: 1.0, b: -1.0}, "<=", 1.0)
-    m.set_objective("max", {b: 1.0})
-    assert milp.solve_lp(m).status == "unbounded"
+    m.set_objective({b: -1.0})  # max b
+    assert lp_relaxation(m)[0] == "unbounded"
     with pytest.raises(ScaleError, match="unbounded"):
         milp.solve_milp(m)
     # A binary held to [0.4, hi] by two rows and a free variable the
@@ -95,8 +96,8 @@ def test_lp_unbounded(monkeypatch):
         free = m.add_continuous(-milp.INF)
         m.add_constraint({x: 1.0}, ">=", 0.4)
         m.add_constraint({x: 1.0}, "<=", hi)
-        m.set_objective("min", {free: 1.0})
-        assert milp.solve_lp(m).status == "unbounded"
+        m.set_objective({free: 1.0})
+        assert lp_relaxation(m)[0] == "unbounded"
         with pytest.raises(ScaleError, match="unbounded at node 1"):
             milp.solve_milp(m)
         with monkeypatch.context() as limited:
@@ -111,28 +112,23 @@ def test_lp_without_rows():
     m = milp.MilpModel()
     a = m.add_continuous(1.5)
     b = m.add_continuous(-2.0)
-    m.set_objective("min", {a: 1.0, b: 2.0})
-    res = milp.solve_lp(m)
-    assert res.status == "optimal"
-    assert res.value == -2.5
-    assert res.assignment == [1.5, -2.0]
-    m.set_objective("max", {a: -1.0, b: -2.0})
-    assert milp.solve_lp(m).value == 2.5
+    m.set_objective({a: 1.0, b: 2.0})
+    assert lp_relaxation(m) == ("optimal", -2.5, [1.5, -2.0])
     # A free variable the objective pushes down has no bound at all.
     free = m.add_continuous(-milp.INF)
-    m.set_objective("min", {a: 1.0, free: 1.0})
-    res = milp.solve_lp(m)
-    assert res.status == "unbounded" and res.value == -math.inf
-    m.set_objective("max", {free: 1.0})
-    res = milp.solve_lp(m)
-    assert res.status == "unbounded" and res.value == math.inf
+    m.set_objective({a: 1.0, free: 1.0})
+    status, value, _ = lp_relaxation(m)
+    assert status == "unbounded" and value == -math.inf
+    m.set_objective({free: -1.0})  # max free
+    status, value, _ = lp_relaxation(m)
+    assert status == "unbounded" and -value == math.inf
     with pytest.raises(ScaleError, match="unbounded"):
         milp.solve_milp(m)
     # No variables at all: the tableau is its rhs column alone.
     empty = milp.MilpModel()
-    for solve in (milp.solve_lp, milp.solve_milp):
-        res = solve(empty)
-        assert (res.status, res.value, res.assignment) == ("optimal", 0.0, [])
+    assert lp_relaxation(empty) == ("optimal", 0.0, [])
+    res = milp.solve_milp(empty)
+    assert (res.status, res.value, res.assignment) == ("optimal", 0.0, [])
 
 
 def test_tableau_guard_raises_before_allocating():
@@ -144,7 +140,7 @@ def test_tableau_guard_raises_before_allocating():
     for k in range(7100):
         wide.add_continuous(0.0, 1.0)
     wide.add_constraint({j: 1.0 for j in range(7100)}, "<=", 1.0)
-    wide.set_objective("max", {0: 1.0})
+    wide.set_objective({0: -1.0})
     assert 7101 * 7101 > milp.MAX_TABLEAU_ENTRIES
     # 7,100 "<=" rows over 7,100 variables, row k holding variable k only:
     # the dense model alone has 7,100 x 7,100 entries, also above it.
@@ -152,7 +148,7 @@ def test_tableau_guard_raises_before_allocating():
     for k in range(7100):
         x = square.add_continuous(0.0)
         square.add_constraint({x: 1.0}, "<=", 1.0)
-    square.set_objective("max", {0: 1.0})
+    square.set_objective({0: -1.0})
     assert 7100 * 7100 > milp.MAX_TABLEAU_ENTRIES
     # 7,100 "<=" rows over one variable: the basic slacks have no columns,
     # so its dictionary is 7,100 x 2, and it solves.
@@ -160,12 +156,12 @@ def test_tableau_guard_raises_before_allocating():
     a = narrow.add_continuous(0.0)
     for k in range(7100):
         narrow.add_constraint({a: 1.0}, "<=", float(k + 1))
-    narrow.set_objective("max", {a: 1.0})
+    narrow.set_objective({a: -1.0})
     for m in (wide, square, narrow):
         tracemalloc.start()
         try:
             if m is narrow:
-                assert milp.solve_milp(m).value == 1.0
+                assert -milp.solve_milp(m).value == 1.0
             else:
                 with pytest.raises(ScaleError):
                     milp.solve_milp(m)
@@ -178,7 +174,7 @@ def test_tableau_guard_raises_before_allocating():
 def test_crash_basis_puts_artificials_only_where_needed():
     # One row of each sense with positive, zero and negative rhs, plus the
     # upper-bound row of a. Feasible points: a = 3 - 2d, b = d, c = 2 - d
-    # for d in [0, 1]; max 2b + c = 2 + d is 3 at d = 1.
+    # for d in [0, 1]; max 2b + c = 2 + d is 3 at d = 1, as min -2b - c.
     m = milp.MilpModel()
     a = m.add_continuous(0.0, 4.0)
     b, c, d = (m.add_continuous(0.0) for _ in range(3))
@@ -195,7 +191,7 @@ def test_crash_basis_puts_artificials_only_where_needed():
     ]
     for coefs, sense, rhs in rows:
         m.add_constraint(coefs, sense, rhs)
-    m.set_objective("max", {b: 2.0, c: 1.0})
+    m.set_objective({b: -2.0, c: -1.0})
     N, basis, nb, cost, *_ = milp._standardize(milp._form(m))
     art = len(cost)
     assert art == 4 + 7
@@ -205,10 +201,10 @@ def test_crash_basis_puts_artificials_only_where_needed():
     # every artificial and every other slack is basic.
     assert N.shape == (10, 4 + 2 + 1) and nb.tolist() == [0, 1, 2, 3, 6, 7]
     assert (N[:, -1] >= 0).all()
-    res = milp.solve_lp(m)
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(3.0)
-    assert res.assignment == pytest.approx([1.0, 1.0, 1.0, 1.0])
+    status, value, x = lp_relaxation(m)
+    assert status == "optimal"
+    assert -value == pytest.approx(3.0)
+    assert x == pytest.approx([1.0, 1.0, 1.0, 1.0])
 
 
 def test_model_validation():
@@ -219,7 +215,7 @@ def test_model_validation():
     with pytest.raises(InputError):
         m.add_constraint({a: 1.0}, "<", 1.0)
     with pytest.raises(InputError):
-        m.set_objective("minimize", {a: 1.0})
+        m.set_objective({a + 7: 1.0})
     with pytest.raises(InputError):
         m.add_continuous(2.0, 1.0)
     # A variable fixed at an infinite value would leave the tableau with
@@ -231,23 +227,25 @@ def test_model_validation():
 
 
 def _random_binary_model(rng: SplitMix64):
-    """A random pure-binary model with <= rows; may be infeasible."""
+    """A random pure-binary model with <= rows; may be infeasible.  Its
+    drawn objective is minimized (sign 1) or maximized (sign -1), as the
+    minimum of its negation; returns the model, its binaries and the
+    sign."""
     n = 2 + rng.randint(0, 4)
     rows = 1 + rng.randint(0, 3)
     m = milp.MilpModel()
     xs = [m.add_binary() for _ in range(n)]
-    sense = "min" if rng.randint(0, 1) == 0 else "max"
-    m.set_objective(
-        sense, {x: rng.randint(0, 20) - 10 for x in xs}
-    )
+    sign = (1, -1)[rng.randint(0, 1)]
+    m.set_objective({x: sign * (rng.randint(0, 20) - 10) for x in xs})
     for _ in range(rows):
         coefs = {x: rng.randint(0, 12) - 4 for x in xs}
         m.add_constraint(coefs, "<=" if rng.randint(0, 1) else ">=",
                          rng.randint(0, 10) - 2)
-    return m, xs, sense
+    return m, xs, sign
 
 
-def _brute_binary(model, xs, sense):
+def _brute_binary(model, xs):
+    """The least objective value of a feasible point, or None."""
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=len(xs)):
         assign = dict(zip(xs, bits))
@@ -261,10 +259,7 @@ def _brute_binary(model, xs, sense):
         if not ok:
             continue
         val = sum(a * assign[j] for j, a in model.objective.items())
-        if best is None:
-            best = val
-        else:
-            best = min(best, val) if sense == "min" else max(best, val)
+        best = val if best is None else min(best, val)
     return best
 
 
@@ -272,9 +267,9 @@ def test_milp_matches_exhaustive_search():
     rng = SplitMix64(1701)
     solved = 0
     for _ in range(150):
-        model, xs, sense = _random_binary_model(rng)
+        model, xs, _ = _random_binary_model(rng)
         res = milp.solve_milp(model)
-        expect = _brute_binary(model, xs, sense)
+        expect = _brute_binary(model, xs)
         if expect is None:
             assert res.status == "infeasible"
         else:
@@ -291,7 +286,7 @@ def test_milp_mixed_integrality():
     x1 = m.add_binary()
     x2 = m.add_binary()
     m.add_constraint({y: 1.0, x1: -2.0, x2: -2.0}, ">=", -1.0)
-    m.set_objective("min", {y: 1.0, x1: -3.0, x2: -2.0})
+    m.set_objective({y: 1.0, x1: -3.0, x2: -2.0})
     res = milp.solve_milp(m)
     assert res.status == "optimal"
     assert res.value == pytest.approx(-2.0)
@@ -314,7 +309,7 @@ def test_unit_interval_continuous_reaches_binary_optimum():
         e2 = add_e(m)
         m.add_constraint({e1: 1.0, e2: 1.0}, "<=", 1.0)
         m.add_constraint({x: 1.0, e1: 1.0}, "<=", 1.0)
-        m.set_objective("max", {x: 1.0, e1: 2.0, e2: 1.0})
+        m.set_objective({x: -1.0, e1: -2.0, e2: -1.0})  # max x + 2 e1 + e2
         return m, milp.solve_milp(m)
 
     _, full = solve(lambda m: m.add_binary())
@@ -322,7 +317,7 @@ def test_unit_interval_continuous_reaches_binary_optimum():
     assert [v.kind for v in mixed_model.variables] == [
         "binary", "continuous", "continuous"]
     assert full.status == mixed.status == "optimal"
-    assert mixed.value == pytest.approx(full.value) == pytest.approx(2.0)
+    assert -mixed.value == pytest.approx(-full.value) == pytest.approx(2.0)
     assert mixed.assignment[0] in (0.0, 1.0)
 
 
@@ -349,7 +344,9 @@ def test_node_limit_reports_status(monkeypatch):
 
 def _random_mixed_model(rng: SplitMix64):
     """A random model over binaries, free variables and shifted, possibly
-    bounded continuous variables, with rows of every sense and rhs sign."""
+    bounded continuous variables, with rows of every sense and rhs sign.
+    Its drawn objective is minimized (sign 1) or maximized (sign -1), as
+    the minimum of its negation; returns the model and the sign."""
     m = milp.MilpModel()
     for _ in range(rng.randint(2, 5)):
         kind = rng.randint(0, 3)
@@ -366,9 +363,9 @@ def _random_mixed_model(rng: SplitMix64):
         coefs = {j: rng.randint(-3, 3) for j in range(nv) if rng.randint(0, 2)}
         m.add_constraint(coefs, ("<=", "=", ">=")[rng.randint(0, 2)],
                          rng.randint(-5, 5))
-    m.set_objective(("min", "max")[rng.randint(0, 1)],
-                    {j: rng.randint(-3, 3) for j in range(nv)})
-    return m
+    sign = (1, -1)[rng.randint(0, 1)]
+    m.set_objective({j: sign * rng.randint(-3, 3) for j in range(nv)})
+    return m, sign
 
 
 def _highs(model, relax):
@@ -381,10 +378,9 @@ def _highs(model, relax):
     """
     scipy_optimize = pytest.importorskip("scipy.optimize")
     nv = len(model.variables)
-    sign = 1.0 if model.objective_sense == "min" else -1.0
     cost = np.zeros(nv)
     for j, v in model.objective.items():
-        cost[j] = sign * v
+        cost[j] = v
     A = np.zeros((len(model.constraints), nv))
     lo, hi = [], []
     for i, (coefs, sense, rhs) in enumerate(model.constraints):
@@ -401,7 +397,7 @@ def _highs(model, relax):
     )
     res = scipy_optimize.milp(cost, **kwargs)
     if res.status == 0:
-        return "optimal", sign * res.fun
+        return "optimal", res.fun
     if res.status not in (2, 3, 4):
         pytest.fail(f"HiGHS status {res.status}: {res.message}")
     res = scipy_optimize.milp(np.zeros(nv), **kwargs)
@@ -428,21 +424,22 @@ def test_highs_agrees_on_random_mixed_models():
         # Both legs pin a random subset of the binaries with lb = ub, so
         # fixed variables, which have no tableau column, meet warm-started
         # nodes and the incumbent rule.
-        model = _pinned(_random_mixed_model(rng), rng)
+        model = _pinned(_random_mixed_model(rng)[0], rng)
         relaxed = _highs(model, True)
-        legs = [("lp", milp.solve_lp(model), relaxed)]
+        legs = [("lp", lp_relaxation(model)[:2], relaxed)]
         if relaxed[0] == "unbounded":
             with pytest.raises(ScaleError, match="unbounded"):
                 milp.solve_milp(model)
             seen["milp", "unbounded"] = seen.get(("milp", "unbounded"), 0) + 1
         else:
-            legs.append(("milp", milp.solve_milp(model), _highs(model, False)))
-        for kind, ours, theirs in legs:
-            assert ours.status == theirs[0]
-            seen[kind, ours.status] = seen.get((kind, ours.status), 0) + 1
-            if ours.status == "optimal":
-                assert ours.value == pytest.approx(theirs[1], rel=1e-6,
-                                                   abs=1e-6)
+            res = milp.solve_milp(model)
+            legs.append(("milp", (res.status, res.value),
+                         _highs(model, False)))
+        for kind, (status, value), theirs in legs:
+            assert status == theirs[0]
+            seen[kind, status] = seen.get((kind, status), 0) + 1
+            if status == "optimal":
+                assert value == pytest.approx(theirs[1], rel=1e-6, abs=1e-6)
     for kind in ("lp", "milp"):
         for status in ("optimal", "infeasible", "unbounded"):
             assert seen.get((kind, status), 0) >= 20
@@ -506,8 +503,7 @@ def _loop_standardize(model):
             basis.append(artcol)
             artcol += 1
         T[i, -1] = rhs
-    sign = 1.0 if model.objective_sense == "min" else -1.0
-    objective = {j: sign * v for j, v in model.objective.items()}
+    objective = model.objective
     c = np.zeros(art)
     expand(objective, c)
     return T, basis, c, sum(a * shift[j] for j, a in objective.items())
@@ -521,7 +517,7 @@ def test_standardize_matches_loop_reference():
     rng = SplitMix64(77)
     seen = {True: 0, False: 0}
     for _ in range(300):
-        model = _random_mixed_model(rng)
+        model, _ = _random_mixed_model(rng)
         for v in model.variables:
             if v.lb == -milp.INF and rng.randint(0, 1):
                 v.ub = float(rng.randint(-3, 3))
@@ -581,18 +577,18 @@ def _cold_branch_and_bound(model):
             best = lp.value
     if best == math.inf:
         return "infeasible", None
-    return "optimal", form.sign * best
+    return "optimal", best
 
 
 def _seeded_knapsack_model(rng: SplitMix64, n: int):
     """max v x over n binaries under two random weight rows at half
-    their total weight."""
+    their total weight, as min -v x."""
     m = milp.MilpModel()
     xs = [m.add_binary() for _ in range(n)]
     for _ in range(2):
         w = {x: rng.randint(1, 30) for x in xs}
         m.add_constraint(w, "<=", sum(w.values()) // 2)
-    m.set_objective("max", {x: rng.randint(1, 40) for x in xs})
+    m.set_objective({x: -rng.randint(1, 40) for x in xs})
     return m
 
 
@@ -611,7 +607,7 @@ def test_engine_counters_repeat_and_respect_node_limit(monkeypatch):
     first, again = milp.solve_milp(model), milp.solve_milp(model)
     # The pivot path is pinned: a kernel change that picks another
     # entering column or leaving row moves these counts.
-    assert (first.status, first.value) == ("optimal", 185.0)
+    assert (first.status, -first.value) == ("optimal", 185.0)
     assert (first.nodes, first.pivots) == (17, 31)
     assert (first.nodes, first.pivots) == (again.nodes, again.pivots)
     limited = _stopped_after(monkeypatch, model, 3)
@@ -620,8 +616,7 @@ def test_engine_counters_repeat_and_respect_node_limit(monkeypatch):
     monkeypatch.setattr(milp, "NODE_LIMIT", 3)
     with pytest.raises(ScaleError, match=r"node limit \(3\)"):
         milp.solve_milp(model)
-    lp = milp.solve_lp(model)
-    assert lp.nodes == 1 and lp.pivots > 0
+    assert milp._relax(milp._form(model)).pivots > 0
 
 
 def _milp_outcome(model):
@@ -634,19 +629,23 @@ def _milp_outcome(model):
 
 
 def _seeded_models():
-    """The mixed stream covers free, shifted and bounded continuous
-    variables and unbounded nodes but seldom branches; the pure-binary
-    and knapsack streams branch several levels deep."""
+    """Models, each with the sign of its drawn objective (-1 where it is
+    maximized, as the minimum of its negation).  The mixed stream covers
+    free, shifted and bounded continuous variables and unbounded nodes but
+    seldom branches; the pure-binary and knapsack streams branch several
+    levels deep."""
     mixed, binary = SplitMix64(4711), SplitMix64(4712)
     models = [_random_mixed_model(mixed) for _ in range(400)]
-    models += [_random_binary_model(binary)[0] for _ in range(300)]
-    models += [_seeded_knapsack_model(binary, 6 + k % 7) for k in range(40)]
+    models += [(m, sign) for m, _, sign in
+               (_random_binary_model(binary) for _ in range(300))]
+    models += [(_seeded_knapsack_model(binary, 6 + k % 7), -1)
+               for k in range(40)]
     return models
 
 
 def test_warm_started_nodes_match_cold_reference():
     seen, warm = {}, 0
-    for model in _seeded_models():
+    for model, _ in _seeded_models():
         status, value = _cold_branch_and_bound(model)
         seen[status] = seen.get(status, 0) + 1
         if status == "unbounded":
@@ -702,7 +701,6 @@ def test_lazy_rows_match_cold_solve_of_the_whole_model():
     for model in models:
         hidden = _hidden_rows(model, rng, 1 + rng.randint(0, 3))
         whole = milp.solve_milp(_with_rows(model, hidden))
-        worse = 1.0 if model.objective_sense == "min" else -1.0
         returned, bounds = [], []
 
         def lazy(x, bound):
@@ -711,7 +709,7 @@ def test_lazy_rows_match_cold_solve_of_the_whole_model():
             rows = [row for row in hidden if _excess(row, x) > 0.5]
             returned.extend(rows)
             value = sum(a * x[j] for j, a in model.objective.items())
-            return (worse * math.inf if rows else value), rows
+            return (math.inf if rows else value), rows
 
         res = milp.solve_milp(model, lazy=lazy)
         assert res.status == whole.status, model
@@ -724,7 +722,7 @@ def test_lazy_rows_match_cold_solve_of_the_whole_model():
             assert res.bound == res.value
             assert milp._feasible(milp._form(_with_rows(model, hidden)),
                                   np.array(res.assignment))
-            assert all(worse * b <= worse * res.value + 1e-6 for b in bounds)
+            assert all(b <= res.value + 1e-6 for b in bounds)
     assert appended >= 50 and on_pinned >= 20
     assert min(seen.get(s, 0) for s in ("optimal", "infeasible")) >= 20
 
@@ -737,18 +735,31 @@ def test_lazy_row_that_holds_at_its_point_raises():
         milp.solve_milp(model, lazy=lambda x, bound: (0.0, [holds]))
 
 
+def test_lazy_values_in_ints_read_as_floats():
+    # Scenario generation's callback values its points in Python ints; the
+    # result's value and bound are floats all the same, as a report's JSON
+    # writes them.
+    model = _seeded_knapsack_model(SplitMix64(8), 8)
+
+    def lazy(x, bound):
+        return round(sum(a * x[j] for j, a in model.objective.items())), []
+
+    res = milp.solve_milp(model, lazy=lazy)
+    assert res.status == "optimal" and res.value == res.bound
+    assert type(res.value) is float and type(res.bound) is float
+
+
 def test_limits_stop_with_a_bound_on_the_optimum(monkeypatch):
     # A search stopped by its deadline reports the better of its incumbent
     # and the weakest open node as its bound; a clock that ticks once per
     # node stops it after each number of nodes short of the full search.
     # Held to that number of nodes by NODE_LIMIT instead, it raises.
     checked = 0
-    for model in _seeded_models()[400::3]:
+    for model, _ in _seeded_models()[400::3]:
         res = milp.solve_milp(model)
         assert res.status in ("optimal", "infeasible")
         if res.status == "optimal":
             assert res.bound == res.value
-        worse = 1.0 if model.objective_sense == "min" else -1.0
         for limit in range(1, res.nodes):
             limited = _stopped_after(monkeypatch, model, limit)
             assert limited.status == "time_limit" and limited.nodes == limit
@@ -757,14 +768,14 @@ def test_limits_stop_with_a_bound_on_the_optimum(monkeypatch):
                 with pytest.raises(ScaleError, match="node limit"):
                     milp.solve_milp(model)
             if res.status == "optimal":
-                assert worse * limited.bound <= worse * res.value + 1e-6
+                assert limited.bound <= res.value + 1e-6
                 if limited.assignment:
-                    assert worse * limited.value >= worse * res.value - 1e-6
-                    assert worse * limited.bound <= worse * limited.value
+                    assert limited.value >= res.value - 1e-6
+                    assert limited.bound <= limited.value
             checked += 1
         stopped = milp.solve_milp(model, deadline=0.0)
         assert (stopped.status, stopped.nodes) == ("time_limit", 0)
-        assert stopped.bound == -worse * math.inf
+        assert stopped.bound == -math.inf
         late = milp.solve_milp(model, deadline=time.monotonic() + 3600.0)
         assert (late.status, late.assignment, late.nodes) == (
             res.status, res.assignment, res.nodes)
@@ -777,50 +788,47 @@ def _dense_objective(model) -> list[float]:
 
 
 def test_warm_root_with_new_objective_matches_cold_solve():
-    # One held model per chain; each step gives it new random costs, in
-    # the other sense every third step, and its solve starts from the last
-    # solve's root LP, which prices the new objective.  A chain ends at a
-    # model whose relaxation is unbounded, which both solves refuse.
+    # One held model per chain; each step gives it new random costs, whose
+    # sign flips every third step (a maximized model minimizes the negated
+    # costs), and its solve starts from the last solve's root LP, which
+    # prices the new objective.  A chain ends at a model whose relaxation
+    # is unbounded, which both solves refuse.
     rng = SplitMix64(4715)
     seen, warm = {}, 0
-    for model in _seeded_models()[::4]:
+    for model, sign in _seeded_models()[::4]:
         held = milp.HeldRows(model)
         try:
             cold = milp.solve_milp(model)
         except ScaleError:  # an unbounded relaxation: no root LP to start from
             continue
-        res = milp.solve_repriced(held, model.objective_sense,
-                                  _dense_objective(model))
+        res = milp.solve_repriced(held, _dense_objective(model))
         assert (res.status, res.assignment) == (cold.status, cold.assignment)
         for step in range(6):
             if held.root is None:
                 break
             model = copy.deepcopy(model)
-            sense = model.objective_sense
             if step % 3 == 2:
-                sense = "max" if sense == "min" else "min"
-            cost = [rng.randint(-5, 5) for _ in model.variables]
-            model.set_objective(sense, dict(enumerate(cost)))
+                sign = -sign
+            cost = [sign * rng.randint(-5, 5) for _ in model.variables]
+            model.set_objective(dict(enumerate(cost)))
             warm += 1
             try:
                 cold = milp.solve_milp(model)
             except ScaleError:
                 with pytest.raises(ScaleError, match="unbounded"):
-                    milp.solve_repriced(held, sense, cost)
+                    milp.solve_repriced(held, cost)
                 seen["unbounded"] = seen.get("unbounded", 0) + 1
                 break
-            res = milp.solve_repriced(held, sense, cost)
+            res = milp.solve_repriced(held, cost)
             assert res.status == cold.status, model
             seen[res.status] = seen.get(res.status, 0) + 1
             if res.status == "optimal":
                 assert res.value == pytest.approx(cold.value, abs=1e-6)
                 assert milp._feasible(milp._form(model),
                                       np.array(res.assignment))
-        # An objective is checked as ``set_objective`` checks it.
+        # An objective has one coefficient per variable.
         with pytest.raises(InputError):
-            milp.solve_repriced(held, "maximize", _dense_objective(model))
-        with pytest.raises(InputError):
-            milp.solve_repriced(held, "min", _dense_objective(model) + [1.0])
+            milp.solve_repriced(held, _dense_objective(model) + [1.0])
     assert warm >= 300
     assert min(seen.get(s, 0) for s in ("optimal", "infeasible")) >= 20
     assert seen.get("unbounded", 0) >= 5
@@ -934,7 +942,7 @@ def test_pivot_blocks_match_one_whole_update(monkeypatch, entries):
     # (a row wider than the budget still makes a block), or of a few, give
     # the same pivots and the same bits.
     # A model whose relaxation is unbounded raises either way.
-    models = _seeded_models()[::7]
+    models = [model for model, _ in _seeded_models()[::7]]
     whole = [_milp_outcome(m) for m in models]
     monkeypatch.setattr(milp, "_PIVOT_ENTRIES", entries)
     for model, res in zip(models, whole):
