@@ -45,8 +45,6 @@ EXIT_INFEASIBLE = 2
 EXIT_TIME_LIMIT = 3
 EXIT_DISAGREEMENT = 4
 
-_BRUTEFORCE_CAP = 100_000
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
@@ -189,7 +187,8 @@ def _cmd_evaluate(args) -> int:
 
 def _crosscheck_values(inst: Instance) -> dict[str, int]:
     """Value by method.  The two enumerating reference methods are skipped
-    with one INFO line when the instance is too large to enumerate."""
+    with one INFO line when the instance is too large for them: too large
+    to enumerate, or above ``solve_bruteforce``'s cap."""
     methods = ["iterative", "enumeration", "bruteforce"]
     if isinstance(inst.feasible, MultiRepSelection):
         methods.append("compact")
@@ -198,9 +197,6 @@ def _crosscheck_values(inst: Instance) -> dict[str, int]:
     values = {}
     for m in methods:
         try:
-            if (m == "bruteforce"
-                    and inst.feasible.solution_count() > _BRUTEFORCE_CAP):
-                raise ScaleError(f"more than {_BRUTEFORCE_CAP} solutions")
             values[m] = _solve(inst, m, None, master.DEFAULT_TIME_LIMIT).value
         except ScaleError as exc:
             if m not in ("enumeration", "bruteforce"):

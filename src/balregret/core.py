@@ -316,9 +316,6 @@ class Knapsack:
                 c -= w
         return BinarySolution.from_indices(chosen, self.n)
 
-    def solution_count(self) -> int:
-        return sum(1 for _ in self.enumerate_solutions())
-
     def enumerate_solutions(self) -> Iterator[tuple[int, ...]]:
         """The items of every packing, by increasing bit value sum 2^i:
         item i extends, in order, each packing of items 0..i-1 that it
@@ -481,9 +478,6 @@ class ShortestPath:
         if path is None:
             raise InfeasibleError("target unreachable from source")
         return BinarySolution.from_indices(path, self.n)
-
-    def solution_count(self) -> int:
-        return sum(1 for _ in self.enumerate_solutions())
 
     def enumerate_solutions(self) -> Iterator[tuple[int, ...]]:
         """The edges of every simple source-target path, in increasing

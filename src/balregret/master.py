@@ -66,6 +66,8 @@ ScenarioPool = dict[tuple[BinarySolution, Scenario, int], None]
 # Largest block of first-stage rows ``solve_bruteforce`` scores at once,
 # counted in (row, adversary solution, item) entries.
 _BRUTEFORCE_BLOCK = 2**22
+# Most feasible solutions ``solve_bruteforce`` scores against each other.
+_BRUTEFORCE_CAP = 100_000
 
 
 @dataclass
@@ -531,9 +533,13 @@ def solve_compact_mrs(inst: Instance,
 
 
 def solve_bruteforce(inst: Instance) -> SolveReport:
-    """Double loop: evaluate every feasible first-stage solution exactly."""
+    """Double loop: evaluate every feasible first-stage solution exactly.
+    More than ``_BRUTEFORCE_CAP`` solutions, whose pairs would take hours,
+    raise ScaleError."""
     start = time.monotonic()
     candidates = enumerate_solutions(inst.feasible)
+    if len(candidates) > _BRUTEFORCE_CAP:
+        raise ScaleError(f"more than {_BRUTEFORCE_CAP} solutions")
     ys = pick_matrix(inst.n, candidates)
     step = max(1, _BRUTEFORCE_BLOCK // ys.size)
     worst: list[int] = []

@@ -316,24 +316,43 @@ def _reduced_costs(N: np.ndarray, cb: np.ndarray, cn: np.ndarray):
     return z
 
 
-def _entering(N: np.ndarray, red: np.ndarray, nb: np.ndarray,
-              bland: bool) -> int:
-    """The first candidate column with an entry above MIN_PIVOT, or -1.
-
-    Candidates are the columns whose reduced cost is below -PIVOT_TOL in
-    model column order (Bland's rule), or else below -FEAS_TOL from the
-    most negative reduced cost up, ties in dictionary order.
-    """
-    if bland:
-        cand = np.flatnonzero(red < -PIVOT_TOL)
-        cand = cand[np.argsort(nb[cand])]
-    else:
-        cand = np.flatnonzero(red < -FEAS_TOL)
-        cand = cand[np.argsort(red[cand], kind="stable")]
-    for p in cand:
+def _entering(N: np.ndarray, red: np.ndarray, keys: np.ndarray,
+              tol: float) -> int:
+    """The first column, in the order of ``keys`` (stable), whose reduced
+    cost is below ``-tol`` and which has an entry above MIN_PIVOT, or -1:
+    Bland's rule keys by ``nb`` at PIVOT_TOL, else by ``red`` at FEAS_TOL."""
+    cand = np.flatnonzero(red < -tol)
+    for p in cand[np.argsort(keys[cand], kind="stable")]:
         if (N[:, p] > MIN_PIVOT).any():
             return int(p)
     return -1
+
+
+def _ratio_test(num: np.ndarray, den: np.ndarray, keys: np.ndarray,
+                bland: bool) -> tuple[int, float]:
+    """The index and value of the least ratio ``max(num, 0) / den`` over
+    ``den > MIN_PIVOT``, or (-1, inf) if none; the clip ignores roundoff
+    below zero.  Ties within 1e-9 relative go to the lowest ``keys`` under
+    Bland's rule, else to the largest ``den``, for stability."""
+    ratios = np.divide(np.maximum(num, 0.0), den,
+                       out=np.full(len(den), INF), where=den > MIN_PIVOT)
+    best = float(ratios.min(initial=INF))
+    if best == INF:
+        return -1, INF
+    ties = ratios <= best + 1e-9 * (1.0 + best)
+    if bland:
+        idx = np.flatnonzero(ties)
+        return int(idx[np.argmin(keys[idx])]), best
+    return int(np.where(ties, den, -INF).argmax()), best
+
+
+def _stall(degenerate: int, bland: bool, ratio: float) -> tuple[int, bool]:
+    """The degenerate pivots in a row after one of ratio ``ratio`` (a
+    ratio above FEAS_TOL resets them), and whether Bland's rule (Bland
+    1977, *Math. Oper. Res.* 2) holds: on for good from BLAND_AFTER."""
+    if ratio > FEAS_TOL:
+        return 0, bland
+    return degenerate + 1, bland or degenerate + 1 >= BLAND_AFTER
 
 
 def _run_simplex(N: np.ndarray, z: np.ndarray, basis: np.ndarray,
@@ -341,49 +360,33 @@ def _run_simplex(N: np.ndarray, z: np.ndarray, basis: np.ndarray,
     """Iterate the dictionary to optimality of the current objective row.
 
     ``z`` holds reduced costs (last entry: negated objective value).
-    Returns "optimal", or "unbounded" when a negative reduced-cost column
-    has no pivot row, and the number of pivots made.  Outside Bland's
-    rule the entering column is the most negative reduced cost (the
-    first in the dictionary among ties); the ratio test takes the row
-    with the largest pivot among the ties for the smallest ratio.
+    Returns "optimal", or "unbounded" when no column with a negative
+    reduced cost has a pivot row, and the number of pivots made.  The
+    entering column is the most negative reduced cost (the first among
+    ties) outside Bland's rule, else ``_entering``'s; the leaving row is
+    ``_ratio_test``'s of the rhs over that column, keyed by ``basis``.
     """
     if z.size == 1:  # no columns
         return "optimal", 0
-    degenerate = 0
-    bland = False
+    degenerate, bland = 0, False
     for pivots in range(_MAX_PIVOTS):
         red = z[:-1]
+        keys, tol = (nb, PIVOT_TOL) if bland else (red, FEAS_TOL)
         p = int(red.argmin())
-        if red[p] >= -(PIVOT_TOL if bland else FEAS_TOL):
+        if red[p] >= -tol:
             return "optimal", pivots
-        col = N[:, p]
-        pos = col > MIN_PIVOT
-        if bland or not pos.any():
+        r, best = ((-1, INF) if bland
+                   else _ratio_test(N[:, -1], N[:, p], basis, False))
+        if r < 0:
             # A column with no positive entry certifies an unbounded ray,
             # but roundoff can also produce a barely negative reduced cost
             # on such a column; try the remaining candidates before
-            # giving up.
-            p = _entering(N, red, nb, bland)
+            # giving up.  Under Bland's rule ``_entering`` always picks.
+            p = _entering(N, red, keys, tol)
             if p < 0:
                 return "unbounded", pivots
-            col = N[:, p]
-            pos = col > MIN_PIVOT
-        # Clipping the rhs at zero ignores roundoff drift below it.
-        ratios = np.divide(np.maximum(N[:, -1], 0.0), col,
-                           out=np.full(len(col), np.inf), where=pos)
-        best = ratios.min()
-        ties = ratios <= best + 1e-9 * (1.0 + best)
-        if bland:
-            rows = np.flatnonzero(ties)
-            r = int(rows[np.argmin(basis[rows])])
-        else:  # the largest pivot for stability
-            r = int(np.where(ties, col, -np.inf).argmax())
-        if best <= FEAS_TOL:
-            degenerate += 1
-            if degenerate >= BLAND_AFTER:
-                bland = True  # sticky: do not revert once stalling is seen
-        else:
-            degenerate = 0
+            r, best = _ratio_test(N[:, -1], N[:, p], basis, bland)
+        degenerate, bland = _stall(degenerate, bland, best)
         _pivot(N, z, basis, nb, r, p)
     raise ScaleError("simplex pivot limit exceeded")
 
@@ -396,10 +399,13 @@ def _dual_simplex(N: np.ndarray, z: np.ndarray, basis: np.ndarray,
     negative row has no negative entry to pivot on, and "cutoff" when the
     objective without its constant, ``-z[-1]``, reaches ``limit -
     FEAS_TOL``: the dual objective only rises, so the LP's optimum is at
-    least that.  Also returns the number of pivots made.
+    least that.  Also returns the number of pivots made.  The leaving row
+    has the most negative rhs, or the lowest basic column among the
+    negative ones under Bland's rule.  A dual step is a primal step on the
+    transposed dictionary (Chvátal 1983): the entering column is
+    ``_ratio_test``'s of the reduced costs over the row negated, by ``nb``.
     """
-    degenerate = 0
-    bland = False
+    degenerate, bland = 0, False
     for pivots in range(_MAX_PIVOTS):
         rhs = N[:, -1]
         r = int(rhs.argmin())  # the most negative rhs
@@ -410,25 +416,10 @@ def _dual_simplex(N: np.ndarray, z: np.ndarray, basis: np.ndarray,
         if bland:
             rows = np.flatnonzero(rhs < -FEAS_TOL)
             r = int(rows[np.argmin(basis[rows])])
-        a = N[r, :-1]
-        neg = a < -MIN_PIVOT
-        if not neg.any():
+        p, best = _ratio_test(z[:-1], -N[r, :-1], nb, bland)
+        if p < 0:
             return "infeasible", pivots
-        ratios = np.divide(np.maximum(z[:-1], 0.0), -a,
-                           out=np.full(len(a), np.inf), where=neg)
-        best = ratios.min()
-        ties = ratios <= best + 1e-9 * (1.0 + best)
-        if bland:  # the lowest model column
-            cols = np.flatnonzero(ties)
-            p = int(cols[np.argmin(nb[cols])])
-        else:  # the largest |a_rp| for stability
-            p = int(np.where(ties, a, np.inf).argmin())
-        if best <= FEAS_TOL:
-            degenerate += 1
-            if degenerate >= BLAND_AFTER:
-                bland = True
-        else:
-            degenerate = 0
+        degenerate, bland = _stall(degenerate, bland, best)
         _pivot(N, z, basis, nb, r, p)
     raise ScaleError("simplex pivot limit exceeded")
 
@@ -467,8 +458,14 @@ class _LP(NamedTuple):
     tableau: Optional[_Tableau] = None
 
 
-def _optimum(tab: _Tableau, pivots: int) -> _LP:
-    """The optimal LP of a final phase-2 dictionary, keeping it."""
+def _primal_pass(tab: _Tableau, pivots: int) -> _LP:
+    """The LP of a primal-feasible dictionary ``tab``, reached in
+    ``pivots`` pivots: the primal simplex on its objective row, then the
+    optimum read off the final dictionary, which the LP keeps."""
+    status, more = _run_simplex(tab.N, tab.z, tab.basis, tab.nb)
+    pivots += more
+    if status == "unbounded":
+        return _LP(status, -math.inf, None, pivots)
     x = np.zeros(len(tab.c) + 1)  # the last entry, 0, is read by col -1
     x[tab.basis] = tab.N[:, -1]
     return _LP("optimal", float(tab.c @ x[:-1]) + tab.const, tab.decode(x),
@@ -506,11 +503,7 @@ def _relax(form: _Form) -> _LP:
 
     # Phase 2: the model's objective over the structural and slack columns.
     z2 = _reduced_costs(N, c[basis], c[nb])
-    status, more = _run_simplex(N, z2, basis, nb)
-    if status == "unbounded":
-        return _LP("unbounded", -math.inf, None, pivots + more)
-    return _optimum(_Tableau(N, z2, basis, nb, c, const, decode),
-                    pivots + more)
+    return _primal_pass(_Tableau(N, z2, basis, nb, c, const, decode), pivots)
 
 
 def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
@@ -525,9 +518,10 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     dictionary's point violates it.  The rows go below the dictionary's,
     and the slacks take the model columns after its last, but no
     dictionary column: they are basic.  The reduced costs stay
-    dual-feasible, so the dual simplex restores feasibility, and one
-    primal pass clears any dual infeasibility roundoff left.  An LP whose
-    objective reaches ``cutoff - FEAS_TOL`` stops as "cutoff".
+    dual-feasible, so the dual simplex restores feasibility, and
+    ``_primal_pass``, which ends ``_relax`` too, clears any dual
+    infeasibility roundoff left.  An LP whose objective reaches ``cutoff -
+    FEAS_TOL`` stops as "cutoff".
 
     ``cost``, when given, is a new objective in model space, priced as
     ``_standardize`` prices it: the dual simplex still runs on the
@@ -546,18 +540,15 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     z, nb = tab.z.copy(), tab.nb.copy()
     basis = np.concatenate((tab.basis, w + np.arange(k)))
     status, pivots = _dual_simplex(N, z, basis, nb, cutoff - tab.const)
+    if status != "optimal":
+        return _LP(status, math.nan, None, pivots)
     d = tab.decode
     c, const = ((tab.c, tab.const) if cost is None
                 else (d.columns(cost[None], w)[0], float(cost @ d.val)))
     c = np.concatenate((c, np.zeros(k)))
-    if status == "optimal":
-        if cost is not None:
-            z = _reduced_costs(N, c[basis], c[nb])
-        status, more = _run_simplex(N, z, basis, nb)
-        pivots += more
-    if status != "optimal":
-        return _LP(status, math.nan, None, pivots)
-    return _optimum(_Tableau(N, z, basis, nb, c, const, d), pivots)
+    if cost is not None:
+        z = _reduced_costs(N, c[basis], c[nb])
+    return _primal_pass(_Tableau(N, z, basis, nb, c, const, d), pivots)
 
 
 def _node(parent: _Tableau, form: _Form, held: int, j: int, up: bool,

@@ -8,7 +8,7 @@ import pytest
 from balregret import cli, master, milp
 from balregret.cli import main
 from balregret.adversarial import adversarial_bruteforce
-from balregret.core import BinarySolution, InternalError
+from balregret.core import BinarySolution, InternalError, enumerate_solutions
 from balregret.instances import load_instance, save_instance, gen_selection
 
 
@@ -126,6 +126,19 @@ class TestSolve:
                      "bruteforce", "--out", str(out)]) == 2
         assert _error_lines(caplog) == [
             "feasible set too large to enumerate"]
+        assert not out.exists()
+
+    def test_bruteforce_cap_exits_two(self, tmp_path, example_one_file,
+                                      monkeypatch, caplog):
+        # example_one has 10 solutions: brute force refuses them above a
+        # cap of 9, before scoring any pair.
+        monkeypatch.setattr(master, "_BRUTEFORCE_CAP", 9)
+        monkeypatch.setattr(master, "evaluate_against",
+                            lambda *a: pytest.fail("scored"))
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", example_one_file, "--method",
+                     "bruteforce", "--out", str(out)]) == 2
+        assert _error_lines(caplog) == ["more than 9 solutions"]
         assert not out.exists()
 
     def test_internal_error_exits_two(self, tmp_path, example_one_file,
@@ -260,7 +273,7 @@ class TestCrosscheck:
         inst = gen_selection(6, 1, gamma=2, gamma_prime=1)
         save_instance(inst, tmp_path / "sel.json")
         cap = inst.feasible.solution_count() - 1
-        monkeypatch.setattr(cli, "_BRUTEFORCE_CAP", cap)
+        monkeypatch.setattr(master, "_BRUTEFORCE_CAP", cap)
         caplog.set_level(logging.INFO)
         assert main(["crosscheck", "--instances",
                      str(tmp_path / "sel.json")]) == 0
@@ -308,7 +321,7 @@ class TestIngestGraph:
                      str(pairs), "--out", str(out)]) == 0
         inst = load_instance(out / "path-s-t.json")
         assert inst.n == 3
-        assert inst.feasible.solution_count() == 2
+        assert len(enumerate_solutions(inst.feasible)) == 2
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -129,7 +129,7 @@ class TestKnapsack:
         f = Knapsack((3, 4, 5), 7)
         sols = solutions(f)
         assert all(f.is_feasible(x) for x in sols)
-        assert len(sols) == f.solution_count()
+        assert len(sols) == 5  # (), (0,), (1,), (2,) and (0, 1)
         weights = {x.indices() for x in sols}
         assert (0, 1) in weights and (1, 2) not in weights
 
@@ -280,12 +280,10 @@ class TestEnumerationOrder:
                     if sum(w[i] for i in range(n) if bits >> i & 1)
                     <= f.capacity]
             assert list(f.enumerate_solutions()) == want, f
-            assert f.solution_count() == len(want)
 
     def test_path_is_depth_first_lowest_edge_first(self):
         f = diamond_graph()
         assert enumerate_solutions(f) == [(0, 2), (0, 3, 4), (1, 3)]
-        assert f.solution_count() == 3
 
     def test_row_guard(self, monkeypatch):
         monkeypatch.setattr(core, "ENUMERATION_GUARD", 4)

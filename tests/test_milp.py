@@ -851,6 +851,59 @@ def test_entering_column_falls_back_past_a_column_without_pivot():
     assert z.tolist() == [-3.0, 1.0, 2.0, 4.0]
 
 
+def test_ratio_test_tie_rules_and_empty_lines():
+    # Ratios 2, 2, 2 + 2e-9 and 2 + 1e-8: the first three tie within 1e-9
+    # relative (3e-9 here), the last does not.
+    num = np.array([2.0, 4.0, 3 * (2 + 2e-9), 4 * (2 + 1e-8)])
+    den = np.array([1.0, 2.0, 3.0, 4.0])
+    keys = np.array([7, 3, 5, 1])
+    # The largest den among the ties, else the lowest key among them.
+    assert milp._ratio_test(num, den, keys, False) == (2, 2.0)
+    assert milp._ratio_test(num, den, keys, True) == (1, 2.0)
+    # A negative num reads as 0; an entry at or below MIN_PIVOT has no
+    # ratio, whatever its num.
+    num = np.array([-1e-12, 5.0, -3.0])
+    den = np.array([1e-3, 1.0, milp.MIN_PIVOT])
+    assert milp._ratio_test(num, den, keys[:3], False) == (0, 0.0)
+    none = (-1, math.inf)
+    for bland in (False, True):
+        assert milp._ratio_test(np.zeros(0), np.zeros(0),
+                                np.zeros(0, int), bland) == none
+        assert milp._ratio_test(np.ones(4), np.array(
+            [milp.MIN_PIVOT, -1.0, 0.0, 5e-8]), keys, bland) == none
+
+
+def test_entering_orders_candidates_by_keys():
+    # Columns 0 and 2 tie on the reduced cost, column 3 has no positive
+    # entry, and column 1's reduced cost is below -PIVOT_TOL but not
+    # below -FEAS_TOL.
+    N = np.array([[1.0, 0.0, 1.0, -1.0, 1.0],
+                  [0.0, 2.0, 1.0, 0.0, 1.0]])
+    red = np.array([-3.0, -1e-8, -3.0, -5.0])
+    nb = np.array([4, 0, 2, 1])
+    # By reduced cost, stable: 3 (no pivot), then 0 before 2.
+    assert milp._entering(N, red, red, milp.FEAS_TOL) == 0
+    N[0, 0] = 0.0
+    assert milp._entering(N, red, red, milp.FEAS_TOL) == 2
+    # By model column (Bland's rule): 1 first, at the smaller tolerance.
+    assert milp._entering(N, red, nb, milp.PIVOT_TOL) == 1
+    N[:, :3] = -1.0
+    assert milp._entering(N, red, nb, milp.PIVOT_TOL) == -1
+    assert milp._entering(N, red, red, milp.FEAS_TOL) == -1
+
+
+def test_stall_switches_blands_rule_on_for_good(monkeypatch):
+    # A ratio above FEAS_TOL resets the count of degenerate pivots; the
+    # second in a row switches Bland's rule on, and no reset turns it off.
+    monkeypatch.setattr(milp, "BLAND_AFTER", 2)
+    state = (0, False)
+    for ratio, want in ((0.0, (1, False)), (1.0, (0, False)),
+                        (0.0, (1, False)), (milp.FEAS_TOL, (2, True)),
+                        (1.0, (0, True)), (0.0, (1, True))):
+        state = milp._stall(*state, ratio)
+        assert state == want
+
+
 def _whole_pivot(T, z, basis, r, c):
     """The pivot of a whole tableau ``[columns | rhs]`` on row r and
     column c, basic columns included: the reference for the dictionary's
@@ -906,7 +959,7 @@ def test_dictionary_pivots_match_the_whole_tableau():
         for _ in range(10):
             if rng.randint(0, 1):
                 step = _bland_pivot(T, zt, tbasis)
-                p = milp._entering(N, z[:-1], nb, True)
+                p = milp._entering(N, z[:-1], nb, milp.PIVOT_TOL)
                 if step is None:
                     assert p == -1
                     continue
