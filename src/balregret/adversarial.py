@@ -27,16 +27,10 @@ from .core import (
     enumerate_solutions,
 )
 
-_OVERFLOW_LIMIT = 2**60
 # The selection DP's start value of a state no move reaches, and the most
 # int64 states one of its passes holds (32 MB).
 _UNREACHED = -(2**62)
 _DP_STATES = 2**22
-
-
-def _check_scale(inst: Instance) -> None:
-    if sum(inst.costs.c_hat) + sum(inst.costs.d) > _OVERFLOW_LIMIT:
-        raise ScaleError("instance data too large for exact integer arithmetic")
 
 
 def _certificate_for(
@@ -108,7 +102,6 @@ def adversarial_bruteforce(
     ``candidates`` lets batch callers reuse one enumeration of the
     feasible set.
     """
-    _check_scale(inst)
     if candidates is None:
         candidates = enumerate_solutions(inst.feasible)
     values = evaluate_against(inst, [x.x], pick_matrix(inst.n, candidates))[0]
@@ -165,7 +158,6 @@ def adversarial_milp(
     then starts from the last call's final tableau
     (``milp.solve_repriced``), and leaves its own there.
     """
-    _check_scale(inst)
     c, d, xs = (np.asarray(v, dtype=np.int64)
                 for v in (inst.costs.c_hat, inst.costs.d, x.x))
     if held is None:
@@ -216,12 +208,11 @@ def adversarial_selection_dp(
 
     The states are int64, and a state no move reaches holds
     ``_UNREACHED`` plus the moves applied to it since. That is exact:
-    ``_check_scale`` bounds the sum of every cost and deviation by 2^60,
-    so every reachable value lies in [-2^60, 2^60], and every other one
-    below -2^61 and above -2^63.
+    the scale guard (``ItemCosts``) bounds the sum of every cost and
+    deviation by 2^60, so every reachable value lies in [-2^60, 2^60],
+    and every other one below -2^61 and above -2^63.
     """
     _require_selection(inst, "selection DP")
-    _check_scale(inst)
     f = inst.feasible
     c, d = inst.costs.c_hat, inst.costs.d
     points = inst.break_points(i for i, xi in enumerate(x.x) if not xi)

@@ -144,6 +144,11 @@ def _solve(inst: Instance, method: str, adversary: str | None,
 
 
 def _cmd_solve(args) -> int:
+    if args.adversary is not None and args.method != "iterative":
+        raise _UsageError("--adversary applies to --method iterative only")
+    if not args.time_limit >= 0:  # nan too, which would disable the limit
+        raise _UsageError(f"--time-limit must be at least 0, "
+                          f"got {args.time_limit}")
     inst = load_instance(args.instance)
     report = _solve(inst, args.method, args.adversary, args.time_limit)
     payload = {"instance": inst.name, "version": __version__}

@@ -22,7 +22,11 @@ class InfeasibleError(RuntimeError):
 
 
 class ScaleError(RuntimeError):
-    """Raised when an enumeration guard is exceeded."""
+    """Raised when data or a computation passes what the program can do
+    exactly or in bounded time: item costs past the scale guard
+    (``ItemCosts``), an enumeration guard, a simplex dictionary past its
+    size limit, an LP relaxation read unbounded, or the branch-and-bound
+    node or simplex pivot limit.  The CLI exits 2 on it."""
 
 
 class InternalError(RuntimeError):
@@ -30,6 +34,9 @@ class InternalError(RuntimeError):
 
 
 ENUMERATION_GUARD = 10**6
+# The scale guard: costs plus deviations may sum to at most this, so every
+# value of a solution, scenario or balancing response lies in int64.
+_OVERFLOW_LIMIT = 2**60
 
 
 def _as_int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
@@ -71,7 +78,8 @@ def _as_int_rows(rows: Sequence[Sequence[int]],
 
 @dataclass(frozen=True)
 class ItemCosts:
-    """Per-item nominal cost and worst-case deviation."""
+    """Per-item nominal cost and worst-case deviation, which sum to at
+    most ``_OVERFLOW_LIMIT``: every method refuses larger data here."""
 
     c_hat: tuple[int, ...]
     d: tuple[int, ...]
@@ -85,6 +93,9 @@ class ItemCosts:
             raise InputError("need at least one item")
         if any(v < 0 for v in self.c_hat) or any(v < 0 for v in self.d):
             raise InputError("costs and deviations must be non-negative")
+        if sum(self.c_hat) + sum(self.d) > _OVERFLOW_LIMIT:
+            raise ScaleError("instance data too large for exact integer "
+                             "arithmetic")
 
     @property
     def n(self) -> int:

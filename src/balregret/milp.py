@@ -10,13 +10,15 @@ columns and its rhs, with the basis and ``nb``, each column's model
 column.  A basic column is a unit vector and has no entries, so a pivot
 updates the non-basic columns only: it swaps the entering and leaving
 variables and rewrites the entering column as the leaving one's.  Each
-solve reads the model into arrays once (``_form``).  A fixed variable
+solve reads the model into arrays once (``_form``), the one place rows are
+made: a finite upper bound is a row like the model's.  A fixed variable
 (``lb == ub``), such as a binary the caller pins, has no column and no
-bound row: its value moves the rhs and the objective constant
-(``_standardize``), so branching never meets one.  At most the root is
-cold-started: its dictionary is built from those arrays, and phase 1
+bound row: its value moves the rhs and the objective constant, so
+branching never meets one.  At most the root is cold-started: its
+dictionary is built from those arrays (``_standardize``), and phase 1
 starts from the slack basis wherever a row's slack can be basic and
 carries artificials, basic and without columns, only for the other rows.
+One routine (``_priced``) then prices the objective on the dictionary.
 Every other node is warm-started by one kernel (``_append_rows``): it adds
 rows to its parent's final dictionary, each with its slack basic, and
 restores feasibility with a dual simplex from the parent's basis.  The
@@ -26,14 +28,14 @@ reaches and returns model rows that the point violates, which every node
 solved from then on carries (a branch-and-cut tree, as a cutting-plane
 loop needs it).  A model whose rows stay while its objective changes, as
 an evaluator's whose rows do not depend on its input, is read once into a
-``HeldRows``; each ``solve_repriced`` of it starts its root from the last
-solve's final root dictionary and prices the new objective before the
-primal pass.  A search ends optimal, infeasible or at its caller's
-deadline: every model the program builds is bounded, so an LP that reads
-unbounded at any node raises ScaleError, and so does a search that needs
-more than ``NODE_LIMIT`` nodes, whose result no caller could use.  Models
-at desk scale only; simplicity and debuggability over sparsity: a pivot
-costs a fixed number of numpy calls on a dense dictionary.
+``HeldRows``; each ``solve_repriced`` of it prices the new objective on
+the last solve's final root dictionary, by the same routine, in place.  A
+search ends optimal, infeasible or at its caller's deadline: every model
+the program builds is bounded, so an LP that reads unbounded at any node
+raises ScaleError, and so does a search that needs more than
+``NODE_LIMIT`` nodes, whose result no caller could use.  Models at desk
+scale only; simplicity and debuggability over sparsity: a pivot costs a
+fixed number of numpy calls on a dense dictionary.
 """
 
 from __future__ import annotations
@@ -136,9 +138,11 @@ Lazy = Callable[[np.ndarray, float], tuple[float, list[Row]]]
 
 
 class _Form(NamedTuple):
-    """A model read into arrays: rows ``A x (sense) b``, where each row's
-    slack enters with +1 ("<="), -1 (">=") or not at all ("="); bounds
-    ``lb <= x <= ub``; the costs to minimize; the binaries."""
+    """A model read into arrays: rows ``A x (sense) b``, the model's and
+    then ``x_j <= ub_j`` for each variable with ``lb < ub < inf``, in
+    variable order, each row's slack entering with +1 ("<="), -1 (">=")
+    or not at all ("="); bounds ``lb <= x <= ub``; the costs to minimize;
+    the binaries."""
 
     A: np.ndarray
     b: np.ndarray
@@ -172,14 +176,16 @@ def _rows(rows: list[Row], width: int) -> tuple[np.ndarray, ...]:
 
 
 def _form(model: MilpModel) -> _Form:
-    """Read the model into arrays.  A dense ``A`` above MAX_TABLEAU_ENTRIES
-    raises ScaleError before it is allocated, as a dictionary of that size
-    would."""
+    """Read the model into arrays, every row of ``_Form`` made here.  A
+    dense ``A`` above MAX_TABLEAU_ENTRIES raises ScaleError before it is
+    allocated, as a dictionary of that size would."""
     variables = model.variables
     cost = np.zeros(len(variables))
     cost[list(model.objective)] = list(model.objective.values())
+    bounds = [({j: 1.0}, "<=", v.ub) for j, v in enumerate(variables)
+              if v.lb < v.ub < INF]
     return _Form(
-        *_rows(model.constraints, len(variables)),
+        *_rows(model.constraints + bounds, len(variables)),
         np.array([v.lb for v in variables], dtype=float),
         np.array([v.ub for v in variables], dtype=float),
         cost,
@@ -206,12 +212,12 @@ class _Decode(NamedTuple):
         return x
 
     def columns(self, A: np.ndarray, width: int) -> np.ndarray:
-        """Model-space rows ``A`` over ``width`` tableau columns, as
-        ``_standardize`` lays them out: each variable's coefficient on its
-        column, negated on a split variable's negative part, and zero on
-        every slack column.  A fixed variable's coefficients land on a
-        column past the tableau's, which is dropped: they belong in the
-        rhs, at its value ``val``."""
+        """Model-space rows ``A``, lazy rows or an objective, over
+        ``width`` tableau columns, as ``_standardize`` lays them out: each
+        variable's coefficient on its column, negated on a split
+        variable's negative part, and zero on every slack column.  A fixed
+        variable's coefficients land on a column past the tableau's, which
+        is dropped: they belong in the rhs, at its value ``val``."""
         G = np.zeros((len(A), width + 1))
         G[:, self.col] = A
         G[:, self.col[self.split] + 1] -= A[:, self.split]
@@ -219,23 +225,21 @@ class _Decode(NamedTuple):
 
 
 def _standardize(form: _Form):
-    """Phase-1 dictionary of min cᵀx', Ax' (sense) b, x' >= 0, b >= 0.
+    """Phase-1 dictionary of Ax' (sense) b, x' >= 0, b >= 0.
 
-    Finite lower bounds are shifted, free variables are split (the
-    negative part's column right after the positive part's), finite upper
-    bounds become extra rows after the model's, in variable order.  A
-    fixed variable (``lb == ub``) has neither a column nor a bound row:
-    its shift is its value, which moves every row's rhs and the objective
-    constant.  The model's columns are [structural | slacks |
-    artificials].  Rows with a negative rhs are negated, and so are ">="
-    rows with rhs 0; a row whose slack then enters with +1 starts with
-    that slack basic (the slack crash basis), and only "=" rows and rows
-    left with a surplus slack get an artificial, which starts basic.  The
-    dictionary holds the non-basic columns, the structural ones and then
-    the surplus slacks, and the rhs.  Returns the dictionary, the starting
-    basis, ``nb`` (each dictionary column's model column), the phase-2
-    costs of the structural and slack columns, the objective constant,
-    and a decoder back to model space.
+    Finite lower bounds are shifted and free variables are split (the
+    negative part's column right after the positive part's); the finite
+    upper bounds are already rows of ``form``.  A fixed variable (``lb ==
+    ub``) has no column: its shift is its value, which moves every row's
+    rhs.  The model's columns are [structural | slacks | artificials].
+    Rows with a negative rhs are negated, and so are ">=" rows with rhs 0;
+    a row whose slack then enters with +1 starts with that slack basic
+    (the slack crash basis), and only "=" rows and rows left with a
+    surplus slack get an artificial, which starts basic.  The dictionary
+    holds the non-basic columns, the structural ones and then the surplus
+    slacks, and the rhs.  Returns the dictionary, the starting basis,
+    ``nb`` (each dictionary column's model column), the first artificial
+    column, and a decoder back to model space.
     """
     split = form.lb == -INF
     fixed = form.lb == form.ub
@@ -245,40 +249,26 @@ def _standardize(form: _Form):
     # entry in every array laid out by columns (``_Decode``).
     col = np.where(fixed, -1, np.cumsum(span) - span)
     ncols = int(span.sum())
-    neg = col[split] + 1
-    bounded = np.flatnonzero((form.ub < INF) & ~fixed)
 
     # Per row: the rhs, the sign that makes it non-negative (-1 also for
     # ">=" rows with rhs 0) and the slack's coefficient after that sign
     # (0 for "=" rows, which have no slack).
-    rhs = np.concatenate([form.b - form.A @ val,
-                          form.ub[bounded] - val[bounded]])
-    slack = np.concatenate([form.slack, np.ones(len(bounded))])
-    s = np.where((rhs < 0) | ((rhs == 0) & (slack < 0)), -1.0, 1.0)
-    slack *= s
+    rhs = form.b - form.A @ val
+    s = np.where((rhs < 0) | ((rhs == 0) & (form.slack < 0)), -1.0, 1.0)
+    slack = form.slack * s
     has_slack, surplus = slack != 0.0, slack < 0.0
-    m, m0 = len(rhs), len(form.b)
     art = ncols + int(has_slack.sum())
     slack_col = ncols + np.cumsum(has_slack) - 1
     art_col = art + np.cumsum(slack <= 0.0) - 1
     nb = np.concatenate((np.arange(ncols), slack_col[surplus]))
-    N = _zeros(m, len(nb) + 1, "LP tableau")
-    N[:m0, col] = form.A  # fixed variables' entries hit the rhs, set last
-    N[:m0, neg] -= form.A[:, split]
-    brow, bcol = m0 + np.arange(len(bounded)), col[bounded]
-    bsplit = split[bounded]  # a split variable's bound holds both parts
-    N[brow, bcol] = 1.0
-    N[brow[bsplit], bcol[bsplit] + 1] = -1.0
+    N = _zeros(len(rhs), len(nb) + 1, "LP tableau")
+    N[:, col] = form.A  # fixed variables' entries hit the rhs, set last
+    N[:, col[split] + 1] -= form.A[:, split]
     N[s < 0, :ncols] *= -1
     N[surplus, ncols + np.arange(len(nb) - ncols)] = -1.0
     N[:, -1] = np.abs(rhs)
     basis = np.where(slack > 0.0, slack_col, art_col)
-
-    c = np.zeros(art + 1)
-    c[col] = form.cost
-    c[neg] -= form.cost[split]
-    const = float(form.cost @ val)
-    return N, basis, nb, c[:-1], const, _Decode(val, split, col)
+    return N, basis, nb, art, _Decode(val, split, col)
 
 
 def _pivot(N: np.ndarray, z: np.ndarray, basis: np.ndarray, nb: np.ndarray,
@@ -472,10 +462,21 @@ def _primal_pass(tab: _Tableau, pivots: int) -> _LP:
                pivots, tab)
 
 
+def _priced(N: np.ndarray, basis: np.ndarray, nb: np.ndarray,
+            decode: _Decode, cost: np.ndarray, pivots: int) -> _LP:
+    """The LP of the primal-feasible dictionary (``N``, ``basis``, ``nb``)
+    under ``cost``, one per model variable, laid over the model's columns
+    (``_Decode.columns``): its reduced costs, then ``_primal_pass``.  It
+    reads no old objective row, so a warm root is priced in place."""
+    c = decode.columns(cost[None], len(basis) + len(nb))[0]
+    z = _reduced_costs(N, c[basis], c[nb])
+    return _primal_pass(_Tableau(N, z, basis, nb, c, float(cost @ decode.val),
+                                 decode), pivots)
+
+
 def _relax(form: _Form) -> _LP:
     """The LP relaxation, cold-started from its phase-1 dictionary."""
-    N, basis, nb, c, const, decode = _standardize(form)
-    art = len(c)
+    N, basis, nb, art, decode = _standardize(form)
 
     # Phase 1: minimize the sum of the artificials, from the crash basis,
     # where every artificial is basic.
@@ -502,12 +503,11 @@ def _relax(form: _Form) -> _LP:
     basis, nb = basis[keep], nb[cols]
 
     # Phase 2: the model's objective over the structural and slack columns.
-    z2 = _reduced_costs(N, c[basis], c[nb])
-    return _primal_pass(_Tableau(N, z2, basis, nb, c, const, decode), pivots)
+    return _priced(N, basis, nb, decode, form.cost, pivots)
 
 
 def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
-                 cutoff: float, cost: Optional[np.ndarray] = None) -> _LP:
+                 cutoff: float) -> _LP:
     """The LP of a solved dictionary's LP plus the rows ``G x' + s = h``
     over its model columns, each with a new slack s >= 0, warm-started
     from the dictionary.
@@ -521,12 +521,8 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     dual-feasible, so the dual simplex restores feasibility, and
     ``_primal_pass``, which ends ``_relax`` too, clears any dual
     infeasibility roundoff left.  An LP whose objective reaches ``cutoff -
-    FEAS_TOL`` stops as "cutoff".
-
-    ``cost``, when given, is a new objective in model space, priced as
-    ``_standardize`` prices it: the dual simplex still runs on the
-    dictionary's own reduced costs, and ``cutoff`` bounds that objective,
-    but the new one's replace them before the primal pass.
+    FEAS_TOL`` stops as "cutoff".  The dictionary's objective carries
+    over: the new slacks cost nothing.
     """
     m, w, k = len(tab.basis), len(tab.c), len(h)
     N = _zeros(m + k, len(tab.nb) + 1, "LP tableau")
@@ -542,13 +538,9 @@ def _append_rows(tab: _Tableau, G: np.ndarray, h: np.ndarray,
     status, pivots = _dual_simplex(N, z, basis, nb, cutoff - tab.const)
     if status != "optimal":
         return _LP(status, math.nan, None, pivots)
-    d = tab.decode
-    c, const = ((tab.c, tab.const) if cost is None
-                else (d.columns(cost[None], w)[0], float(cost @ d.val)))
-    c = np.concatenate((c, np.zeros(k)))
-    if cost is not None:
-        z = _reduced_costs(N, c[basis], c[nb])
-    return _primal_pass(_Tableau(N, z, basis, nb, c, const, d), pivots)
+    c = np.concatenate((tab.c, np.zeros(k)))
+    return _primal_pass(_Tableau(N, z, basis, nb, c, tab.const, tab.decode),
+                        pivots)
 
 
 def _node(parent: _Tableau, form: _Form, held: int, j: int, up: bool,
@@ -580,7 +572,7 @@ def _node(parent: _Tableau, form: _Form, held: int, j: int, up: bool,
 
 
 def _feasible(form: _Form, x: np.ndarray) -> bool:
-    """Whether x meets every model row within FEAS_TOL."""
+    """Whether x meets every row of ``form``, bounds too, within FEAS_TOL."""
     excess = form.A @ x - form.b
     violation = np.where(form.slack == 0.0, np.abs(excess),
                          form.slack * excess)
@@ -632,8 +624,8 @@ class HeldRows:
 def solve_repriced(held: HeldRows, cost: np.ndarray) -> MilpResult:
     """``solve_milp`` of the held model minimizing ``cost``, one
     coefficient per variable (InputError on another length).  Its root LP
-    starts from ``held.root`` priced anew, or cold without one, and leaves
-    its own there."""
+    pivots ``held.root`` in place under ``cost``, or starts cold without
+    one, and leaves its own there."""
     if np.shape(cost) != held.form.lb.shape:
         raise InputError(f"objective of {np.size(cost)} coefficients for "
                          f"{len(held.form.lb)} variables")
@@ -646,7 +638,8 @@ def _search(form: _Form, warm: Optional[_Tableau], lazy: Optional[Lazy],
             deadline: float) -> tuple[MilpResult, Optional[_Tableau]]:
     """``solve_milp``'s search of ``form`` and its final root tableau
     (None if the root LP had no optimum).  The root starts from ``warm``,
-    a root tableau of the same rows under any objective, if given."""
+    a root tableau of the same rows under any objective, if given, whose
+    arrays it pivots in place: each child copies its parent's."""
     bins = form.binaries
     root: Optional[_Tableau] = None
 
@@ -678,8 +671,8 @@ def _search(form: _Form, warm: Optional[_Tableau], lazy: Optional[Lazy],
             lp = _node(parent, form, held, j, fixed.get(j) == 1.0,
                        best_value)
         elif warm is not None:
-            lp = _append_rows(warm, np.zeros((0, len(warm.c))), np.zeros(0),
-                              math.inf, form.cost)
+            lp = _priced(warm.N, warm.basis, warm.nb, warm.decode, form.cost,
+                         0)
         else:
             lp = _relax(form)
         if nodes == 1:

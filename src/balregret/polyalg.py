@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 
-from .adversarial import _check_scale
 from .core import (
     BinarySolution,
     Instance,
@@ -77,7 +76,6 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
     f = _require_selection(inst, "regret algorithm")
     if inst.budgets.gamma_prime != 0:
         raise InputError("regret algorithm requires gamma_prime = 0")
-    _check_scale(inst)
     if inst.n * max(inst.costs.worst()) >= _POLY_LIMIT:
         raise ScaleError("instance data too large for the regret algorithm's "
                          "int64 arithmetic")

@@ -8,7 +8,6 @@ import pytest
 
 from balregret import adversarial, master, milp
 from balregret.adversarial import (
-    _OVERFLOW_LIMIT,
     _certificate_for,
     adversarial_bruteforce,
     adversarial_milp,
@@ -17,6 +16,7 @@ from balregret.adversarial import (
 )
 from balregret.balancing import solve_balancing
 from balregret.core import (
+    _OVERFLOW_LIMIT,
     BinarySolution,
     Budgets,
     InputError,
@@ -224,10 +224,12 @@ def test_dp_exact_near_the_scale_limit():
 
 
 def test_dp_rejects_data_over_the_scale_limit():
-    inst = Instance(ItemCosts((_OVERFLOW_LIMIT // 2, 0, 0),
-                              (0, 0, _OVERFLOW_LIMIT // 2 + 1)),
-                    Budgets(1, 3), MultiRepSelection([(0, 1, 2)], [1]))
+    # The scale guard refuses the costs where they are made, so no
+    # adversary ever sees them.
     with pytest.raises(ScaleError):
+        inst = Instance(ItemCosts((_OVERFLOW_LIMIT // 2, 0, 0),
+                                  (0, 0, _OVERFLOW_LIMIT // 2 + 1)),
+                        Budgets(1, 3), MultiRepSelection([(0, 1, 2)], [1]))
         adversarial_selection_dp(inst, BinarySolution((1, 0, 0)))
 
 

@@ -153,6 +153,52 @@ class TestSolve:
         assert "internal error: certificate disagrees" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["iterative", "enumeration",
+                                        "compact", "bruteforce",
+                                        "regret-poly"])
+    def test_data_past_the_scale_guard_exits_two(self, tmp_path, caplog,
+                                                 example_two, method):
+        # Brute force read 2^60 on these costs through int64 overflow, and
+        # compact and enumeration returned wrong values on such data; the
+        # exact value is 0.  The file is refused at load, by every method.
+        data = example_two.to_dict()
+        data.update(c_hat=[2**60, 2**58, 2**62, 1, 2**62, 2**55],
+                    d=[2**58, 1, 0, 0, 0, 1], gamma=5, gamma_prime=0)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", str(path), "--method", method,
+                     "--out", str(out)]) == cli.EXIT_INFEASIBLE
+        assert _error_lines(caplog) == [
+            "instance data too large for exact integer arithmetic"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options, message", [
+        (["--method", "compact", "--adversary", "milp"],
+         "--adversary applies to --method iterative only"),
+        (["--method", "iterative", "--time-limit", "nan"],
+         "--time-limit must be at least 0, got nan"),
+        (["--method", "iterative", "--time-limit", "-1"],
+         "--time-limit must be at least 0, got -1.0"),
+    ])
+    def test_options_it_would_ignore_are_usage_errors(
+            self, tmp_path, example_two_file, caplog, options, message):
+        # Only iterative takes an adversary, and a nan limit would never
+        # stop a solve.
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", example_two_file, *options,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+        assert _error_lines(caplog) == [f"usage: {message}"]
+        assert not out.exists()
+
+    def test_adversary_reaches_iterative(self, tmp_path, example_two_file):
+        out = tmp_path / "report.json"
+        assert main(["solve", "--instance", example_two_file, "--method",
+                     "iterative", "--adversary", "milp", "--time-limit",
+                     "inf", "--out", str(out)]) == cli.EXIT_OK
+        payload = json.loads(out.read_text())
+        assert (payload["method"], payload["value"]) == ("iterative/milp", 1)
+
     def test_node_limit_exits_two(self, tmp_path, monkeypatch, caplog):
         # Two nodes find an incumbent but do not close this compact tree:
         # a search cut short by its node limit proves no optimum, so the

@@ -44,6 +44,18 @@ class TestItemCosts:
     def test_worst(self):
         assert ItemCosts((8, 5), (9, 14)).worst() == (17, 19)
 
+    def test_scale_guard(self):
+        # Costs plus deviations may sum to 2^60 and no more.
+        limit = core._OVERFLOW_LIMIT
+        assert ItemCosts((limit - 1, 0), (0, 1)).worst() == (limit - 1, 1)
+        with pytest.raises(ScaleError, match="too large for exact integer"):
+            ItemCosts((limit, 0), (0, 1))
+        # Brute force read 2^60 on these costs through int64 overflow,
+        # with gamma = 5, gamma_prime = 0 and 3 of 6 picked; the value is 0.
+        with pytest.raises(ScaleError):
+            ItemCosts((2**60, 2**58, 2**62, 1, 2**62, 2**55),
+                      (2**58, 1, 0, 0, 0, 1))
+
     def test_top_deviations(self):
         costs = ItemCosts((0,) * 6, (5, 9, 0, 9, 5, 7))
         every = (1,) * 6

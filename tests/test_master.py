@@ -21,6 +21,7 @@ from balregret.core import (
     InternalError,
     ItemCosts,
     Knapsack,
+    MultiRepSelection,
     ScaleError,
     Scenario,
     ShortestPath,
@@ -363,6 +364,25 @@ def test_methods_exact_on_selection_at_costs_x_10_6(method, seed):
              "compact": master.solve_compact_mrs,
              "enumeration": master.solve_enumeration}[method]
     assert solve(inst).value == master.solve_bruteforce(inst).value
+
+
+@pytest.mark.parametrize("method", [
+    "solve_bruteforce",
+    pytest.param("solve_iterative", marks=pytest.mark.xfail(
+        raises=InternalError, strict=True,
+        reason="ROADMAP item 4: a lazy row holds at the point it was "
+               "returned for")),
+    pytest.param("solve_enumeration", marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 4: reports 0 as optimal")),
+])
+def test_methods_exact_inside_the_scale_guard(method):
+    # Costs and deviations sum to less than 2^60, yet float tolerances
+    # read them wrong.  Compact refuses with ScaleError, which is honest.
+    inst = Instance(ItemCosts((2**59, 1, 0, 2**57), (1, 2**57, 0, 0)),
+                    Budgets(2, 0), MultiRepSelection([(0, 1, 2, 3)], [2]))
+    rep = getattr(master, method)(inst)
+    assert (rep.value, rep.optimal) == (1, True)
 
 
 def test_gamma_prime_zero_methods_agree_with_regret_algorithm():

@@ -192,8 +192,7 @@ def test_crash_basis_puts_artificials_only_where_needed():
     for coefs, sense, rhs in rows:
         m.add_constraint(coefs, sense, rhs)
     m.set_objective({b: -2.0, c: -1.0})
-    N, basis, nb, cost, *_ = milp._standardize(milp._form(m))
-    art = len(cost)
+    N, basis, nb, art, _ = milp._standardize(milp._form(m))
     assert art == 4 + 7
     assert [i for i in range(10) if basis[i] >= art] == [2, 3, 4, 5, 6]
     # The dictionary's columns are the non-basic ones: the structural
@@ -205,6 +204,31 @@ def test_crash_basis_puts_artificials_only_where_needed():
     assert status == "optimal"
     assert -value == pytest.approx(3.0)
     assert x == pytest.approx([1.0, 1.0, 1.0, 1.0])
+
+
+def test_form_makes_a_row_of_each_finite_upper_bound():
+    # After the model's rows, one row x_j <= ub_j per variable with lb <
+    # ub < inf, in variable order: a split variable gets one, a fixed or
+    # unbounded variable none.
+    m = milp.MilpModel()
+    a = m.add_binary()
+    b = m.add_continuous(-milp.INF, 4.0)  # split
+    m.add_continuous(2.0, 2.0)  # fixed
+    d = m.add_continuous(0.0)  # unbounded
+    e = m.add_continuous(-1.0, 3.0)
+    m.add_constraint({a: 1.0, d: 2.0}, ">=", 1.0)
+    form = milp._form(m)
+    assert form.A.tolist() == [[1, 0, 0, 2, 0], [1, 0, 0, 0, 0],
+                               [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
+    assert form.b.tolist() == [1.0, 1.0, 4.0, 3.0]
+    assert form.slack.tolist() == [-1.0, 1.0, 1.0, 1.0]
+    # A point above one bound meets the model's row, but not the form.
+    x = np.array([1.0, 4.0, 2.0, 0.0, 3.0])
+    assert milp._feasible(form, x)
+    for j in (a, b, e):
+        above = x.copy()
+        above[j] += 0.5
+        assert not milp._feasible(form, above), j
 
 
 def test_model_validation():
@@ -458,10 +482,12 @@ def test_highs_agrees_on_random_mixed_models():
 
 
 def _loop_standardize(model):
-    """Tableau, starting basis, phase-2 costs and objective constant of
-    ``_standardize``, built by a loop over the model's rows and variables:
-    the reference for its array form.  A fixed variable (lb = ub) has no
-    column and no bound row; its value enters through the shift."""
+    """Tableau, starting basis, phase-2 costs over the structural and slack
+    columns, and objective constant of ``_standardize`` and the pricing
+    that follows phase 1 (``_priced``), built by a loop over the model's
+    rows and variables: the reference for their array form.  A fixed
+    variable (lb = ub) has no column and no bound row; its value enters
+    through the shift."""
     cols, ncols, rows = {}, 0, list(model.constraints)
     for j, v in enumerate(model.variables):
         if v.lb == v.ub:
@@ -525,7 +551,7 @@ def test_standardize_matches_loop_reference():
             if rng.randint(0, 2) == 0:
                 v.lb = v.ub = float(rng.randint(-2, 2))
         form = milp._form(model)
-        N, basis, nb, c, const, _ = milp._standardize(form)
+        N, basis, nb, art, decode = milp._standardize(form)
         ref = _loop_standardize(model)
         # The dictionary is the reference's non-basic columns and rhs; the
         # basic ones it leaves out are unit vectors.
@@ -533,16 +559,25 @@ def test_standardize_matches_loop_reference():
         assert basis.tolist() == ref[1] and nb.tolist() == other
         assert np.array_equal(N, ref[0][:, other + [-1]])
         assert np.array_equal(ref[0][:, ref[1]], np.eye(len(ref[1])))
-        assert np.array_equal(c, ref[2]) and const == ref[3]
+        assert art == len(ref[2])
+        c = decode.columns(form.cost[None], art)[0]
+        assert np.array_equal(c, ref[2])
+        assert float(form.cost @ decode.val) == ref[3]
+        # A point, and the point cut down to the upper bounds, which are
+        # rows too.
         x = np.array([float(rng.randint(-1, 2)) for _ in model.variables])
-        worst = 0.0
-        for coefs, sense, b in model.constraints:
-            lhs = sum(a * x[j] for j, a in coefs.items())
-            worst = max(worst, {"<=": lhs - b, ">=": b - lhs}.get(
-                sense, abs(lhs - b)))
-        feasible = milp._feasible(form, x)
-        assert feasible == (worst <= milp.FEAS_TOL)
-        seen[feasible] += 1
+        bounds = [({j: 1.0}, "<=", v.ub)
+                  for j, v in enumerate(model.variables)
+                  if v.lb < v.ub < milp.INF]
+        for point in (x, np.minimum(x, form.ub)):
+            worst = 0.0
+            for coefs, sense, b in model.constraints + bounds:
+                lhs = sum(a * point[j] for j, a in coefs.items())
+                worst = max(worst, {"<=": lhs - b, ">=": b - lhs}.get(
+                    sense, abs(lhs - b)))
+            feasible = milp._feasible(form, point)
+            assert feasible == (worst <= milp.FEAS_TOL)
+            seen[feasible] += 1
     assert min(seen.values()) >= 30
 
 
