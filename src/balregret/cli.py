@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, solve, evaluate, crosscheck, ingest-graph.  Data
-goes to files, logs to stderr.  Exit codes: 0 ok, 1 usage, 2 infeasible,
-scale guard or internal error, 3 time limit (incumbent still written), 4
-crosscheck disagreement.
+goes to files, logs to stderr.  Exit codes: 0 ok, 1 usage, bad input or a
+file it cannot write, 2 infeasible, scale guard or internal error, 3 time
+limit (incumbent still written), 4 crosscheck disagreement.
 """
 
 from __future__ import annotations
@@ -227,11 +227,21 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    batch = ingest_graph(args.edges, args.pairs)
+    files: dict[str, Instance] = {}
+    for inst in batch:  # every file name is checked before any is written
+        file = f"{inst.name}.json"
+        if Path(file).name != file:
+            raise InputError(f"pair {inst.name!r}: file name {file!r} holds "
+                             "a path separator")
+        if file in files:
+            raise InputError(f"pair {inst.name!r}: file name {file!r} "
+                             "repeats an earlier pair's")
+        files[file] = inst
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    batch = ingest_graph(args.edges, args.pairs)
-    for inst in batch:
-        save_instance(inst, out / f"{inst.name}.json")
+    for file, inst in files.items():
+        save_instance(inst, out / file)
     log.info("wrote %d instances to %s", len(batch), out)
     return EXIT_OK
 
@@ -255,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         log.error("usage: %s", exc)
         return EXIT_USAGE
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # OSError: a file it cannot write
         log.error("%s", exc)
         return EXIT_USAGE
     except (InfeasibleError, ScaleError) as exc:

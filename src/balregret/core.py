@@ -528,6 +528,22 @@ class ShortestPath:
 
 FeasibleSet = Union[MultiRepSelection, Knapsack, ShortestPath]
 
+# The instance file's "feasible_set" object: each "type" names a family's
+# class and its (JSON key, attribute) pairs, in constructor order.
+_FEASIBLE_SCHEMA = {
+    "multirep_selection": (MultiRepSelection,
+                           (("partitions", "partitions"), ("p", "quotas"))),
+    "knapsack": (Knapsack, (("weights", "weights"), ("capacity", "capacity"))),
+    "shortest_path": (ShortestPath,
+                      (("nodes", "node_count"), ("edges", "edges"),
+                       ("source", "source"), ("target", "target"))),
+}
+
+
+def _as_lists(value):
+    """value with every nested tuple turned into a list, as JSON reads it."""
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -560,26 +576,11 @@ class Instance:
 
     def to_dict(self) -> dict:
         f = self.feasible
-        if isinstance(f, MultiRepSelection):
-            fs = {
-                "type": "multirep_selection",
-                "partitions": [list(p) for p in f.partitions],
-                "p": list(f.quotas),
-            }
-        elif isinstance(f, Knapsack):
-            fs = {
-                "type": "knapsack",
-                "weights": list(f.weights),
-                "capacity": f.capacity,
-            }
-        else:
-            fs = {
-                "type": "shortest_path",
-                "nodes": f.node_count,
-                "edges": [list(e) for e in f.edges],
-                "source": f.source,
-                "target": f.target,
-            }
+        kind = next(k for k, (family, _) in _FEASIBLE_SCHEMA.items()
+                    if isinstance(f, family))
+        fs = {"type": kind}
+        fs.update((key, _as_lists(getattr(f, attr)))
+                  for key, attr in _FEASIBLE_SCHEMA[kind][1])
         return {
             "name": self.name,
             "c_hat": list(self.costs.c_hat),
@@ -603,17 +604,11 @@ class Instance:
 
         fs = field(data, "feasible_set")
         kind = field(fs, "type")
-        feasible: FeasibleSet
-        if kind == "multirep_selection":
-            feasible = MultiRepSelection(field(fs, "partitions"),
-                                         field(fs, "p"))
-        elif kind == "knapsack":
-            feasible = Knapsack(field(fs, "weights"), field(fs, "capacity"))
-        elif kind == "shortest_path":
-            feasible = ShortestPath(field(fs, "nodes"), field(fs, "edges"),
-                                    field(fs, "source"), field(fs, "target"))
-        else:
-            raise InputError(f"unknown feasible_set type {kind!r}")
+        try:
+            family, fields = _FEASIBLE_SCHEMA[kind]
+        except (KeyError, TypeError):  # TypeError: kind is no JSON string
+            raise InputError(f"unknown feasible_set type {kind!r}") from None
+        feasible = family(*(field(fs, key) for key, _ in fields))
         return cls(
             costs=ItemCosts(field(data, "c_hat"), field(data, "d")),
             budgets=Budgets(field(data, "gamma"), field(data, "gamma_prime")),

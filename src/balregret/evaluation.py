@@ -28,14 +28,24 @@ CRITERIA = ("BC", "WC-I", "WC-G", "R-I", "R-G", "BR")
 
 def _with_budgets(inst: Instance, gamma: int | None = None,
                   gamma_prime: int | None = None) -> Instance:
-    g = inst.budgets.gamma if gamma is None else gamma
-    gp = inst.budgets.gamma_prime if gamma_prime is None else gamma_prime
+    """inst at the given budgets, and inst itself when they are its own."""
+    b = inst.budgets
+    g = b.gamma if gamma is None else gamma
+    gp = b.gamma_prime if gamma_prime is None else gamma_prime
+    if g == b.gamma and gp == b.gamma_prime:
+        return inst
     return replace(inst, budgets=Budgets(g, gp))
 
 
-def _adversarial_value(inst: Instance, x: BinarySolution) -> int:
-    """Value of x under the solvers' default adversary for the instance."""
-    return master._pick_adversary(inst, None)[1](x).value
+def _regret_budgets(inst: Instance, criterion: str) -> tuple[int, int]:
+    """The budgets (gamma, gamma_prime) of the balanced-regret problem that
+    a regret criterion poses on inst: R-I attacks every item, R-G up to
+    gamma items, and neither balances; BR is inst's own problem."""
+    if criterion == "R-I":
+        return inst.n, 0
+    if criterion == "R-G":
+        return inst.budgets.gamma, 0
+    return inst.budgets.gamma, inst.budgets.gamma_prime
 
 
 def eval_criterion(inst: Instance, x: BinarySolution, criterion: str) -> int:
@@ -58,9 +68,8 @@ def eval_criterion(inst: Instance, x: BinarySolution, criterion: str) -> int:
         hindsight = [ci + di * xi for ci, di, xi in zip(c, d, x.x)]
         y = nominal_solve(inst.feasible, hindsight)
         return worst - sum(hi * yi for hi, yi in zip(hindsight, y.x))
-    if criterion == "R-G":
-        return _adversarial_value(_with_budgets(inst, gamma_prime=0), x)
-    return _adversarial_value(inst, x)
+    sub = _with_budgets(inst, *_regret_budgets(inst, criterion))
+    return master._adversarial_value(sub, x)
 
 
 def optimize_criterion(inst: Instance, criterion: str) -> SolveReport:
@@ -68,7 +77,6 @@ def optimize_criterion(inst: Instance, criterion: str) -> SolveReport:
     if criterion not in CRITERIA:
         raise InputError(f"unknown criterion {criterion!r}")
     c, d = inst.costs.c_hat, inst.costs.d
-    n = inst.n
     if criterion in ("BC", "WC-I"):
         costs = list(c) if criterion == "BC" else [ci + di for ci, di in zip(c, d)]
         x = nominal_solve(inst.feasible, costs)
@@ -84,12 +92,7 @@ def optimize_criterion(inst: Instance, criterion: str) -> SolveReport:
             if best is None or value < best[0]:
                 best = (value, x)
         return SolveReport.exact(best[1], best[0], criterion, 0.0)
-    if criterion == "R-I":
-        sub = _with_budgets(inst, gamma=n, gamma_prime=0)
-    elif criterion == "R-G":
-        sub = _with_budgets(inst, gamma_prime=0)
-    else:
-        sub = inst
+    sub = _with_budgets(inst, *_regret_budgets(inst, criterion))
     if sub.budgets.gamma_prime == 0 and isinstance(sub.feasible,
                                                    MultiRepSelection):
         rep = solve_regret_budgeted_mrs(sub)
@@ -136,43 +139,37 @@ def criteria_matrix(batch: list[Instance],
     """
     if not batch:
         raise InputError("batch must be non-empty")
-    rows = list(CRITERIA)
-    if gamma_prime_range is not None:
-        rows += [f"BR({gp})" for gp in gamma_prime_range]
+    rows = list(CRITERIA) + [f"BR({gp})" for gp in gamma_prime_range or ()]
     cols = list(CRITERIA)
     sums = [[0.0] * len(cols) for _ in rows]
     counts = [[0] * len(cols) for _ in rows]
     excluded = [[0] * len(cols) for _ in rows]
 
     for inst in batch:
-        reports: dict[str, SolveReport] = {}
-        for c in cols:
-            # At gamma_prime 0 the BR problem is R-G's: reuse its solve.
-            if c == "BR" and inst.budgets.gamma_prime == 0:
-                reports[c] = reports["R-G"]
-            else:
-                reports[c] = optimize_criterion(inst, c)
-        optima = [reports[c].value for c in cols]
-        solutions = [reports[c].x for c in cols]
-        if gamma_prime_range is not None:
-            # BR at gamma_prime 0 takes R-G's path, and BR at the
-            # instance's own gamma_prime is the BR column: reuse both.
-            known = {0: reports["R-G"].x,
-                     inst.budgets.gamma_prime: reports["BR"].x}
-            for gp in gamma_prime_range:
-                if gp not in known:
-                    sub = _with_budgets(inst, gamma_prime=gp)
-                    known[gp] = optimize_criterion(sub, "BR").x
-                solutions.append(known[gp])
-        # Criteria often share an optimizer: evaluate each distinct x once.
-        # At gamma_prime 0 the BR value of x is its R-G value.
-        same = {"BR": "R-G"} if inst.budgets.gamma_prime == 0 else {}
+        # Each column's optimizer, then BR at each gamma_prime of the range.
+        # R-G and BR are keyed by their problem's budgets, which fix their
+        # optimum and every x's value, the others by name: each key is
+        # solved once, and each distinct x evaluated once per column key.
+        tasks = [(c, inst) for c in cols] + [
+            ("BR", _with_budgets(inst, gamma_prime=gp))
+            for gp in gamma_prime_range or ()]
+        keys = [_regret_budgets(sub, c) if c in ("R-G", "BR") else c
+                for c, sub in tasks]
+        reports: dict[object, SolveReport] = {}
+        for (c, sub), key in zip(tasks, keys):
+            if key not in reports:
+                reports[key] = optimize_criterion(sub, c)
+        col_keys = keys[:len(cols)]
+        optima = [reports[key].value for key in col_keys]
+        solutions = [reports[key].x for key in keys]
         evaluated: dict[BinarySolution, list[int]] = {}
         for x in solutions:
             if x not in evaluated:
-                vals = {c: eval_criterion(inst, x, c)
-                        for c in cols if c not in same}
-                evaluated[x] = [vals[same.get(c, c)] for c in cols]
+                vals: dict[object, int] = {}
+                for c, key in zip(cols, col_keys):
+                    if key not in vals:
+                        vals[key] = eval_criterion(inst, x, c)
+                evaluated[x] = [vals[key] for key in col_keys]
         for i, x in enumerate(solutions):
             for j, (f, f_star) in enumerate(zip(evaluated[x], optima)):
                 if f_star == 0:

@@ -311,6 +311,11 @@ def _pick_adversary(inst: Instance,
     return adversary, lambda x: ADVERSARY_METHODS[adversary](inst, x, *shared)
 
 
+def _adversarial_value(inst: Instance, x: BinarySolution) -> int:
+    """Value of x under the instance's default adversary."""
+    return _pick_adversary(inst, None)[1](x).value
+
+
 def solve_iterative(
     inst: Instance,
     adversary: Optional[str] = None,
@@ -460,7 +465,7 @@ def _solve_model(inst: Instance, method: str,
     if res.status == "optimal":
         return SolveReport.exact(x, int(round(res.value)), method,
                                  time.monotonic() - start)
-    value = _pick_adversary(inst, None)[1](x).value
+    value = _adversarial_value(inst, x)
     return SolveReport(
         x=x,
         value=value,

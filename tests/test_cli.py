@@ -350,6 +350,15 @@ class TestCrosscheck:
         assert not _error_lines(caplog)
 
 
+def _write_csvs(tmp_path, edge_rows, pairs_text):
+    edges = tmp_path / "edges.csv"
+    pairs = tmp_path / "pairs.csv"
+    edges.write_text("\n".join(",".join(map(str, r)) for r in edge_rows)
+                     + "\n")
+    pairs.write_text(pairs_text)
+    return str(edges), str(pairs)
+
+
 class TestIngestGraph:
     def test_writes_instances(self, tmp_path):
         edges = tmp_path / "edges.csv"
@@ -368,6 +377,67 @@ class TestIngestGraph:
         inst = load_instance(out / "path-s-t.json")
         assert inst.n == 3
         assert len(enumerate_solutions(inst.feasible)) == 2
+
+
+    def test_label_with_a_path_separator_writes_nothing(self, tmp_path,
+                                                        caplog):
+        # The pair (s, A/B) would name path-s-A/B.json, a file under a
+        # directory that does not exist.
+        edges, pairs = _write_csvs(
+            tmp_path, [["e0", "s", "A/B", *range(10, 20)]], "s,A/B\n")
+        out = tmp_path / "instances"
+        assert main(["ingest-graph", "--edges", edges, "--pairs", pairs,
+                     "--out", str(out)]) == 1
+        assert _error_lines(caplog) == [
+            "pair 'path-s-A/B': file name 'path-s-A/B.json' holds a path "
+            "separator"]
+        assert not out.exists()
+
+    def test_pairs_sharing_a_file_name_write_nothing(self, tmp_path,
+                                                      caplog):
+        # (a-b, c) and (a, b-c) both name path-a-b-c.json.
+        edges, pairs = _write_csvs(
+            tmp_path, [["e0", "a-b", "c", *range(10, 20)],
+                       ["e1", "a", "b-c", *range(10, 20)]],
+            "a-b,c\na,b-c\n")
+        out = tmp_path / "instances"
+        assert main(["ingest-graph", "--edges", edges, "--pairs", pairs,
+                     "--out", str(out)]) == 1
+        assert _error_lines(caplog) == [
+            "pair 'path-a-b-c': file name 'path-a-b-c.json' repeats an "
+            "earlier pair's"]
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """A file the command cannot write exits 1 with one ERROR line."""
+
+    def _assert_one_error(self, caplog, argv):
+        assert main(argv) == 1
+        assert len(_error_lines(caplog)) == 1
+
+    def test_generate(self, tmp_path, caplog):
+        self._assert_one_error(caplog, [
+            "generate", "--family", "selection", "--n", "6", "--seed", "1",
+            "--out", str(tmp_path / "missing" / "sel.json")])
+
+    def test_solve(self, tmp_path, caplog, example_one_file):
+        self._assert_one_error(caplog, [
+            "solve", "--instance", example_one_file, "--method", "iterative",
+            "--out", str(tmp_path / "missing" / "report.json")])
+
+    def test_evaluate(self, tmp_path, caplog, example_two_file):
+        self._assert_one_error(caplog, [
+            "evaluate", "--instances", example_two_file,
+            "--out", str(tmp_path / "missing" / "matrix.csv")])
+
+    def test_ingest_graph(self, tmp_path, caplog):
+        # The output directory is an existing file.
+        edges, pairs = _write_csvs(
+            tmp_path, [["e0", "s", "t", *range(10, 20)]], "s,t\n")
+        self._assert_one_error(caplog, [
+            "ingest-graph", "--edges", edges, "--pairs", pairs,
+            "--out", edges])
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,12 +1,16 @@
 """Generators, reductions, serialization, and CSV graph ingestion."""
 
+import importlib.resources
 import json
 
 import pytest
 
 from balregret.core import (
+    _FEASIBLE_SCHEMA,
+    Budgets,
     InputError,
     Instance,
+    ItemCosts,
     Knapsack,
     MultiRepSelection,
     ShortestPath,
@@ -103,10 +107,25 @@ class TestReductions:
         assert inst.n == 4 * 4
 
 
+def _bundled(name: str):
+    return importlib.resources.files("balregret") / "data" / name
+
+
+def _triangle() -> Instance:
+    f = ShortestPath(3, [(0, 1), (1, 2), (0, 2)], 0, 2)
+    return Instance(ItemCosts((1, 2, 3), (1, 0, 2)), Budgets(1, 1), f,
+                    name="tri")
+
+
 class TestSerialization:
     @pytest.mark.parametrize("build", [
         lambda: gen_selection(6, 2, gamma=2, gamma_prime=1),
         lambda: gen_knapsack(5, 4),
+        _triangle,
+        lambda: build_partition_reduction((1, 1, 2, 2))[0],
+        lambda: build_equipartition_reduction((1, 1, 1, 1))[0],
+        lambda: load_instance(_bundled("example_one.json")),
+        lambda: load_instance(_bundled("example_two.json")),
     ])
     def test_roundtrip(self, tmp_path, build):
         inst = build()
@@ -118,15 +137,25 @@ class TestSerialization:
         save_instance(load_instance(path), path)
         assert path.read_text() == text
 
-    def test_shortest_path_roundtrip(self, tmp_path):
-        from balregret.core import Budgets, ItemCosts
+    @pytest.mark.parametrize("name", ["example_one.json", "example_two.json"])
+    def test_bundled_files_resave_unchanged(self, tmp_path, name):
+        path = tmp_path / name
+        save_instance(load_instance(_bundled(name)), path)
+        assert path.read_text() == _bundled(name).read_text()
 
-        f = ShortestPath(3, [(0, 1), (1, 2), (0, 2)], 0, 2)
-        inst = Instance(ItemCosts((1, 2, 3), (1, 0, 2)), Budgets(1, 1), f,
-                        name="tri")
-        path = tmp_path / "tri.json"
-        save_instance(inst, path)
-        assert load_instance(path) == inst
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, (_, fields) in _FEASIBLE_SCHEMA.items()
+        for key, _ in fields])
+    def test_missing_family_field_is_named(self, tmp_path, kind, key):
+        data = {"multirep_selection": gen_selection(6, 2),
+                "knapsack": gen_knapsack(5, 4),
+                "shortest_path": _triangle()}[kind].to_dict()
+        assert data["feasible_set"]["type"] == kind
+        del data["feasible_set"][key]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InputError, match=f"lacks field '{key}'"):
+            load_instance(path)
 
     def test_bad_file_rejected(self, tmp_path):
         selection = gen_selection(6, 2).to_dict()
