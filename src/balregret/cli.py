@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__, master, polyalg
 from .core import (
+    Budgets,
     InfeasibleError,
     InputError,
     Instance,
@@ -96,6 +97,8 @@ def _build_parser() -> _Parser:
     i = sub.add_parser("ingest-graph", help="CSV scenarios to instances")
     i.add_argument("--edges", required=True)
     i.add_argument("--pairs", required=True)
+    i.add_argument("--gamma", type=int, default=0)
+    i.add_argument("--gamma-prime", type=int, default=0)
     i.add_argument("--out", required=True, help="output directory")
     return p
 
@@ -227,7 +230,8 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    batch = ingest_graph(args.edges, args.pairs)
+    batch = ingest_graph(args.edges, args.pairs,
+                         Budgets(args.gamma, args.gamma_prime))
     files: dict[str, Instance] = {}
     for inst in batch:  # every file name is checked before any is written
         file = f"{inst.name}.json"

@@ -247,13 +247,18 @@ class MultiRepSelection:
 
     def enumerate_solutions(self) -> Iterator[tuple[int, ...]]:
         """The items of every selection, in increasing order, over the
-        product of each partition's quota-combinations."""
+        product of each partition's quota-combinations.  When the
+        partitions, read in order, list their items in increasing order,
+        every selection comes out in that order without a sort."""
         pools = [
             itertools.combinations(part, q)
             for part, q in zip(self.partitions, self.quotas)
         ]
+        items = list(itertools.chain.from_iterable(self.partitions))
+        ordered = items == sorted(items)
         for combo in itertools.product(*pools):
-            yield tuple(sorted(itertools.chain.from_iterable(combo)))
+            picked = itertools.chain.from_iterable(combo)
+            yield tuple(picked) if ordered else tuple(sorted(picked))
 
     def linear_rows(self) -> list[tuple[dict[int, float], str, float]]:
         """Linear encoding of the feasible set over the n item variables."""

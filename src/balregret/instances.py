@@ -208,16 +208,17 @@ def _round(v: float) -> int:
     return math.floor(v + 0.5)
 
 
-def ingest_graph(edges_path: str | Path,
-                 pairs_path: str | Path) -> list[Instance]:
+def ingest_graph(edges_path: str | Path, pairs_path: str | Path,
+                 budgets: Budgets = Budgets(0, 0)) -> list[Instance]:
     """Shortest-path instances from scenario travel times.
 
     The edge CSV holds edge_id, tail, head and at least ten scenario
     columns; per edge the nominal cost is the 10th percentile of the
     scenarios and the deviation spans up to the 90th (nearest-rank,
     rounded).  The pairs CSV holds source,target rows; unreachable pairs
-    are skipped with a warning.  Budgets default to 0 and are set by the
-    caller.
+    are skipped with a warning.  Every instance carries ``budgets``,
+    checked against the edge count (``Budgets.validate``) before any pair
+    is read.
     """
     edges_rows = _read_csv(edges_path)
     pairs_rows = _read_csv(pairs_path, header_tokens=("source", "target"))
@@ -241,6 +242,7 @@ def ingest_graph(edges_path: str | Path,
         c.append(lo)
         d.append(hi - lo)
 
+    budgets.validate(len(c))
     index = {lab: i for i, lab in enumerate(sorted(labels))}
     edge_list = [(index[t], index[h]) for t, h in arcs]
 
@@ -259,7 +261,7 @@ def ingest_graph(edges_path: str | Path,
             continue
         out.append(Instance(
             costs=ItemCosts(tuple(c), tuple(d)),
-            budgets=Budgets(0, 0),
+            budgets=budgets,
             feasible=feas,
             name=f"path-{s}-{t}",
         ))

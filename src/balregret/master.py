@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from . import milp
 from .adversarial import (
+    _certificate_for,
     adversarial_bruteforce,
     adversarial_milp,
     adversarial_selection_dp,
@@ -332,14 +333,26 @@ def solve_iterative(
     adversary values x; unless the master's value variable already meets
     that value, the callback returns one cut, the adversary's scenario at
     the break point whose cut is tight at x, and the tree goes on with it.
-    Each MILP adversary call starts from the last one's root LP.
 
-    ``iterations`` counts the adversary calls the tree makes, and the
-    bounds get one entry per call: the tree's bound and the best value so
-    far.  A last entry has both at the optimum when the tree closes; when
-    the tree pops a node after ``time_limit`` seconds, the report keeps
-    the best x, is not optimal, and its last lower bound is the tree's
-    (or 0, which bounds every value, if that is higher).
+    Under the MILP adversary, x is first valued exactly against each
+    pick so far: the warm start, the adversary's pick against it, and
+    every pick the adversary has returned since.  When the best of them
+    already scores x at the best value or above, x cannot improve it:
+    that pick's scenario answers the round in the adversary's place, and
+    the callback returns its value, a lower bound on x's that is at least
+    the incumbent's, as ``milp.solve_milp``'s ``lazy`` allows.  Each MILP
+    adversary call starts from the last one's root LP.  The DP and the
+    brute force value every x: with the DP, the scan gave
+    ``gen_selection(200, 1, gamma=3, gamma_prime=3)`` 2,159 rounds in
+    place of 1,918 and about 1.4 times the CPU time.
+
+    ``iterations`` counts the separation rounds, one per integral point
+    the tree values, whether the adversary or a pooled pick answers it,
+    and the bounds get one entry per round: the tree's bound and the best
+    value so far.  A last entry has both at the optimum when the tree
+    closes; when the tree pops a node after ``time_limit`` seconds, the
+    report keeps the best x, is not optimal, and its last lower bound is
+    the tree's (or 0, which bounds every value, if that is higher).
     """
     start = time.monotonic()
     name, adv = _pick_adversary(inst, adversary)
@@ -360,10 +373,23 @@ def solve_iterative(
                           for s in inst.break_points(y0.indices())}
     pool[(cert0.y, cert0.delta, _best_point(inst, cert0.y, y0))] = None
 
+    # The picks that may answer a round in place of the MILP adversary.
+    # A pick's cut meets the same checks as the adversary's: had its
+    # scenario been pooled, the master's point would meet its cut, and
+    # the round would return with no row.
+    picks = {y0: None, cert0.y: None} if name == "milp" else None
+
     def separate(point, bound: float) -> tuple[int, list[milp.Row]]:
         nonlocal best_x, best_value
         x = _read_solution(inst.feasible, point[1:1 + inst.n])
-        cert = adv(x)
+        cert = None
+        if picks is not None:
+            cert = max((_certificate_for(inst, x, y) for y in picks),
+                       key=lambda pooled: pooled.value)
+        if cert is None or cert.value < best_value:
+            cert = adv(x)
+            if picks is not None:
+                picks[cert.y] = None
         if cert.value < best_value:
             best_x, best_value = x, cert.value
         lower.append(bound)

@@ -600,12 +600,15 @@ def solve_milp(
     bound: the least lower bound over x's node and the open nodes.  It
     returns the least value of a point with x's binaries in the whole
     model, the one with every row the callback could return (+inf if
-    there is none), which becomes the incumbent's value, with x, when
-    lower; and model rows "<=" or ">=" that x violates by more than
-    FEAS_TOL (InternalError if one does not).  Those rows join the model
-    for the rest of the search: x's node is solved again with them, and
-    every open node appends the rows its parent's tableau lacks when it
-    is popped.  With no rows, x's node is closed.
+    there is none), or a lower bound on that value that is at least the
+    value of a point the caller holds.  That value becomes the
+    incumbent's, with x, when lower; a result whose incumbent is such a
+    bound reports it with that x, and the caller's point is at least as
+    good.  It also returns model rows "<=" or ">=" that x violates by
+    more than FEAS_TOL (InternalError if one does not).  Those rows join
+    the model for the rest of the search: x's node is solved again with
+    them, and every open node appends the rows its parent's tableau lacks
+    when it is popped.  With no rows, x's node is closed.
     """
     return _search(_form(model), None, lazy, deadline)[0]
 

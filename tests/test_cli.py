@@ -8,7 +8,12 @@ import pytest
 from balregret import cli, master, milp
 from balregret.cli import main
 from balregret.adversarial import adversarial_bruteforce
-from balregret.core import BinarySolution, InternalError, enumerate_solutions
+from balregret.core import (
+    BinarySolution,
+    Budgets,
+    InternalError,
+    enumerate_solutions,
+)
 from balregret.instances import load_instance, save_instance, gen_selection
 
 
@@ -377,6 +382,25 @@ class TestIngestGraph:
         inst = load_instance(out / "path-s-t.json")
         assert inst.n == 3
         assert len(enumerate_solutions(inst.feasible)) == 2
+        assert inst.budgets == Budgets(0, 0)
+
+    def test_budgets(self, tmp_path, caplog):
+        # The budgets reach every file; one past the edge count exits 1
+        # before any file is written.
+        edges, pairs = _write_csvs(
+            tmp_path, [["e0", "s", "m", *range(10, 20)],
+                       ["e1", "m", "t", *range(30, 40)],
+                       ["e2", "s", "t", *range(45, 55)]], "s,t\n")
+        out = tmp_path / "instances"
+        assert main(["ingest-graph", "--edges", edges, "--pairs", pairs,
+                     "--gamma", "1", "--gamma-prime", "2",
+                     "--out", str(out)]) == 0
+        assert load_instance(out / "path-s-t.json").budgets == Budgets(1, 2)
+        late = tmp_path / "late"
+        assert main(["ingest-graph", "--edges", edges, "--pairs", pairs,
+                     "--gamma", "4", "--out", str(late)]) == 1
+        assert _error_lines(caplog) == ["gamma must be in [0, 3], got 4"]
+        assert not late.exists()
 
 
     def test_label_with_a_path_separator_writes_nothing(self, tmp_path,

@@ -273,6 +273,8 @@ class TestEnumerationOrder:
         sets = [rand_mrs(rng, n_lo=2, n_hi=9, max_parts=3).feasible
                 for _ in range(40)]
         sets.append(MultiRepSelection([(3, 0, 4), (1, 2)], (2, 1)))
+        # Each partition increasing, their items interleaved.
+        sets.append(MultiRepSelection([(0, 2, 4), (1, 3)], (2, 1)))
         for f in sets:
             want = [tuple(sorted(itertools.chain.from_iterable(combo)))
                     for combo in itertools.product(*(

@@ -212,6 +212,25 @@ def test_iterative_deadline_keeps_the_best_x_and_the_tree_bound(
         assert dp(inst, rep.x).value == rep.value
 
 
+def test_milp_adversary_skips_points_a_pooled_pick_settles(monkeypatch):
+    # On paths the MILP adversary values the warm start and only those
+    # integral points that no pick so far scores at the incumbent or
+    # above; the values stay exact.
+    calls = []
+    adv = master.ADVERSARY_METHODS["milp"]
+    monkeypatch.setitem(master.ADVERSARY_METHODS, "milp",
+                        lambda inst, x, held: calls.append(x)
+                        or adv(inst, x, held))
+    rounds = 0
+    for inst in layered_instances(SplitMix64(31341), 30):
+        rep = master.solve_iterative(inst, adversary="milp")
+        want = master.solve_bruteforce(inst).value
+        assert rep.optimal and rep.value == want, inst.name
+        assert adversarial_bruteforce(inst, rep.x).value == want, inst.name
+        rounds += 1 + rep.iterations
+    assert len(calls) < rounds
+
+
 def test_iterative_adversary_choices_agree(example_one):
     values = {
         master.solve_iterative(example_one, adversary=a).value
