@@ -199,12 +199,12 @@ def adversarial_selection_dp(
     states are held at once, besides a copy of the best point's.
 
     The first point of best value wins, across passes as within one, and
-    it is the first over every item's break points too: for a fixed (y,
-    delta) the balancing term ``gamma_prime * s + sum(max(d_i - s, 0)
-    for i in y, x_i = 0)`` is convex in s with kinks only at deviations
-    of items outside x, so at ``gamma_prime >= 1`` its first minimizer
-    is 0 or such a kink; at ``gamma_prime = 0`` every ``max(d_i (1 -
-    x_i) - s, 0)`` is 0 at the one point, as it is at max d.
+    it is the first over every item's break points too: at
+    ``gamma_prime >= 1`` the points are 0 and the deviations of the
+    items outside x less their gamma_prime largest, which keep the first
+    optimum of this search (the proof is in ``ItemCosts.break_points``);
+    at ``gamma_prime = 0`` every ``max(d_i (1 - x_i) - s, 0)`` is 0 at
+    the one point, as it is at max d.
 
     The states are int64, and a state no move reaches holds
     ``_UNREACHED`` plus the moves applied to it since. That is exact:

@@ -113,12 +113,34 @@ class ItemCosts:
         return items[: max(0, k)]
 
     def break_points(
-        self, items: Optional[Iterable[int]] = None
+        self, budget: int, items: Optional[Iterable[int]] = None
     ) -> tuple[int, ...]:
-        """Sorted candidate values {0} | {d_i : i in items} (default every
-        item) for the break point of the balancing dual."""
+        """The sorted break points of the dual of a budget-``budget``
+        deviation stage over ``items`` (default every item) that can bind:
+        0, and each deviation v that more than ``budget`` of the items
+        reach (d_i >= v).  That is, their deviations less the ``budget``
+        largest, counted with multiplicity.
+
+        Weigh item i by w_i in [0, 1]: y_i (1 - x_i) in the balancing
+        stage of a pick y against x, x_i in WC-G's attack on x.  The dual
+        f(s) = budget * s + sum_i w_i max(d_i - s, 0) (Bertsimas & Sim
+        2003) is convex and piecewise linear on s >= 0 with kinks only at
+        the d_i, so its smallest minimizer is 0 or a d_i.  Its slope at s
+        is budget - sum_{d_i > s} w_i >= budget - #{i : d_i > s}, and at
+        most ``budget`` items pass the largest point kept, the (budget +
+        1)-th largest deviation, or 0 with at most ``budget`` items.  So f
+        does not fall beyond that point, and its smallest minimizer is
+        kept, for every weighting at once, fractional ones included.
+        Three things stay as over every point of {0} | {d_i}:
+        - the minimum, so one row or block per point gives the same value
+          and the same LP relaxation;
+        - the smallest minimizer of each weighting (``_best_point``);
+        - the first optimum over the points of a best-over-weightings
+          search (the selection DP, WC-G): if s is the first and w attains
+          it, s is w's smallest minimizer, or an earlier point would tie.
+        """
         d = self.d if items is None else (self.d[i] for i in items)
-        return tuple(sorted({0, *d}))
+        return tuple(sorted({0, *sorted(d, reverse=True)[budget:]}))
 
 
 @dataclass(frozen=True)
@@ -572,12 +594,14 @@ class Instance:
         self, items: Optional[Iterable[int]] = None
     ) -> tuple[int, ...]:
         """The break points of the balancing dual over ``items`` (default
-        every item) that can bind: ``ItemCosts.break_points(items)``, or
-        only the largest at gamma_prime = 0, where it makes every
-        ``max(d_i - s, 0)`` over the items 0 and, with no ``-gamma_prime *
-        s`` term, each point's value is non-decreasing in s."""
-        points = self.costs.break_points(items)
-        return points if self.budgets.gamma_prime else points[-1:]
+        every item) that can bind: ``ItemCosts.break_points`` at budget
+        gamma_prime, whose docstring holds the proof, or only the largest
+        at gamma_prime = 0, where it makes every ``max(d_i - s, 0)`` over
+        the items 0 and, with no ``-gamma_prime * s`` term, each point's
+        value is non-decreasing in s."""
+        gamma_prime = self.budgets.gamma_prime
+        points = self.costs.break_points(gamma_prime, items)
+        return points if gamma_prime else points[-1:]
 
     def to_dict(self) -> dict:
         f = self.feasible

@@ -85,7 +85,7 @@ def optimize_criterion(inst: Instance, criterion: str) -> SolveReport:
     if criterion == "WC-G":
         gamma = inst.budgets.gamma
         best = None
-        for s in inst.costs.break_points():
+        for s in inst.costs.break_points(gamma):
             adj = [ci + max(di - s, 0) for ci, di in zip(c, d)]
             x = nominal_solve(inst.feasible, adj)
             value = gamma * s + sum(ai * xi for ai, xi in zip(adj, x.x))

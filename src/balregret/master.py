@@ -195,14 +195,14 @@ def build_master(inst: Instance, pool: ScenarioPool) -> milp.MilpModel:
         z >= sum_i (c_i + d_i delta_i) (x_i - y_i) - gamma_prime * s
              - sum_{i in y} (d_i - s)^+ (1 - x_i),
     and the maximum of these rows over s is the scenario's value at x.
-    For any x in [0, 1]^n the dual is convex and piecewise linear in s,
-    with kinks only at the d_i of y, and grows beyond the largest, so its
-    minimum lies in {0} | {d_i : i in y} (``Instance.break_points`` over
-    y's items).  The rows at those points thus give the same LP
-    relaxation as a balancing vector eps per scenario with its caps and
-    budget row, and no extra column.  At gamma_prime = 0 the point max
-    {d_i : i in y} alone suffices: its row has no balancing term, and
-    every other point's row is weaker.
+    For any x in [0, 1]^n that maximum is attained at one of
+    ``Instance.break_points`` over y's items: 0 and their deviations less
+    the gamma_prime largest (the proof is in ``ItemCosts.break_points``).
+    The rows at those points thus give the same LP relaxation as a
+    balancing vector eps per scenario with its caps and budget row, and
+    no extra column.  At gamma_prime = 0 the point max {d_i : i in y}
+    alone suffices: its row has no balancing term, and every other
+    point's row is weaker.
     """
     if not pool:
         raise InputError("scenario pool must be non-empty")
@@ -514,7 +514,14 @@ def solve_enumeration(inst: Instance,
 
 def build_compact(inst: Instance) -> milp.MilpModel:
     """Compact MILP for multi-representative selection: one dualized
-    adversary block per break point that can bind."""
+    adversary block per break point that can bind.
+
+    The points are ``Instance.break_points`` over the items that the
+    dominance order does not fix at x_i = 1, since a fixed item's weight
+    y_i (1 - x_i) in the balancing stage is 0.  By the proof in
+    ``ItemCosts.break_points`` their blocks give the LP relaxation that
+    a block at every point of {0} | {d_i} gives, fractional y included.
+    """
     f = _require_selection(inst, "compact formulation")
     n, L = inst.n, f.num_partitions
     c, d = inst.costs.c_hat, inst.costs.d
@@ -527,7 +534,8 @@ def build_compact(inst: Instance) -> milp.MilpModel:
         for i in part:
             part_of[i] = l
 
-    for s in inst.break_points():
+    open_items = [i for i in range(n) if model.variables[x_vars[i]].lb < 1]
+    for s in inst.break_points(open_items):
         pi = model.add_continuous(0.0)
         rho = [model.add_continuous(0.0) for _ in range(n)]
         kappa = [model.add_continuous(-milp.INF) for _ in range(L)]

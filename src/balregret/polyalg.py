@@ -72,6 +72,14 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
     ``pi`` values plus anchor pairs that tie ``pi`` to one partition's
     ``kappa``.  Every candidate pair is feasible for the dual, so each
     evaluation is an upper bound and the true optimum is in the grid.
+
+    When ``gamma >= sum(quotas)`` the grid is {0} alone.  Each packing
+    delta falls at most as fast as ``pi`` grows, so a partition's dual
+    value, the least over ``kappa`` of a sum over its quota of them, has
+    slope >= -q_l in ``pi``.  The totals, ``gamma * pi`` plus those
+    values, then have slope >= gamma - sum(quotas) >= 0: they are
+    non-decreasing, and ``pi = 0`` is their first minimizer, so the
+    report is the full grid's.
     """
     f = _require_selection(inst, "regret algorithm")
     if inst.budgets.gamma_prime != 0:
@@ -100,6 +108,8 @@ def solve_regret_budgeted_mrs(inst: Instance) -> SolveReport:
     # Sorted and without repeats; np.unique would import numpy.ma.
     grid = np.sort(grid[grid >= 0])
     grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+    if gamma >= sum(f.quotas):  # pi = 0 alone; see the docstring
+        grid = grid[:1]
 
     totals = gamma * grid
     kappas = np.empty((f.num_partitions, len(grid)), dtype=np.int64)

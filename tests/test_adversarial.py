@@ -48,7 +48,7 @@ def _certificate_value(inst, x, cert):
 
 
 def test_sgrid_is_sorted_deviation_set(example_one):
-    grid = example_one.costs.break_points()
+    grid = example_one.costs.break_points(0)
     assert grid == (0, 1, 9, 12, 14, 15)
 
 
@@ -121,10 +121,12 @@ def test_milp_evaluator_matches_cold_solves_along_a_sequence_of_x():
 
 def test_pruned_break_points_keep_first_maximizer():
     # At gamma_prime >= 1 the DP tries only 0 and the deviations of items
-    # outside x; it must return the first maximizer over every break point,
-    # its value and its pick. Tiny costs make ties everywhere; on odd
-    # trials wider deviations make the items outside x own distinct points.
+    # outside x less their gamma_prime largest; it must return the first
+    # maximizer over every candidate point, 0 and every deviation, its
+    # value and its pick. Tiny costs make ties everywhere; on odd trials
+    # wider deviations make the items outside x own distinct points.
     rng = SplitMix64(7005)
+    pruned = 0
     for trial in range(300):
         inst = rand_mrs(rng, n_lo=3, n_hi=9, max_parts=3, cost_hi=3,
                         dev_hi=(3, 30)[trial % 2], gamma_hi=9,
@@ -134,9 +136,13 @@ def test_pruned_break_points_keep_first_maximizer():
                         inst.feasible)
         xs = solutions(inst.feasible)
         x = xs[rng.randint(0, len(xs) - 1)]
-        best = selection_dp_oracle(inst, x, inst.break_points())
+        every = inst.costs.break_points(0)
+        best = selection_dp_oracle(inst, x, every)
         cert = adversarial_selection_dp(inst, x)
         assert (cert.value, list(cert.y.indices())) == best, inst
+        pruned += len(inst.break_points(
+            i for i, xi in enumerate(x.x) if not xi)) < len(every)
+    assert pruned > 250  # most trials drop some point
 
 
 @pytest.mark.parametrize("states", [adversarial._DP_STATES, 1],

@@ -340,10 +340,17 @@ class TestInstance:
             # No items, or only zero deviations: the point 0 alone.
             assert inst.break_points(()) == (0,)
             assert inst.break_points([1]) == (0,)
-            if gp:
+            # The gp largest deviations go, counted with multiplicity.
+            if gp == 1:
                 assert inst.break_points([4, 2, 3, 0]) == (0, 4, 9, 12)
-                assert inst.break_points(iter([2, 1])) == (0, 9)
+                assert inst.break_points(iter([2, 1])) == (0,)
                 assert inst.break_points() == (0, 4, 9, 12)
+                # Two items reach 12, one more than gp: 12 stays.
+                assert inst.break_points([0, 3]) == (0, 12)
+            elif gp == 3:
+                assert inst.break_points([4, 2, 3, 0]) == (0, 4)
+                assert inst.break_points(iter([2, 1])) == (0,)
+                assert inst.break_points() == (0, 4)
             else:  # the largest deviation among the items
                 assert inst.break_points([2, 4, 1]) == (9,)
                 assert inst.break_points() == (12,)

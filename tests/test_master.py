@@ -79,6 +79,59 @@ def test_methods_agree_on_random_selection():
                 solve.__name__, inst)
 
 
+def _tied_selection(rng: SplitMix64, name: str) -> Instance:
+    """Two partitions of 3-4 items, each with a quota of about half, so
+    that the adversary's pick can differ from x in several items; costs
+    in 1..20 and deviations in {0, 12, 24, 36, 48}, which tie often."""
+    sizes = [3 + rng.randint(0, 1) for _ in range(2)]
+    n = sum(sizes)
+    parts = [tuple(range(sizes[0])), tuple(range(sizes[0], n))]
+    return Instance(
+        ItemCosts(tuple(rng.randint(1, 20) for _ in range(n)),
+                  tuple(12 * rng.randint(0, 4) for _ in range(n))),
+        Budgets(1 + rng.randint(0, 2), 0),
+        MultiRepSelection(parts, tuple(size // 2 + rng.randint(0, 1)
+                                       for size in sizes)),
+        name=name)
+
+
+def test_pruned_break_points_keep_every_method_exact():
+    # Each model takes break points only where they can bind: over a
+    # pick's items less its gamma_prime largest deviations, and in the
+    # compact MILP over the items not forced in.  Of every four trials,
+    # one sets gamma_prime = 0 and gamma >= sum(quotas), where the regret
+    # algorithm's pi grid is {0} alone; one draws gamma_prime from 0..n,
+    # which makes every kind of point set, 0 alone too; two draw it from
+    # 1..2, where most positive values lie.
+    rng = SplitMix64(41023)
+    seen = dict.fromkeys(("positive", "forced", "zero only", "poly"), 0)
+    for trial in range(320):
+        inst = _tied_selection(rng, f"points{trial}")
+        n, quotas = inst.n, sum(inst.feasible.quotas)
+        if trial % 4 == 0:
+            budgets = Budgets(quotas + rng.randint(0, n - quotas), 0)
+        else:
+            budgets = Budgets(inst.budgets.gamma, rng.randint(0, n)
+                              if trial % 4 == 1 else 1 + rng.randint(0, 1))
+        inst = Instance(inst.costs, budgets, inst.feasible, name=inst.name)
+        want = master.solve_bruteforce(inst).value
+        solvers = [master.solve_compact_mrs, master.solve_enumeration,
+                   master.solve_iterative]
+        if trial % 4 == 0:
+            solvers.append(polyalg.solve_regret_budgeted_mrs)
+            seen["poly"] += 1
+        for solve in solvers:
+            rep = solve(inst)
+            assert rep.value == want, (solve.__name__, inst)
+            assert adversarial_bruteforce(inst, rep.x).value == want, (
+                solve.__name__, inst)
+        seen["positive"] += want > 0 and budgets.gamma_prime > 0
+        seen["forced"] += bool(master.dominance_reduce(inst).forced_in)
+        seen["zero only"] += (budgets.gamma_prime > 0
+                              and inst.break_points() == (0,))
+    assert min(seen.values()) >= 20, seen
+
+
 def _spy_lazy(monkeypatch) -> list:
     """Record every ``milp.solve_milp`` call that passes a lazy callback:
     its model and, per callback call, the point, the tree's bound, and
@@ -448,17 +501,33 @@ def test_gamma_prime_zero_models_drop_balancing_structure():
         assert len(model.constraints) == first + len(at_pool)
         assert (len(at_pool) == len(pool)) == (gamma_prime == 0)
     # Compact: one block (pi, rho, kappa; a value row and two rows per item)
-    # for the largest break point only.
+    # for the largest break point only; from gamma_prime = 1 on, one per
+    # break point over the items the dominance order does not force in.
     block_vars, block_rows = 1 + n + parts, 1 + 2 * n
     model = master.build_compact(zero)
     assert len(model.variables) == 1 + n + block_vars
     assert len(model.constraints) == first + block_rows
-    blocks = len(inst.costs.break_points())
+    forced_in = master.dominance_reduce(inst).forced_in
+    blocks = len(inst.break_points(i for i in range(n)
+                                   if i not in forced_in))
     assert blocks > 1
     model = master.build_compact(inst)
     assert len(model.variables) == 1 + n + blocks * block_vars
     assert len(model.constraints) == first + blocks * block_rows
     assert zero.break_points() == (max(inst.costs.d),)
+
+
+def test_compact_blocks_only_at_points_that_can_bind():
+    # 21 points make up {0} | {d_i}.  The dominance order forces 7 items
+    # in, and the largest deviation of the 13 others goes at gamma_prime
+    # = 1: 13 blocks of 1 + 2n rows, 540 rows in all (868 with every
+    # point).
+    inst = gen_selection(20, 1, gamma=3, gamma_prime=1)
+    assert len(inst.costs.break_points(0)) == 21
+    assert len(master.dominance_reduce(inst).forced_in) == 7
+    first = len(master._first_stage_model(inst)[0].constraints)
+    model = master.build_compact(inst)
+    assert len(model.constraints) == first + 13 * (1 + 2 * inst.n) == 540
 
 
 def test_first_stage_models_carry_the_dominance_order():
